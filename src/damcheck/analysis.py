@@ -1,23 +1,31 @@
 """Nash-equilibrium checks, bounded strategy search, and the translation of
-coalition operators into the coalition-free fragment."""
+coalition operators into the coalition-free fragment.
+
+The equilibrium test and the strategy search run on the checker's engine
+(`checker._Engine`): the same arena states, update rule, successor lookup
+and formula evaluator as `check`. `final_state` and `ne_formula` work on
+Mechanism values, and `translate` rewrites formulas without evaluating them."""
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
-from . import auction
+from .checker import (  # noqa: F401  _Arena is imported from here by tests
+    CheckStats,
+    _Arena,
+    _Engine,
+    _shallow,
+    cached_update,
+)
 from .errors import (
     ActionError,
     ArityError,
     CoalitionOperatorError,
     InfeasibleProfileError,
-    UnknownNominalError,
 )
-from .checker import CheckStats
 from .formula import (
-    SELF,
     And,
     Box,
     CoalitionBox,
@@ -36,10 +44,8 @@ from .formula import (
     big_or,
     contains_coalition,
     desugar,
-    names_of,
 )
 from .model import (
-    BUYER,
     SELLER,
     SKIP,
     AgentId,
@@ -95,53 +101,58 @@ def check_ne_direct(query: NeQuery) -> NeResult:
     utility by swapping a single step's target for another buyer or SKIP.
     Deviations whose trajectory becomes infeasible are not available and are
     skipped."""
-    mech = query.mechanism
-    net = mech.network
     profile = tuple(query.profile)
     if not profile:
         raise ArityError("profile must contain at least one joint action")
-    final = final_state(mech, profile)
-    if final is None:
-        raise InfeasibleProfileError("the profile itself violates a precondition")
+    engine = _Engine(query.mechanism)
+    arena = engine.arena
+    steps = [arena.action_of(action) for action in profile]
+    trajectory = [engine.root]
+    for action in steps:
+        state = _play(engine, trajectory[-1], (action,))
+        if state is None:
+            raise InfeasibleProfileError("the profile itself violates a precondition")
+        trajectory.append(state)
 
-    sellers = sorted(net.sellers)
-    baseline = {s: auction.evaluate(final).utility[s] for s in sellers}
-    options: list[object] = [net.canonical_name(b) for b in sorted(net.buyers)]
-    options.append(SKIP)
+    def utility(state, s: int) -> Fraction:
+        return engine.allocation(state).utility[arena.agents[s]]
 
-    for position, action in enumerate(profile):
-        for sell in sellers:
-            original = action.target_of(sell)
-            original_agent = (
-                SKIP if original is SKIP else resolve_name(mech, original)
-            )
-            for candidate in options:
-                candidate_agent = (
-                    SKIP if candidate is SKIP else resolve_name(mech, candidate)
-                )
-                if candidate_agent == original_agent:
+    baseline = [utility(trajectory[-1], s) for s in arena.seller_ids]
+    for position, action in enumerate(steps):
+        for s in arena.seller_ids:
+            for candidate in [*arena.buyer_ids, -1]:
+                if candidate == action[s]:
                     continue
-                targets = action.targets()
-                targets[sell] = candidate
-                deviated = list(profile)
-                deviated[position] = joint_action(net, targets)
-                outcome = final_state(mech, deviated)
+                deviated = (*action[:s], candidate, *action[s + 1 :])
+                outcome = _play(
+                    engine, trajectory[position], (deviated, *steps[position + 1 :])
+                )
                 if outcome is None:
                     continue
-                achieved = auction.evaluate(outcome).utility[sell]
-                if achieved > baseline[sell]:
+                achieved = utility(outcome, s)
+                if achieved > baseline[s]:
                     return NeResult(
                         is_ne=False,
                         violation=NeViolation(
-                            seller=sell,
+                            seller=arena.agents[s],
                             position=position,
-                            target=candidate_agent,
-                            baseline=baseline[sell],
+                            target=SKIP if candidate < 0 else arena.agents[candidate],
+                            baseline=baseline[s],
                             achieved=achieved,
                         ),
-                        utilities=tuple(baseline[s] for s in sellers),
+                        utilities=tuple(baseline),
                     )
-    return NeResult(True, None, tuple(baseline[s] for s in sellers))
+    return NeResult(True, None, tuple(baseline))
+
+
+def _play(engine: _Engine, state, actions):
+    """The state after the arena actions in turn, or None at the first
+    infeasible one."""
+    for action in actions:
+        if not engine.arena.feasible(state.adj, state.budgets, action):
+            return None
+        state = cached_update(engine, state, action)
+    return state
 
 
 def _ut_cmp(op: str, nominal: str, value: Fraction) -> Formula:
@@ -216,247 +227,7 @@ class StrategyResult:
     witness: tuple[JointAction, ...] | None
 
 
-_MISS = object()
-
-
-class _Arena:
-    """Indexed, bitmask view of a mechanism for the state-space search.
-
-    Friendship rows are integers over agent indices; a search state is the
-    (rows, budgets) pair. Everything else (valuations, incentives, names)
-    never changes across updates."""
-
-    def __init__(self, mechanism: Mechanism):
-        net = mechanism.network
-        self.mechanism = mechanism
-        self.net = net
-        self.agents: list[AgentId] = sorted(net.sellers) + sorted(net.buyers)
-        self.index = {a: i for i, a in enumerate(self.agents)}
-        self.seller_ids = [self.index[s] for s in sorted(net.sellers)]
-        self.buyer_ids = [self.index[b] for b in sorted(net.buyers)]
-        self.buyer_mask = sum(1 << i for i in self.buyer_ids)
-        self.adj0 = tuple(
-            sum(1 << self.index[f] for f in net.friends_of(a)) for a in self.agents
-        )
-        self.budget0 = tuple(net.budget[a] for a in self.agents)
-        self.incentive = {
-            (self.index[b], self.index[s]): v for (b, s), v in net.incentive.items()
-        }
-        choice_row = self.buyer_ids + [-1]
-        self.actions = [
-            tuple(a)
-            for a in itertools.product(choice_row, repeat=len(self.seller_ids))
-        ]
-        self._zero = Fraction(0)
-        # Fraction hashing is expensive; search states key budget vectors by a
-        # small interned id instead. The canonical tuples stay referenced here,
-        # so the id()-based fast path can never see a recycled address.
-        self._budget_intern: dict[tuple, tuple[int, tuple]] = {}
-        self._budget_by_id: dict[int, tuple[int, tuple]] = {}
-
-    def budget_key(self, budgets: tuple) -> tuple[int, tuple]:
-        """(small id, canonical tuple) for a budget vector."""
-        entry = self._budget_by_id.get(id(budgets))
-        if entry is not None:
-            return entry
-        entry = self._budget_intern.get(budgets)
-        if entry is None:
-            entry = (len(self._budget_intern), budgets)
-            self._budget_intern[budgets] = entry
-        self._budget_by_id[id(entry[1])] = entry
-        return entry
-
-    def feasible(self, adj, budgets, action) -> bool:
-        for pos, target in enumerate(action):
-            if target < 0:
-                continue
-            s = self.seller_ids[pos]
-            if not (adj[s] >> target) & 1:
-                return False
-            if budgets[s] < self.incentive.get((target, s), self._zero):
-                return False
-        return True
-
-    def apply(self, adj, budgets, action):
-        targeted: dict[int, list[int]] = {}
-        for pos, target in enumerate(action):
-            if target >= 0:
-                targeted.setdefault(target, []).append(self.seller_ids[pos])
-        new_adj = list(adj)
-        new_bud = None  # copy only when money actually moves
-        for target, candidates in targeted.items():
-            winner = min(
-                candidates,
-                key=lambda s: (
-                    -self.incentive.get((target, s), self._zero),
-                    self.agents[s].id,
-                ),
-            )
-            gained = adj[target] & self.buyer_mask & ~new_adj[winner]
-            remaining = gained
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                new_adj[low.bit_length() - 1] |= 1 << winner
-            new_adj[winner] |= gained
-            paid = self.incentive.get((target, winner), self._zero)
-            if paid:
-                if new_bud is None:
-                    new_bud = list(budgets)
-                new_bud[winner] -= paid
-                new_bud[target] += paid
-        return tuple(new_adj), (budgets if new_bud is None else tuple(new_bud))
-
-    def materialize(self, adj, budgets) -> Mechanism:
-        friends = {
-            agent: frozenset(self.agents[j] for j in _bits(adj[i]))
-            for i, agent in enumerate(self.agents)
-        }
-        budget = {agent: budgets[i] for i, agent in enumerate(self.agents)}
-        return Mechanism(
-            replace(self.net, friends=friends, budget=budget), self.mechanism.rule
-        )
-
-    def compile(self, node):
-        """Core formula -> interned tuple graph over agent indices."""
-        interned: dict[tuple, tuple] = {}
-
-        def put(item: tuple) -> tuple:
-            return interned.setdefault(item, item)
-
-        def resolve_idx(nominal: str) -> int:
-            agent = self.net.names.get(nominal)
-            if agent is None:
-                raise UnknownNominalError(
-                    f"nominal {nominal!r} names no agent of the mechanism"
-                )
-            return self.index[agent]
-
-        def go(n) -> tuple:
-            kind = type(n)
-            if kind is Nominal:
-                return put(("nom", resolve_idx(n.name)))
-            if kind is Not:
-                return put(("not", go(n.child)))
-            if kind is And:
-                return put(("and", go(n.left), go(n.right)))
-            if kind is Box:
-                return put(("box", go(n.child)))
-            if kind is Heart:
-                idx = -1 if n.target is SELF else resolve_idx(n.target)
-                return put(("heart", idx))
-            if kind is LinearGeq:
-                terms = tuple(
-                    (c, -1 if t.subject is SELF else resolve_idx(t.subject))
-                    for c, t in n.terms
-                )
-                return put(("lin", terms, n.bound))
-            if kind is Diffuse:
-                template = [-1] * len(self.seller_ids)
-                seen: set[int] = set()
-                for nominal, target in n.bindings:
-                    s_idx = resolve_idx(nominal)
-                    if self.agents[s_idx].kind != SELLER:
-                        raise ActionError(f"{nominal!r} does not name a seller")
-                    pos = self.seller_ids.index(s_idx)
-                    if pos in seen:
-                        raise ActionError(
-                            f"seller {nominal!r} bound twice in one action"
-                        )
-                    seen.add(pos)
-                    if target is SKIP:
-                        continue
-                    t_idx = resolve_idx(target)
-                    if self.agents[t_idx].kind != BUYER:
-                        raise ActionError(f"{target!r} does not name a buyer")
-                    template[pos] = t_idx
-                return put(("diff", tuple(template), go(n.child)))
-            raise TypeError(f"cannot compile node {n!r}")
-
-        return go(node)
-
-    def action_to_joint(self, action) -> JointAction:
-        assignment: dict[AgentId, object] = {}
-        for pos, target in enumerate(action):
-            sell = self.agents[self.seller_ids[pos]]
-            if target < 0:
-                assignment[sell] = SKIP
-            else:
-                assignment[sell] = self.net.canonical_name(self.agents[target])
-        return joint_action(self.net, assignment)
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
-
-
-class _StateEval:
-    """Evaluates a compiled goal over one arena state, memoizing per
-    (node, agent) and computing the allocation lazily."""
-
-    __slots__ = ("arena", "adj", "budgets", "memo", "alloc")
-
-    def __init__(self, arena: _Arena, adj, budgets):
-        self.arena = arena
-        self.adj = adj
-        self.budgets = budgets
-        self.memo: dict = {}
-        self.alloc = None
-
-    def allocation(self):
-        if self.alloc is None:
-            self.alloc = auction.evaluate(
-                self.arena.materialize(self.adj, self.budgets)
-            )
-        return self.alloc
-
-    def eval(self, node, agent: int) -> bool:
-        key = (id(node), agent)
-        got = self.memo.get(key, _MISS)
-        if got is _MISS:
-            got = self._compute(node, agent)
-            self.memo[key] = got
-        return got
-
-    def _compute(self, node, agent: int) -> bool:
-        op = node[0]
-        if op == "nom":
-            return node[1] == agent
-        if op == "not":
-            return not self.eval(node[1], agent)
-        if op == "and":
-            return self.eval(node[1], agent) and self.eval(node[2], agent)
-        if op == "box":
-            row = self.adj[agent]
-            child = node[1]
-            while row:
-                low = row & -row
-                row ^= low
-                if not self.eval(child, low.bit_length() - 1):
-                    return False
-            return True
-        if op == "heart":
-            idx = node[1] if node[1] >= 0 else agent
-            return self.allocation().placement[self.arena.agents[idx]] == 1
-        if op == "lin":
-            alloc = self.allocation()
-            total = 0
-            for coeff, idx in node[1]:
-                who = self.arena.agents[idx if idx >= 0 else agent]
-                total += coeff * alloc.utility[who]
-            return total >= node[2]
-        if op == "diff":
-            action = node[1]
-            if not self.arena.feasible(self.adj, self.budgets, action):
-                return True
-            adj2, bud2 = self.arena.apply(self.adj, self.budgets, action)
-            return _StateEval(self.arena, adj2, bud2).eval(node[2], agent)
-        raise TypeError(f"cannot evaluate compiled node {node!r}")
-
-
+@_shallow
 def strategy_exists(
     query: StrategyQuery, stats: CheckStats | None = None
 ) -> StrategyResult:
@@ -470,64 +241,53 @@ def strategy_exists(
     goal = desugar(query.goal)
     if contains_coalition(goal):
         raise CoalitionOperatorError("strategy goals must be coalition-free")
-    missing = names_of(goal) - set(net.names)
-    if missing:
-        raise UnknownNominalError(
-            "goal uses names absent from the mechanism: " + ", ".join(sorted(missing))
-        )
+    engine = _Engine(mech)
+    arena = engine.arena
+    compiled = arena.compile(goal)
     depth_cap = (
         query.max_depth
         if query.max_depth is not None
         else len(net.sellers) * len(net.buyers)
     )
-    arena = _Arena(mech)
-    compiled = arena.compile(goal)
-    sellers_idx = arena.seller_ids
 
-    def satisfied(adj, budgets) -> bool:
-        state = _StateEval(arena, adj, budgets)
-        return all(state.eval(compiled, s) for s in sellers_idx)
+    def satisfied(state) -> bool:
+        found = all(engine.eval(compiled, state, s) for s in arena.seller_ids)
+        # the search may hold thousands of states: keep none of their memos
+        state.memo.clear()
+        state.alloc = None
+        return found
 
-    bud_id, budgets0 = arena.budget_key(arena.budget0)
-    start_key = (arena.adj0, bud_id)
-    parents: dict = {start_key: None}
-    if satisfied(arena.adj0, budgets0):
-        if stats is not None:
-            stats.states_explored = 1
-        return StrategyResult(True, ())
-
-    frontier = [(arena.adj0, budgets0)]
+    parents = {engine.root: None}
+    hit = engine.root if satisfied(engine.root) else None
+    frontier = [engine.root]
     depth = 0
-    hit = None
     while frontier and depth < depth_cap and hit is None:
         upcoming = []
-        for adj, budgets in frontier:
-            parent_key = (adj, arena.budget_key(budgets)[0])
-            for action in arena.actions:
-                if not arena.feasible(adj, budgets, action):
+        for state in frontier:
+            options = [
+                arena.options(state.adj, state.budgets, s) for s in arena.seller_ids
+            ]
+            for action in itertools.product(*options):
+                successor = cached_update(engine, state, action)
+                if successor in parents:
                     continue
-                adj2, bud2 = arena.apply(adj, budgets, action)
-                small, bud2 = arena.budget_key(bud2)
-                key = (adj2, small)
-                if key in parents:
-                    continue
-                parents[key] = (parent_key, action)
-                if satisfied(adj2, bud2):
-                    hit = key
+                parents[successor] = (state, action)
+                if satisfied(successor):
+                    hit = successor
                     break
-                upcoming.append((adj2, bud2))
+                upcoming.append(successor)
             if hit is not None:
                 break
         frontier = upcoming
         depth += 1
     if stats is not None:
-        stats.states_explored = len(parents)
+        stats.agents = engine.width
+        stats.states_explored = len(engine.table)
     if hit is None:
         return StrategyResult(False, None)
     steps = []
-    cursor = hit
-    while parents[cursor] is not None:
-        cursor, action = parents[cursor]
+    while parents[hit] is not None:
+        hit, action = parents[hit]
         steps.append(arena.action_to_joint(action))
     steps.reverse()
     return StrategyResult(True, tuple(steps))
@@ -536,6 +296,7 @@ def strategy_exists(
 # --- coalition-operator elimination -------------------------------------------
 
 
+@_shallow
 def translate(mechanism: Mechanism, form: Formula) -> Formula:
     """A coalition-free formula agreeing with the input on this mechanism at
     every agent. Coalition boxes unfold into conjunctions over the coalition's

@@ -1,19 +1,37 @@
-"""Model checking: the coalition-free engine and the strategic extension.
+"""Model checking on one engine: an indexed arena of network states.
 
-`check` evaluates the coalition-free fragment by direct recursion on the
-formula, materialising updated mechanisms along diffusion operators.
-`check_strategic` additionally handles coalition operators by quantifying
-over per-seller choices drawn from the mechanism's buyers plus SKIP."""
+Every query runs on the same three pieces: `check` and `check_strategic`
+here, and the strategy search and the equilibrium test in `analysis`.
+
+* `_Arena` is the static index of a network and the update rule over it.
+  Agents are numbered, friendship rows are integer bitmasks, and money is
+  held as integers scaled by the least common denominator of the network's
+  budgets and incentives, so money comparisons stay exact. An arena is
+  built once per network and cached on the immutable `MarketNetwork`.
+* `_Arena.compile` turns a core formula into a hash-consed tuple graph over
+  agent numbers (global model checking for hybrid logics, Franceschet & de
+  Rijke 2006; hash-consing, Filliatre & Conchon 2006).
+* `_Engine` is one query: a table of the states it built, keyed by
+  (friendship rows, budgets), and the evaluator over them. Modal nodes
+  (friendship box, diffusion box, coalition box) are memoised per state and
+  agent, which makes nested boxes cost time linear in their depth.
+
+`model.apply_joint_action` stays the value-level update; tests hold the
+arena's update to it field for field."""
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from . import auction
 from .errors import (
     ActionError,
     CoalitionOperatorError,
+    DamError,
     UnknownAgentError,
     UnknownNominalError,
 )
@@ -30,24 +48,15 @@ from .formula import (
     Not,
     contains_coalition,
     desugar,
-    names_of,
 )
-from .model import (
-    SELLER,
-    SKIP,
-    AgentId,
-    JointAction,
-    Mechanism,
-    action_precondition,
-    apply_joint_action,
-    joint_action,
-    resolve_name,
-)
+from .model import SKIP, AgentId, JointAction, Mechanism, joint_action
 
 
 @dataclass
 class CheckStats:
-    """Counters a query fills in: mechanism size, distinct states built."""
+    """Counters a query fills in: the mechanism's agent count, the number of
+    distinct (friendship, budget) states the query built, root included, and
+    the elapsed time its caller measured."""
 
     agents: int = 0
     states_explored: int = 0
@@ -61,130 +70,343 @@ class CheckQuery:
     formula: Formula
 
 
-def action_from_bindings(mechanism: Mechanism, bindings) -> JointAction:
-    """JointAction for formula-level bindings; unlisted sellers SKIP."""
-    partial: dict[AgentId, object] = {}
-    for nominal, target in bindings:
-        agent = resolve_name(mechanism, nominal)
-        if agent.kind != SELLER:
-            raise ActionError(f"{nominal!r} does not name a seller")
-        if agent in partial:
-            raise ActionError(f"seller {agent.id!r} bound twice in one action")
-        partial[agent] = target
-    return joint_action(mechanism.network, partial)
+def _shallow(entry):
+    """Report a formula too deeply nested for Python's stack as a DamError."""
+
+    @functools.wraps(entry)
+    def run(*args, **kwargs):
+        try:
+            return entry(*args, **kwargs)
+        except RecursionError:
+            raise DamError("formula nests too deeply to evaluate") from None
+
+    return run
 
 
-def cached_update(
-    mechanism: Mechanism, action: JointAction, stats: CheckStats | None = None
-) -> Mechanism:
-    """Apply an action, reusing the result for repeated actions on the same
-    immutable mechanism instance."""
-    cache = mechanism.__dict__.setdefault("_updates", {})
-    result = cache.get(action)
-    if result is None:
-        result = apply_joint_action(mechanism, action)
-        cache[action] = result
-        if stats is not None:
-            stats.states_explored += 1
-    return result
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
-def _validate_query(query: CheckQuery) -> Formula:
-    mech = query.mechanism
-    if query.at not in set(mech.network.agents()):
-        raise UnknownAgentError(f"{query.at.id!r} is not an agent of the mechanism")
-    body = desugar(query.formula)
-    missing = names_of(body) - set(mech.network.names)
-    if missing:
-        raise UnknownNominalError(
-            "formula uses names absent from the mechanism: "
-            + ", ".join(sorted(missing))
+class _Arena:
+    """Indexed, bitmask view of a network and the concurrent update on it.
+
+    Agents are numbered sellers first, each group ascending by id, so a
+    seller's number is her position in an action and ties between sellers
+    go to the lower number. A state is a pair (rows, budgets): rows[i] is
+    the bitmask of agent i's friends, budgets[i] her money times `scale`.
+    An action is a tuple over sellers of a buyer number, or -1 for SKIP."""
+
+    def __init__(self, mechanism: Mechanism):
+        net = mechanism.network
+        self.net = net
+        self.rule = mechanism.rule
+        self.agents: list[AgentId] = sorted(net.sellers) + sorted(net.buyers)
+        self.index = {a: i for i, a in enumerate(self.agents)}
+        self.names = {nom: self.index[a] for nom, a in net.names.items()}
+        self.seller_ids = range(len(net.sellers))
+        self.buyer_ids = range(len(net.sellers), len(self.agents))
+        self.buyer_mask = (1 << len(self.agents)) - (1 << len(net.sellers))
+        self.adj0 = tuple(
+            sum(1 << self.index[f] for f in net.friends_of(a)) for a in self.agents
         )
-    return body
+        money = (*net.budget.values(), *net.incentive.values())
+        self.scale = math.lcm(*(m.denominator for m in money))
+        self.budget0 = tuple(int(net.budget[a] * self.scale) for a in self.agents)
+        # price[s][b]: what buyer b demands from seller s, scaled
+        self.price = [[0] * len(self.agents) for _ in self.seller_ids]
+        for (b, s), amount in net.incentive.items():
+            self.price[self.index[s]][self.index[b]] = int(amount * self.scale)
+
+    def feasible(self, adj, budgets, action) -> bool:
+        for s, target in enumerate(action):
+            if target >= 0 and (
+                not (adj[s] >> target) & 1 or budgets[s] < self.price[s][target]
+            ):
+                return False
+        return True
+
+    def options(self, adj, budgets, s: int) -> list[int]:
+        """Seller s's feasible targets, ascending, then -1 (SKIP). A joint
+        action is feasible iff each seller's entry is one of hers."""
+        price, money = self.price[s], budgets[s]
+        row = adj[s] & self.buyer_mask
+        return [t for t in _bits(row) if price[t] <= money] + [-1]
+
+    def apply(self, adj, budgets, action):
+        """Rows and budgets after a feasible action (see
+        model.apply_joint_action)."""
+        targeted: dict[int, list[int]] = {}
+        for s, target in enumerate(action):
+            if target >= 0:
+                targeted.setdefault(target, []).append(s)
+        new_adj = list(adj)
+        new_bud = None  # copy only when money actually moves
+        for target, candidates in targeted.items():
+            # max keeps the first of equal bids: ties go to the least seller id
+            winner = max(candidates, key=lambda s: self.price[s][target])
+            gained = adj[target] & self.buyer_mask & ~new_adj[winner]
+            for j in _bits(gained):
+                new_adj[j] |= 1 << winner
+            new_adj[winner] |= gained
+            paid = self.price[winner][target]
+            if paid:
+                if new_bud is None:
+                    new_bud = list(budgets)
+                new_bud[winner] -= paid
+                new_bud[target] += paid
+        return tuple(new_adj), (budgets if new_bud is None else tuple(new_bud))
+
+    def materialize(self, adj, budgets) -> Mechanism:
+        """The state as a Mechanism value. Rows only ever gain bits, so only
+        the added friends and the changed budgets are patched in."""
+        net = self.net
+        friends = dict(net.friends)
+        for i, (row, row0) in enumerate(zip(adj, self.adj0)):
+            if row != row0:
+                agent = self.agents[i]
+                added = frozenset(self.agents[j] for j in _bits(row & ~row0))
+                friends[agent] = net.friends_of(agent) | added
+        budget = net.budget
+        if budgets is not self.budget0:
+            budget = dict(budget)
+            for i, (money, money0) in enumerate(zip(budgets, self.budget0)):
+                if money != money0:
+                    budget[self.agents[i]] = Fraction(money, self.scale)
+        return Mechanism(replace(net, friends=friends, budget=budget), self.rule)
+
+    def resolve(self, nominal: str) -> int:
+        try:
+            return self.names[nominal]
+        except KeyError:
+            raise UnknownNominalError(
+                f"nominal {nominal!r} names no agent of the mechanism"
+            ) from None
+
+    def seller(self, nominal: str) -> int:
+        s = self.resolve(nominal)
+        if s not in self.seller_ids:
+            raise ActionError(f"{nominal!r} does not name a seller")
+        return s
+
+    def buyer(self, nominal: str) -> int:
+        b = self.resolve(nominal)
+        if b not in self.buyer_ids:
+            raise ActionError(f"action target {nominal!r} names a non-buyer")
+        return b
+
+    def action_of(self, joint: JointAction) -> tuple:
+        """The arena action of a JointAction."""
+        action = [-1] * len(self.seller_ids)
+        for sell, target in joint.entries:
+            s = self.index.get(sell, -1)
+            if s not in self.seller_ids:
+                raise ActionError(f"{sell.id!r} is not a seller of the mechanism")
+            if target is not SKIP:
+                action[s] = self.buyer(target)
+        return tuple(action)
+
+    def action_to_joint(self, action) -> JointAction:
+        return joint_action(
+            self.net,
+            {
+                self.agents[s]: SKIP if t < 0 else self.net.canonical_name(self.agents[t])
+                for s, t in enumerate(action)
+            },
+        )
+
+    def compile(self, node):
+        """Core formula -> hash-consed tuple graph over agent numbers. Each
+        node is (op, operands..., serial); equal subformulas share one node."""
+        interned: dict[tuple, tuple] = {}
+
+        def put(*item) -> tuple:
+            got = interned.get(item)
+            if got is None:
+                got = interned[item] = (*item, len(interned))
+            return got
+
+        def go(n) -> tuple:
+            kind = type(n)
+            if kind is Nominal:
+                return put("nom", self.resolve(n.name))
+            if kind is Not:
+                return put("not", go(n.child))
+            if kind is And:
+                return put("and", go(n.left), go(n.right))
+            if kind is Box:
+                return put("box", go(n.child))
+            if kind is Heart:
+                return put("heart", -1 if n.target is SELF else self.resolve(n.target))
+            if kind is LinearGeq:
+                terms = tuple(
+                    (c, -1 if t.subject is SELF else self.resolve(t.subject))
+                    for c, t in n.terms
+                )
+                return put("lin", terms, n.bound)
+            if kind is Diffuse:
+                action = [-1] * len(self.seller_ids)
+                bound: set[int] = set()
+                for nominal, target in n.bindings:
+                    s = self.seller(nominal)
+                    if s in bound:
+                        raise ActionError(f"seller {nominal!r} bound twice in one action")
+                    bound.add(s)
+                    if target is not SKIP:
+                        action[s] = self.buyer(target)
+                return put("diff", tuple(action), go(n.child))
+            if kind is CoalitionBox:
+                members = {self.seller(nom) for nom in n.coalition}
+                others = [s for s in self.seller_ids if s not in members]
+                return put("coal", tuple(sorted(members)), tuple(others), go(n.child))
+            raise TypeError(f"cannot compile node {n!r}")
+
+        return go(node)
 
 
-def check(query: CheckQuery, stats: CheckStats | None = None) -> bool:
-    """Truth of a coalition-free formula at an agent of a mechanism."""
-    body = _validate_query(query)
-    if contains_coalition(body):
+class _State:
+    """One (rows, budgets) state of a query, with its allocation and the
+    memo of modal nodes keyed by serial * agents + agent."""
+
+    __slots__ = ("adj", "budgets", "alloc", "memo")
+
+    def __init__(self, adj, budgets):
+        self.adj = adj
+        self.budgets = budgets
+        self.alloc = None
+        self.memo: dict[int, bool] = {}
+
+
+class _Engine:
+    """One query on a mechanism: its arena, the table of states it built and
+    the evaluator of compiled formulas over them."""
+
+    def __init__(self, mechanism: Mechanism):
+        cache = mechanism.network.__dict__
+        arena = cache.get("_arena")
+        if arena is None or arena.rule != mechanism.rule:
+            arena = cache["_arena"] = _Arena(mechanism)
+        self.mechanism = mechanism
+        self.arena = arena
+        self.width = len(arena.agents)
+        self.table: dict[tuple, _State] = {}
+        self.root = self.state(arena.adj0, arena.budget0)
+
+    def state(self, adj, budgets) -> _State:
+        key = (adj, budgets)
+        got = self.table.get(key)
+        if got is None:
+            got = self.table[key] = _State(adj, budgets)
+        return got
+
+    def allocation(self, state: _State) -> auction.AllocationResult:
+        if state.alloc is None:
+            mech = (
+                self.mechanism
+                if state is self.root
+                else self.arena.materialize(state.adj, state.budgets)
+            )
+            state.alloc = auction.evaluate(mech)
+        return state.alloc
+
+    def eval(self, node, state: _State, agent: int) -> bool:
+        # one Python frame per formula level: deep formulas need the stack
+        op = node[0]
+        if op == "and":
+            return self.eval(node[1], state, agent) and self.eval(node[2], state, agent)
+        if op == "not":
+            return not self.eval(node[1], state, agent)
+        if op == "nom":
+            return node[1] == agent
+        if op == "heart":
+            who = self.arena.agents[node[1] if node[1] >= 0 else agent]
+            return self.allocation(state).placement[who] == 1
+        if op == "lin":
+            utility = self.allocation(state).utility
+            agents = self.arena.agents
+            total = 0
+            for coeff, who in node[1]:
+                total += coeff * utility[agents[who if who >= 0 else agent]]
+            return total >= node[2]
+        key = node[-1] * self.width + agent
+        got = state.memo.get(key)
+        if got is not None:
+            return got
+        if op == "box":
+            got = True
+            row = state.adj[agent]
+            while row:
+                low = row & -row
+                row ^= low
+                if not self.eval(node[1], state, low.bit_length() - 1):
+                    got = False
+                    break
+        elif op == "diff":
+            action = node[1]
+            got = not self.arena.feasible(
+                state.adj, state.budgets, action
+            ) or self.eval(node[2], cached_update(self, state, action), agent)
+        elif op == "coal":
+            # every feasible choice of the members has a counter-choice of
+            # the others after which the body holds
+            _, members, others, child, _ = node
+            options = [
+                self.arena.options(state.adj, state.budgets, s)
+                for s in self.arena.seller_ids
+            ]
+            action = [-1] * len(options)
+            got = True
+            for picked in itertools.product(*(options[s] for s in members)):
+                for s, t in zip(members, picked):
+                    action[s] = t
+                for counter in itertools.product(*(options[s] for s in others)):
+                    for s, t in zip(others, counter):
+                        action[s] = t
+                    if self.eval(child, cached_update(self, state, tuple(action)), agent):
+                        break
+                else:
+                    got = False
+                    break
+        else:
+            raise TypeError(f"cannot evaluate compiled node {node!r}")
+        state.memo[key] = got
+        return got
+
+
+def cached_update(engine: _Engine, state: _State, action) -> _State:
+    """The state after a feasible action: the engine's one successor lookup.
+    A successor already in the query's table comes back with its memo and
+    allocation."""
+    return engine.state(*engine.arena.apply(state.adj, state.budgets, action))
+
+
+def _check(query: CheckQuery, stats: CheckStats | None, strategic: bool) -> bool:
+    body = desugar(query.formula)
+    if not strategic and contains_coalition(body):
         raise CoalitionOperatorError(
             "formula contains coalition operators; use check_strategic"
         )
+    engine = _Engine(query.mechanism)
+    compiled = engine.arena.compile(body)
+    at = engine.arena.index.get(query.at)
+    if at is None:
+        raise UnknownAgentError(f"{query.at.id!r} is not an agent of the mechanism")
+    result = engine.eval(compiled, engine.root, at)
     if stats is not None:
-        stats.agents = len(query.mechanism.network.agents())
-    return _eval(query.mechanism, query.at, body, stats)
+        stats.agents = engine.width
+        stats.states_explored = len(engine.table)
+    return result
 
 
+@_shallow
+def check(query: CheckQuery, stats: CheckStats | None = None) -> bool:
+    """Truth of a coalition-free formula at an agent of a mechanism."""
+    return _check(query, stats, strategic=False)
+
+
+@_shallow
 def check_strategic(query: CheckQuery, stats: CheckStats | None = None) -> bool:
     """Truth of a formula that may contain coalition operators."""
-    body = _validate_query(query)
-    if stats is not None:
-        stats.agents = len(query.mechanism.network.agents())
-    return _eval(query.mechanism, query.at, body, stats)
-
-
-def _eval(m: Mechanism, at: AgentId, node, stats) -> bool:
-    kind = type(node)
-    if kind is Nominal:
-        return resolve_name(m, node.name) == at
-    if kind is Not:
-        return not _eval(m, at, node.child, stats)
-    if kind is And:
-        return _eval(m, at, node.left, stats) and _eval(m, at, node.right, stats)
-    if kind is Box:
-        return all(
-            _eval(m, b, node.child, stats) for b in m.network.friends_of(at)
-        )
-    if kind is Heart:
-        alloc = auction.evaluate(m)
-        who = at if node.target is SELF else resolve_name(m, node.target)
-        return alloc.placement[who] == 1
-    if kind is LinearGeq:
-        alloc = auction.evaluate(m)
-        total = 0
-        for coeff, term in node.terms:
-            who = at if term.subject is SELF else resolve_name(m, term.subject)
-            total += coeff * alloc.utility[who]
-        return total >= node.bound
-    if kind is Diffuse:
-        action = action_from_bindings(m, node.bindings)
-        if not action_precondition(m, action):
-            return True
-        return _eval(cached_update(m, action, stats), at, node.child, stats)
-    if kind is CoalitionBox:
-        return _eval_coalition(m, at, node, stats)
-    raise TypeError(f"cannot evaluate node {node!r}")
-
-
-def _eval_coalition(m: Mechanism, at: AgentId, node, stats) -> bool:
-    """For every feasible coalition choice there is a counter-choice of the
-    remaining sellers whose combined action realises the body."""
-    net = m.network
-    members: set[AgentId] = set()
-    for nominal in node.coalition:
-        agent = resolve_name(m, nominal)
-        if agent.kind != SELLER:
-            raise ActionError(f"coalition member {nominal!r} does not name a seller")
-        members.add(agent)
-    coalition = sorted(members)
-    others = [s for s in sorted(net.sellers) if s not in members]
-    choices: list[object] = [net.canonical_name(b) for b in net.buyers]
-    choices.append(SKIP)
-
-    for picked in itertools.product(choices, repeat=len(coalition)):
-        c_action = joint_action(net, dict(zip(coalition, picked)))
-        if not action_precondition(m, c_action):
-            continue  # infeasible coalition choice: the implication is vacuous
-        answered = False
-        for counter in itertools.product(choices, repeat=len(others)):
-            assignment = dict(zip(coalition, picked))
-            assignment.update(zip(others, counter))
-            full = joint_action(net, assignment)
-            if not action_precondition(m, full):
-                continue
-            if _eval(cached_update(m, full, stats), at, node.child, stats):
-                answered = True
-                break
-        if not answered:
-            return False
-    return True
+    return _check(query, stats, strategic=True)

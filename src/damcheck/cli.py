@@ -106,7 +106,7 @@ def _cmd_check(args) -> int:
 def _cmd_strategy(args) -> int:
     mechanism = mechjson.load_mechanism(args.model)
     goal = parse_formula(_formula_arg(args.goal))
-    stats = checker.CheckStats(agents=len(mechanism.network.agents()))
+    stats = checker.CheckStats()
     began = time.perf_counter()
     outcome = analysis.strategy_exists(
         analysis.StrategyQuery(mechanism, goal, args.max_depth), stats

@@ -174,8 +174,6 @@ Formula = (
     | CoalitionDiamond | Compare
 )
 
-CORE_TYPES = (Nominal, LinearGeq, Not, And, Box, Diffuse, CoalitionBox, Heart)
-
 
 def big_and(items) -> Formula:
     """Balanced conjunction of the items (empty -> true)."""

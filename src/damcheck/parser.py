@@ -368,10 +368,14 @@ class _Parser:
 def parse_formula(src: str) -> Formula:
     """Parse concrete syntax into a core formula (sugar is desugared)."""
     parser = _Parser(_tokenize(src))
-    out = parser.formula()
+    try:
+        out = desugar(parser.formula())
+    except RecursionError:
+        tok = parser.peek()
+        raise FormulaSyntaxError("formula nests too deeply", tok.line, tok.col) from None
     tok = parser.peek()
     if tok.kind != "EOF":
         raise FormulaSyntaxError(
             f"unexpected trailing input {tok.text!r}", tok.line, tok.col
         )
-    return desugar(out)
+    return out

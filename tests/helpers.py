@@ -7,7 +7,6 @@ import random
 from fractions import Fraction
 
 from damcheck import Mechanism, mechanism_from_dict
-from damcheck.checker import CheckQuery, check
 from damcheck.formula import (
     SELF,
     And,
@@ -34,6 +33,8 @@ from damcheck.model import (
     apply_joint_action,
     joint_action,
 )
+
+from reference import reference_check
 
 
 def equal_valuation_pair() -> Mechanism:
@@ -181,6 +182,46 @@ def random_mechanism(
     )
 
 
+def random_rational_market(rng: random.Random, n_sellers: int, n_buyers: int = 3) -> Mechanism:
+    """Random market with exact non-integer money: seller budgets and
+    non-zero incentives in halves, so a seller can often just afford a
+    buyer, and buyer budgets and valuations in thirds."""
+    sellers = [
+        {"id": f"s{i}", "names": [f"sig{i}"], "budget": str(Fraction(rng.randint(0, 4), 2))}
+        for i in range(1, n_sellers + 1)
+    ]
+    buyers = []
+    for j in range(1, n_buyers + 1):
+        budget = Fraction(rng.randint(0, 6), 3)
+        buyers.append(
+            {
+                "id": f"b{j}",
+                "names": [f"bet{j}"],
+                "budget": str(budget),
+                "valuation": str(budget * Fraction(rng.randint(0, 2), 2)),
+                "incentives": {
+                    f"s{i}": str(Fraction(rng.randint(1, 3), 2))
+                    for i in range(1, n_sellers + 1)
+                    if rng.random() < 0.8
+                },
+            }
+        )
+    edges = [
+        [f"s{i}", f"b{j}"]
+        for i in range(1, n_sellers + 1)
+        for j in range(1, n_buyers + 1)
+        if rng.random() < 0.6
+    ]
+    edges += [
+        [f"b{j}", f"b{k}"]
+        for j, k in itertools.combinations(range(1, n_buyers + 1), 2)
+        if rng.random() < 0.4
+    ]
+    return mechanism_from_dict(
+        {"sellers": sellers, "buyers": buyers, "edges": edges, "rule": "smf"}
+    )
+
+
 def random_action(rng: random.Random, mechanism: Mechanism):
     """An arbitrary (possibly infeasible) joint action."""
     net = mechanism.network
@@ -282,13 +323,14 @@ def random_formula(
 
 def exhaustive_strategy(mechanism: Mechanism, goal, depth: int) -> bool:
     """Independent oracle: breadth-first over every feasible action sequence
-    up to the depth, with no memoization, using only the plain checker."""
+    up to the depth, with no memoization, judging each state with the
+    reference evaluator over Mechanism values, not the engine."""
     net = mechanism.network
     sellers = sorted(net.sellers)
     options = [net.canonical_name(b) for b in sorted(net.buyers)] + [SKIP]
 
     def holds(state: Mechanism) -> bool:
-        return all(check(CheckQuery(state, s, goal)) for s in sellers)
+        return all(reference_check(state, s, goal) for s in sellers)
 
     if holds(mechanism):
         return True

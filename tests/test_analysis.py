@@ -41,8 +41,11 @@ from helpers import (
     two_seller_market,
     random_action,
     random_formula,
+    random_feasible_action,
     random_mechanism,
+    random_rational_market,
 )
+from reference import reference_ne
 
 
 def tiny_one_buyer():
@@ -456,3 +459,24 @@ def test_translate_agreement_random():
             assert check_strategic(CheckQuery(mech, agent, form)) == check(
                 CheckQuery(mech, agent, flat)
             )
+
+
+def test_check_ne_direct_matches_reference_loop():
+    rng = random.Random(31337)
+    for index in range(80):
+        if index % 2:
+            mech = random_rational_market(rng, n_sellers=rng.randint(1, 3))
+        else:
+            mech = random_mechanism(rng, max_sellers=3, max_buyers=4)
+        state, profile = mech, []
+        for _ in range(rng.randint(1, 3)):
+            action = random_feasible_action(rng, state)
+            profile.append(action)
+            state = apply_joint_action(state, action)
+        got = check_ne_direct(NeQuery(mech, tuple(profile)))
+        is_ne, violation, utilities = reference_ne(mech, profile)
+        assert got.is_ne == is_ne
+        assert got.utilities == utilities
+        if violation is not None:
+            v = got.violation
+            assert (v.seller, v.position, v.target, v.baseline, v.achieved) == violation

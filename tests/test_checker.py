@@ -4,14 +4,17 @@ import random
 
 import pytest
 
-from damcheck import SKIP, check, check_strategic, parse_formula
+from damcheck import SKIP, check, check_strategic, parse_formula, strategy_exists
+from damcheck.analysis import StrategyQuery
 from damcheck.checker import CheckQuery, CheckStats
 from damcheck.errors import (
     CoalitionOperatorError,
+    DamError,
     UnknownAgentError,
     UnknownNominalError,
 )
 from damcheck.formula import (
+    TRUE,
     And,
     CoalitionBox,
     CoalitionDiamond,
@@ -31,7 +34,9 @@ from helpers import (
     random_action,
     random_formula,
     random_mechanism,
+    random_rational_market,
 )
+from reference import reference_check
 
 
 def at(mechanism, ident):
@@ -325,3 +330,46 @@ def test_stats_counts_updates():
     )
     assert stats.agents == 5
     assert stats.states_explored >= 1
+
+
+def test_states_explored_counts_distinct_states():
+    mech = referral_chain()
+    for form, built in [("wins(beta) & [] ut[@self] >= 0", 1), ("<sigma:alpha> wins(gamma)", 2)]:
+        for query in (check, check_strategic):
+            stats = CheckStats()
+            query(CheckQuery(mech, at(mech, "a"), parse_formula(form)), stats)
+            assert stats.states_explored == built
+    stats = CheckStats()
+    strategy_exists(StrategyQuery(mech, parse_formula("wins(beta)")), stats)
+    assert stats.states_explored == 1
+
+
+def test_deep_formulas_are_still_answered():
+    mech = referral_chain()
+    assert run(mech, "a", "!" * 900 + "true")
+    assert run(mech, "a", "<sigma:skip> " * 300 + "true")
+
+
+def test_too_deep_formula_is_a_dam_error():
+    mech = referral_chain()
+    form = TRUE
+    for _ in range(5000):
+        form = Not(form)
+    for query in (check, check_strategic):
+        with pytest.raises(DamError):
+            query(CheckQuery(mech, at(mech, "a"), form))
+    with pytest.raises(DamError):
+        strategy_exists(StrategyQuery(mech, form))
+
+
+def test_check_strategic_matches_reference_evaluator():
+    # several sellers, non-zero incentives and non-integer money, against the
+    # recursion over Mechanism values
+    rng = random.Random(2718)
+    for _ in range(100):
+        mech = random_rational_market(rng, n_sellers=rng.randint(2, 3))
+        form = desugar(random_formula(rng, mech, depth=2, coalition=True))
+        for agent in mech.network.agents():
+            assert check_strategic(CheckQuery(mech, agent, form)) == reference_check(
+                mech, agent, form
+            )

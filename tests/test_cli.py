@@ -196,3 +196,15 @@ def test_gen_expressivity(tmp_path, capsys):
                  "--formula", formula, "--strategic"]) == 1
     assert main(["check", "--model", str(out / "m2.json"), "--at", "s",
                  "--formula", formula, "--strategic"]) == 0
+
+
+@pytest.mark.parametrize(
+    "formula", ["!" * 2000 + "true", "(" * 200 + "true" + ")" * 200]
+)
+def test_too_deep_formula_exits_two(formula, capsys):
+    from pathlib import Path
+
+    chain = Path(__file__).resolve().parent.parent / "samples" / "referral-chain.json"
+    rc = main(["check", "--model", str(chain), "--at", "a", "--formula", formula])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
