@@ -3,8 +3,10 @@ coalition operators into the coalition-free fragment.
 
 The equilibrium test and the strategy search run on the checker's engine
 (`checker._Engine`): the same arena states, update rule, successor lookup
-and formula evaluator as `check`. `final_state` and `ne_formula` work on
-Mechanism values, and `translate` rewrites formulas without evaluating them."""
+and formula evaluator as `check`. `ne_formula` and `translate` only write
+formulas: they read the sellers and their choices off the plain network
+(`_choices`), never evaluate, and so also accept networks the arena cannot
+index."""
 
 from __future__ import annotations
 
@@ -50,10 +52,8 @@ from .model import (
     SKIP,
     AgentId,
     JointAction,
+    MarketNetwork,
     Mechanism,
-    action_precondition,
-    apply_joint_action,
-    joint_action,
     resolve_name,
 )
 
@@ -86,38 +86,35 @@ class NeResult:
     utilities: tuple[Fraction, ...]  # per seller, ascending seller id
 
 
-def final_state(mechanism: Mechanism, profile) -> Mechanism | None:
-    """Mechanism after the profile, or None if some step is infeasible."""
-    current = mechanism
-    for action in profile:
-        if not action_precondition(current, action):
-            return None
-        current = apply_joint_action(current, action)
-    return current
-
-
-def check_ne_direct(query: NeQuery) -> NeResult:
+def check_ne_direct(query: NeQuery, stats: CheckStats | None = None) -> NeResult:
     """Game-theoretic equilibrium test: no seller may improve her final
     utility by swapping a single step's target for another buyer or SKIP.
     Deviations whose trajectory becomes infeasible are not available and are
-    skipped."""
+    skipped. `stats` gets the agent count and the states built, as in `check`."""
     profile = tuple(query.profile)
     if not profile:
         raise ArityError("profile must contain at least one joint action")
     engine = _Engine(query.mechanism)
-    arena = engine.arena
-    steps = [arena.action_of(action) for action in profile]
+    steps = [engine.arena.action_of(action) for action in profile]
     trajectory = [engine.root]
     for action in steps:
         state = _play(engine, trajectory[-1], (action,))
         if state is None:
             raise InfeasibleProfileError("the profile itself violates a precondition")
         trajectory.append(state)
+    utility = engine.allocation(trajectory[-1]).utility
+    baseline = [utility[engine.arena.agents[s]] for s in engine.arena.seller_ids]
+    violation = _first_violation(engine, trajectory, steps, baseline)
+    if stats is not None:
+        stats.agents = engine.width
+        stats.states_explored = len(engine.table)
+    return NeResult(violation is None, violation, tuple(baseline))
 
-    def utility(state, s: int) -> Fraction:
-        return engine.allocation(state).utility[arena.agents[s]]
 
-    baseline = [utility(trajectory[-1], s) for s in arena.seller_ids]
+def _first_violation(engine: _Engine, trajectory, steps, baseline):
+    """The first feasible unilateral deviation, by position, seller and then
+    target (buyers ascending, then SKIP), that beats the baseline, or None."""
+    arena = engine.arena
     for position, action in enumerate(steps):
         for s in arena.seller_ids:
             for candidate in [*arena.buyer_ids, -1]:
@@ -129,20 +126,16 @@ def check_ne_direct(query: NeQuery) -> NeResult:
                 )
                 if outcome is None:
                     continue
-                achieved = utility(outcome, s)
+                achieved = engine.allocation(outcome).utility[arena.agents[s]]
                 if achieved > baseline[s]:
-                    return NeResult(
-                        is_ne=False,
-                        violation=NeViolation(
-                            seller=arena.agents[s],
-                            position=position,
-                            target=SKIP if candidate < 0 else arena.agents[candidate],
-                            baseline=baseline[s],
-                            achieved=achieved,
-                        ),
-                        utilities=tuple(baseline),
+                    return NeViolation(
+                        seller=arena.agents[s],
+                        position=position,
+                        target=SKIP if candidate < 0 else arena.agents[candidate],
+                        baseline=baseline[s],
+                        achieved=achieved,
                     )
-    return NeResult(True, None, tuple(baseline))
+    return None
 
 
 def _play(engine: _Engine, state, actions):
@@ -159,6 +152,17 @@ def _ut_cmp(op: str, nominal: str, value: Fraction) -> Formula:
     return Compare(op, ((Fraction(1), UtilityTerm(nominal)),), Fraction(value))
 
 
+def _choices(net: MarketNetwork):
+    """The sellers ascending, each seller's canonical nominal, and the
+    targets a seller may name: each buyer's canonical nominal, buyers
+    ascending, then SKIP."""
+    sellers = sorted(net.sellers)
+    seller_nom = {s: net.canonical_name(s) for s in sellers}
+    options: list[object] = [net.canonical_name(b) for b in sorted(net.buyers)]
+    options.append(SKIP)
+    return sellers, seller_nom, options
+
+
 def ne_formula(mechanism: Mechanism, profile, utilities) -> Formula:
     """The equilibrium schema as a formula: the profile-diamond asserting each
     seller's utility, conjoined with one deviation diamond per position,
@@ -166,8 +170,7 @@ def ne_formula(mechanism: Mechanism, profile, utilities) -> Formula:
 
     Note the deviation conjuncts use diamonds, so an infeasible deviation
     falsifies the schema; `check_ne_direct` is the reading that skips them."""
-    net = mechanism.network
-    sellers = sorted(net.sellers)
+    sellers, seller_nom, options = _choices(mechanism.network)
     profile = tuple(profile)
     utilities = tuple(Fraction(u) for u in utilities)
     if not profile:
@@ -176,34 +179,27 @@ def ne_formula(mechanism: Mechanism, profile, utilities) -> Formula:
         raise ArityError(
             f"{len(utilities)} utilities given for {len(sellers)} sellers"
         )
-    seller_nom = {s: net.canonical_name(s) for s in sellers}
-    options: list[object] = [net.canonical_name(b) for b in sorted(net.buyers)]
-    options.append(SKIP)
+    steps = [tuple((seller_nom[s], a.target_of(s)) for s in sellers) for a in profile]
 
-    def bindings(action: JointAction):
-        return tuple((seller_nom[s], t) for s, t in action.entries)
-
-    def diamonds(actions, body: Formula) -> Formula:
-        for action in reversed(actions):
-            body = DiffuseDiamond(bindings(action), body)
+    def diamonds(bindings, body: Formula) -> Formula:
+        for step in reversed(bindings):
+            body = DiffuseDiamond(step, body)
         return body
 
     goal = diamonds(
-        profile,
+        steps,
         big_and(
             _ut_cmp("=", seller_nom[s], utilities[i]) for i, s in enumerate(sellers)
         ),
     )
     deviations = []
-    for position in range(len(profile)):
+    for position, step in enumerate(steps):
         for i, sell in enumerate(sellers):
+            bound = _ut_cmp("<=", seller_nom[sell], utilities[i])
             for candidate in options:
-                targets = profile[position].targets()
-                targets[sell] = candidate
-                steps = list(profile)
-                steps[position] = joint_action(net, targets)
+                deviated = (*step[:i], (seller_nom[sell], candidate), *step[i + 1 :])
                 deviations.append(
-                    diamonds(steps, _ut_cmp("<=", seller_nom[sell], utilities[i]))
+                    diamonds((*steps[:position], deviated, *steps[position + 1 :]), bound)
                 )
     return desugar(big_and([goal, *deviations]))
 
@@ -323,7 +319,7 @@ def _tr(mechanism: Mechanism, node):
 
 
 def _expand_coalition(mechanism: Mechanism, node) -> Formula:
-    net = mechanism.network
+    sellers, seller_nom, options = _choices(mechanism.network)
     members: set[AgentId] = set()
     for nominal in node.coalition:
         agent = resolve_name(mechanism, nominal)
@@ -331,10 +327,7 @@ def _expand_coalition(mechanism: Mechanism, node) -> Formula:
             raise ActionError(f"coalition member {nominal!r} does not name a seller")
         members.add(agent)
     coalition = sorted(members)
-    others = [s for s in sorted(net.sellers) if s not in members]
-    seller_nom = {s: net.canonical_name(s) for s in net.sellers}
-    options: list[object] = [net.canonical_name(b) for b in sorted(net.buyers)]
-    options.append(SKIP)
+    others = [seller_nom[s] for s in sellers if s not in members]
     inner = _tr(mechanism, node.child)
 
     conjuncts = []
@@ -342,9 +335,10 @@ def _expand_coalition(mechanism: Mechanism, node) -> Formula:
         own = tuple((seller_nom[s], t) for s, t in zip(coalition, picked))
         # the empty coalition's only "action" is all-skip, which is always possible
         own_possible = DiffuseDiamond(own, Truth()) if own else Truth()
-        disjuncts = []
-        for counter in itertools.product(options, repeat=len(others)):
-            full = own + tuple((seller_nom[s], t) for s, t in zip(others, counter))
-            disjuncts.append(Implies(own_possible, DiffuseDiamond(full, inner)))
-        conjuncts.append(big_or(disjuncts))
+        # one guard per choice: every choice has at least one counter-choice
+        counters = [
+            DiffuseDiamond(own + tuple(zip(others, counter)), inner)
+            for counter in itertools.product(options, repeat=len(others))
+        ]
+        conjuncts.append(Implies(own_possible, big_or(counters)))
     return big_and(conjuncts)

@@ -19,10 +19,18 @@ from .model import SKIP, JointAction, Mechanism, joint_action
 from .parser import parse_formula
 
 
+def _read(path) -> str:
+    """A text file's contents; undecodable bytes are a data error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DamError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def _formula_arg(text: str) -> str:
     """Inline formula text, or @path to read it from a file."""
     if text.startswith("@"):
-        return Path(text[1:]).read_text(encoding="utf-8").strip()
+        return _read(text[1:]).strip()
     return text
 
 
@@ -122,19 +130,12 @@ def _cmd_strategy(args) -> int:
 def _cmd_ne(args) -> int:
     mechanism = mechjson.load_mechanism(args.model)
     profile = _parse_profile(mechanism, args.profile)
-    if args.emit_formula:
-        final = analysis.final_state(mechanism, profile)
-        if final is None:
-            raise DamError("the profile violates an action precondition")
-        from . import auction
-
-        sellers = sorted(mechanism.network.sellers)
-        utilities = [auction.evaluate(final).utility[s] for s in sellers]
-        print(format_formula(analysis.ne_formula(mechanism, profile, utilities)))
-        return 0
-    stats = checker.CheckStats(agents=len(mechanism.network.agents()))
+    stats = checker.CheckStats()
     began = time.perf_counter()
-    outcome = analysis.check_ne_direct(analysis.NeQuery(mechanism, profile))
+    outcome = analysis.check_ne_direct(analysis.NeQuery(mechanism, profile), stats)
+    if args.emit_formula:
+        print(format_formula(analysis.ne_formula(mechanism, profile, outcome.utilities)))
+        return 0
     stats.elapsed_ms = (time.perf_counter() - began) * 1000
     witness = None
     if outcome.violation is not None:
@@ -159,13 +160,13 @@ def _cmd_translate(args) -> int:
 
 def _cmd_gen(args) -> int:
     if args.kind == "sat":
-        instance = gadgets.read_dimacs(Path(args.dimacs).read_text(encoding="utf-8"))
+        instance = gadgets.read_dimacs(_read(args.dimacs))
         mechanism, goal = gadgets.gen_sat_gadget(instance)
         mechjson.save_mechanism(mechanism, args.out_model)
         Path(args.out_goal).write_text(format_formula(goal) + "\n", encoding="utf-8")
         return 0
     if args.kind == "qbf":
-        instance = gadgets.read_qdimacs(Path(args.qdimacs).read_text(encoding="utf-8"))
+        instance = gadgets.read_qdimacs(_read(args.qdimacs))
         mechanism, formula = gadgets.gen_qbf_gadget(instance)
         mechjson.save_mechanism(mechanism, args.out_model)
         Path(args.out_formula).write_text(

@@ -399,107 +399,84 @@ def _int_token(token: str, where: str) -> int:
         raise MechanismError(f"{where}: expected an integer, found {token!r}") from None
 
 
+def _scan(text: str, fmt: str):
+    """The variable count, (quantifier, variables) blocks and clauses of
+    (Q)DIMACS text. Requires a `p cnf` header; `a`/`e` lines must precede the
+    first clause; clauses end at 0, may span lines, and must not be empty."""
+    num_vars = None
+    blocks: list[tuple[str, list[int]]] = []
+    clauses: list[list[int]] = []
+    literals: list[int] = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line[0] in "c%":
+            continue
+        if line[0] == "p":
+            parts = line.split()
+            if len(parts) < 4 or parts[1] != "cnf":
+                raise MechanismError(f"bad {fmt} header {line!r}")
+            num_vars = _int_token(parts[2], f"{fmt} header")
+        elif line[0] in "ae":
+            if clauses or literals:
+                raise MechanismError("quantifier line after the matrix began")
+            block = []
+            for token in line.split()[1:]:
+                var = _int_token(token, f"{fmt} prefix")
+                if var == 0:
+                    break
+                block.append(var)
+            blocks.append((FORALL if line[0] == "a" else EXISTS, block))
+        else:
+            for token in line.split():
+                lit = _int_token(token, f"{fmt} clause")
+                if lit != 0:
+                    literals.append(lit)
+                elif not literals:
+                    raise MechanismError(f"empty clause in {fmt} input")
+                else:
+                    clauses.append(literals)
+                    literals = []
+    if literals:
+        raise MechanismError(f"unterminated clause in {fmt} input")
+    if num_vars is None:
+        raise MechanismError("missing 'p cnf' header")
+    return num_vars, blocks, clauses
+
+
 def read_dimacs(text: str) -> CnfInstance:
     """Parse DIMACS CNF; 1- and 2-literal clauses are padded by repeating the
     final literal, wider clauses are rejected."""
-    num_vars = None
-    literals: list[int] = []
-    clauses: list[tuple[int, int, int]] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) < 4 or parts[1] != "cnf":
-                raise MechanismError(f"bad DIMACS header {line!r}")
-            num_vars = _int_token(parts[2], "DIMACS header")
-            continue
-        for token in line.split():
-            lit = _int_token(token, "DIMACS clause")
-            if lit == 0:
-                if not literals:
-                    raise MechanismError("empty clause in DIMACS input")
-                if len(literals) > 3:
-                    raise MechanismError(
-                        f"clause wider than 3 literals: {literals}"
-                    )
-                while len(literals) < 3:
-                    literals.append(literals[-1])
-                clauses.append(tuple(literals))
-                literals = []
-            else:
-                literals.append(lit)
-    if literals:
-        raise MechanismError("unterminated clause in DIMACS input")
-    if num_vars is None:
-        raise MechanismError("missing 'p cnf' header")
-    return CnfInstance(num_vars=num_vars, clauses=tuple(clauses))
+    num_vars, blocks, clauses = _scan(text, "DIMACS")
+    if blocks:
+        raise MechanismError("quantifier line in DIMACS input")
+    padded = []
+    for literals in clauses:
+        if len(literals) > 3:
+            raise MechanismError(f"clause wider than 3 literals: {literals}")
+        padded.append(tuple(literals + literals[-1:] * (3 - len(literals))))
+    return CnfInstance(num_vars=num_vars, clauses=tuple(padded))
 
 
 def read_qdimacs(text: str) -> QbfInstance:
     """Parse prenex QDIMACS; variables are renumbered into prefix order and
     every matrix variable must be quantified."""
-    num_vars = None
-    order: list[tuple[str, int]] = []
-    literals: list[int] = []
-    clause_props: list[Prop] = []
+    _, blocks, clauses = _scan(text, "QDIMACS")
+    prefix: list[str] = []
     renumber: dict[int, int] = {}
-    in_prefix = True
-
-    def clause_done():
-        if not literals:
-            raise MechanismError("empty clause in QDIMACS input")
-        parts = []
+    for quant, block in blocks:
+        for var in block:
+            if var in renumber:
+                raise MechanismError(f"variable {var} quantified twice")
+            prefix.append(quant)
+            renumber[var] = len(prefix)
+    matrix: Prop | None = None
+    for literals in clauses:
+        disj: Prop | None = None
         for lit in literals:
-            var = abs(lit)
-            if var not in renumber:
-                raise MechanismError(f"free variable {var} in QDIMACS matrix")
-            atom: Prop = PVar(renumber[var])
-            parts.append(PNot(atom) if lit < 0 else atom)
-        disj = parts[0]
-        for p in parts[1:]:
-            disj = POr(disj, p)
-        clause_props.append(disj)
-
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
-            continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) < 4 or parts[1] != "cnf":
-                raise MechanismError(f"bad QDIMACS header {line!r}")
-            num_vars = _int_token(parts[2], "QDIMACS header")
-            continue
-        if line[0] in ("a", "e"):
-            if not in_prefix:
-                raise MechanismError("quantifier line after the matrix began")
-            quant = FORALL if line[0] == "a" else EXISTS
-            for token in line.split()[1:]:
-                var = _int_token(token, "QDIMACS prefix")
-                if var == 0:
-                    break
-                if var in renumber:
-                    raise MechanismError(f"variable {var} quantified twice")
-                renumber[var] = len(order) + 1
-                order.append((quant, var))
-            continue
-        in_prefix = False
-        for token in line.split():
-            lit = _int_token(token, "QDIMACS clause")
-            if lit == 0:
-                clause_done()
-                literals = []
-            else:
-                literals.append(lit)
-    if literals:
-        raise MechanismError("unterminated clause in QDIMACS input")
-    if num_vars is None:
-        raise MechanismError("missing 'p cnf' header")
-    matrix: Prop = PConst(True)
-    if clause_props:
-        matrix = clause_props[0]
-        for prop in clause_props[1:]:
-            matrix = PAnd(matrix, prop)
-    return QbfInstance(prefix=tuple(q for q, _ in order), matrix=matrix)
+            if abs(lit) not in renumber:
+                raise MechanismError(f"free variable {abs(lit)} in QDIMACS matrix")
+            atom: Prop = PVar(renumber[abs(lit)])
+            atom = PNot(atom) if lit < 0 else atom
+            disj = atom if disj is None else POr(disj, atom)
+        matrix = disj if matrix is None else PAnd(matrix, disj)
+    return QbfInstance(tuple(prefix), PConst(True) if matrix is None else matrix)

@@ -108,8 +108,7 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
     if len(by_id) != len(sellers) + len(buyers):
         raise MechanismError("duplicate agent ids")
 
-    friends: dict[AgentId, frozenset[AgentId]] = {a: frozenset() for a in by_id.values()}
-    seen_pairs: set[frozenset[AgentId]] = set()
+    adjacent: dict[AgentId, set[AgentId]] = {a: set() for a in by_id.values()}
     for pair in doc.get("edges", []):
         if not isinstance(pair, list) or len(pair) != 2:
             raise MechanismError(f"edge {pair!r} is not a two-element list")
@@ -117,12 +116,11 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
             a, b = by_id[str(pair[0])], by_id[str(pair[1])]
         except KeyError as exc:
             raise MechanismError(f"edge {pair!r} mentions unknown agent {exc}") from None
-        key = frozenset((a, b))
-        if key in seen_pairs:
+        if b in adjacent[a]:
             raise MechanismError(f"duplicate or reversed edge {pair!r}")
-        seen_pairs.add(key)
-        friends[a] = friends[a] | {b}
-        friends[b] = friends[b] | {a}
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    friends = {a: frozenset(nbrs) for a, nbrs in adjacent.items()}
 
     mechanism = Mechanism(
         network=MarketNetwork(
@@ -174,25 +172,16 @@ def mechanism_to_dict(mechanism: Mechanism) -> dict:
                 "incentives": incentives,
             }
         )
+    # friendship is symmetric: each edge once, from its lesser id
     edges = sorted(
-        sorted((a.id, b.id)) for a, b in _undirected_edges(net)
+        [a.id, b.id] for a, nbrs in net.friends.items() for b in nbrs if a.id <= b.id
     )
     return {
         "sellers": sellers,
         "buyers": buyers,
-        "edges": [list(e) for e in edges],
+        "edges": edges,
         "rule": mechanism.rule,
     }
-
-
-def _undirected_edges(net: MarketNetwork):
-    seen = set()
-    for agent, nbrs in net.friends.items():
-        for other in nbrs:
-            key = frozenset((agent, other))
-            if key not in seen:
-                seen.add(key)
-                yield agent, other
 
 
 def load_mechanism(path: str | Path) -> Mechanism:
@@ -200,7 +189,8 @@ def load_mechanism(path: str | Path) -> Mechanism:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise MechanismError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bad UTF-8 and integers too long to convert
         raise MechanismError(f"{path} is not valid JSON: {exc}") from None
     return mechanism_from_dict(doc)
 

@@ -33,8 +33,6 @@ class _Skip:
 
 SKIP = _Skip()
 
-Rational = Fraction  # exact arithmetic everywhere; never floats
-
 
 @dataclass(frozen=True, order=True)
 class AgentId:
@@ -157,10 +155,6 @@ def joint_action(
         (s, resolved.get(s, SKIP)) for s in sorted(network.sellers)
     )
     return JointAction(entries)
-
-
-def all_skip_action(network: MarketNetwork) -> JointAction:
-    return joint_action(network, {})
 
 
 def resolve_name(mechanism: Mechanism, nominal: str) -> AgentId:

@@ -52,9 +52,8 @@ from .formula import (
     UtilityTerm,
     desugar,
 )
-from .model import SKIP
+from .model import RESERVED_WORDS, SKIP
 
-_KEYWORDS = frozenset({"true", "false", "wins", "ut", "skip"})
 _THREE = ("<->",)
 _TWO = ("[]", "<>", "->", ">=", "<=")
 _ONE = "&|!()[]<>,:+-*/="
@@ -257,7 +256,7 @@ class _Parser:
 
     def ident(self, what: str) -> str:
         tok = self.peek()
-        if tok.kind != "IDENT" or tok.text in _KEYWORDS:
+        if tok.kind != "IDENT" or tok.text in RESERVED_WORDS:
             self.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
         self.next()
         return tok.text
@@ -345,14 +344,17 @@ class _Parser:
         self.fail("expected a number or ut[...]")
 
     def rational(self) -> Fraction:
-        numerator = int(self.expect("INT").text)
-        if self.peek().kind == "/":
-            self.next()
-            denominator = int(self.expect("INT").text)
-            if denominator == 0:
-                self.fail("zero denominator")
-            return Fraction(numerator, denominator)
-        return Fraction(numerator)
+        tok = self.peek()
+        try:
+            numerator, denominator = int(self.expect("INT").text), 1
+            if self.peek().kind == "/":
+                self.next()
+                denominator = int(self.expect("INT").text)
+        except ValueError:  # more digits than the interpreter will convert
+            raise FormulaSyntaxError("number too long", tok.line, tok.col) from None
+        if denominator == 0:
+            self.fail("zero denominator")
+        return Fraction(numerator, denominator)
 
     def ut_term(self) -> UtilityTerm:
         tok = self.peek()

@@ -20,11 +20,16 @@ from damcheck.analysis import NeQuery, StrategyQuery
 from damcheck.checker import CheckQuery
 from damcheck.errors import ArityError, CoalitionOperatorError, InfeasibleProfileError
 from damcheck.formula import (
+    TRUE,
     And,
+    Box,
+    CoalitionBox,
     CoalitionDiamond,
     Compare,
+    Diffuse,
     DiffuseDiamond,
     Heart,
+    Not,
     Truth,
     UtilityTerm,
     big_and,
@@ -446,6 +451,29 @@ def test_translate_small_example_equivalent_and_flat():
         q1 = check_strategic(CheckQuery(mech, agent, form))
         q2 = check(CheckQuery(mech, agent, flat))
         assert q1 == q2
+
+
+def test_translate_guards_each_coalition_choice_once():
+    # [<sigma1>] over two sellers and six buyers: sigma1 has seven choices, so
+    # seven feasibility guards <choice> true, not one per counter-choice too
+    mech = two_seller_market()
+    form = desugar(CoalitionBox(frozenset({"sigma1"}), Heart("alpha")))
+    flat = translate(mech, form)
+
+    def guards(node) -> int:
+        if isinstance(node, And):
+            return guards(node.left) + guards(node.right)
+        if isinstance(node, (Not, Box)):
+            return guards(node.child)
+        if isinstance(node, Diffuse):
+            return (node.child == Not(TRUE)) + guards(node.child)
+        return 0
+
+    assert guards(flat) == 7
+    for agent in mech.network.agents():
+        assert check(CheckQuery(mech, agent, flat)) == check_strategic(
+            CheckQuery(mech, agent, form)
+        )
 
 
 def test_translate_agreement_random():

@@ -110,6 +110,14 @@ def test_ne_subcommand(market_path, capsys):
     assert rc in (0, 1)  # multi-step profiles parse and run
 
 
+def test_ne_json_reports_what_it_did(market_path, capsys):
+    rc = main(["ne", "--model", market_path, "--profile", "s1:d,s2:c", "--json"])
+    assert rc == 1
+    stats = json.loads(capsys.readouterr().out)["stats"]
+    assert stats["agents"] == 8
+    assert stats["states_explored"] >= 1
+
+
 def test_ne_emit_formula(market_path, capsys):
     rc = main(["ne", "--model", market_path, "--profile", "s1:d,s2:c", "--emit-formula"])
     assert rc == 0
@@ -207,4 +215,43 @@ def test_too_deep_formula_exits_two(formula, capsys):
     chain = Path(__file__).resolve().parent.parent / "samples" / "referral-chain.json"
     rc = main(["check", "--model", str(chain), "--at", "a", "--formula", formula])
     assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "content, argv",
+    [
+        (b"\xff{}", ["check", "--model", "{bad}", "--at", "a", "--formula", "true"]),
+        (b"\xfftrue", ["check", "--model", "{chain}", "--at", "a", "--formula", "@{bad}"]),
+        (
+            b"p cnf 1 1\n\xff1 0\n",
+            ["gen", "sat", "--dimacs", "{bad}", "--out-model", "{out}", "--out-goal", "{out}"],
+        ),
+        (
+            b"[" * 100_000 + b"]" * 100_000,
+            ["check", "--model", "{bad}", "--at", "a", "--formula", "true"],
+        ),
+        (
+            b'{"sellers": [{"id": "s", "budget": ' + b"9" * 5000 + b"}]}",
+            ["check", "--model", "{bad}", "--at", "a", "--formula", "true"],
+        ),
+        (
+            b"",
+            ["check", "--model", "{chain}", "--at", "a", "--formula", "ut[sigma] >= " + "9" * 5000],
+        ),
+    ],
+    ids=[
+        "mechanism-not-utf8",
+        "formula-file-not-utf8",
+        "dimacs-not-utf8",
+        "mechanism-nested-too-deep",
+        "mechanism-integer-too-long",
+        "formula-integer-too-long",
+    ],
+)
+def test_bad_input_exits_two(content, argv, chain_path, tmp_path, capsys):
+    bad = tmp_path / "bad"
+    bad.write_bytes(content)
+    args = [a.format(bad=bad, chain=chain_path, out=tmp_path / "out") for a in argv]
+    assert main(args) == 2
     assert capsys.readouterr().err.startswith("error:")
