@@ -246,8 +246,10 @@ def strategy_exists(
         else len(net.sellers) * len(net.buyers)
     )
 
+    sellers = (1 << len(arena.seller_ids)) - 1  # sellers are numbered first
+
     def satisfied(state) -> bool:
-        found = all(engine.eval(compiled, state, s) for s in arena.seller_ids)
+        found = engine.label(compiled, state, sellers) == sellers
         # the search may hold thousands of states: keep none of their memos
         state.memo.clear()
         state.alloc = None

@@ -12,9 +12,18 @@ here, and the strategy search and the equilibrium test in `analysis`.
   agent numbers (global model checking for hybrid logics, Franceschet & de
   Rijke 2006; hash-consing, Filliatre & Conchon 2006).
 * `_Engine` is one query: a table of the states it built, keyed by
-  (friendship rows, budgets), and the evaluator over them. Modal nodes
-  (friendship box, diffusion box, coalition box) are memoised per state and
-  agent, which makes nested boxes cost time linear in their depth.
+  (friendship rows, budgets), and the labelling of compiled formulas over
+  them (Clarke, Emerson & Sistla, ACM TOPLAS 1986). `_Engine.label(node,
+  state, need)` answers a node at a whole set of agents at once: `need` and
+  the result are bitmasks over agent numbers. A friendship box labels its
+  child once, at the union of the asked agents' friends; a diffusion box
+  builds its one successor once for all of them; a coalition box narrows
+  the set as choices fail and asks each counter-choice only about the
+  agents no earlier one answered; a conjunction asks its right operand only
+  where the left one holds. Each state memoises modal nodes by serial as a
+  pair (agents decided, agents where it holds), so a later call computes
+  only the agents not yet decided, and nested boxes cost time linear in
+  their depth. Nothing outlives the query.
 
 `model.apply_joint_action` stays the value-level update; tests hold the
 arena's update to it field for field."""
@@ -268,7 +277,8 @@ class _Arena:
 
 class _State:
     """One (rows, budgets) state of a query, with its allocation and the
-    memo of modal nodes keyed by serial * agents + agent."""
+    memo of modal nodes: serial -> (bitmask of the agents decided, bitmask
+    of those at which the node holds)."""
 
     __slots__ = ("adj", "budgets", "alloc", "memo")
 
@@ -276,7 +286,7 @@ class _State:
         self.adj = adj
         self.budgets = budgets
         self.alloc = None
-        self.memo: dict[int, bool] = {}
+        self.memo: dict[int, tuple[int, int]] = {}
 
 
 class _Engine:
@@ -311,43 +321,69 @@ class _Engine:
             state.alloc = auction.evaluate(mech)
         return state.alloc
 
-    def eval(self, node, state: _State, agent: int) -> bool:
+    def label(self, node, state: _State, need: int) -> int:
+        """The agents of the bitmask `need` at which the node holds, as a
+        bitmask. Modal nodes remember per state which agents they have
+        decided, so a later call computes only the agents still unknown."""
         # one Python frame per formula level: deep formulas need the stack
         op = node[0]
         if op == "and":
-            return self.eval(node[1], state, agent) and self.eval(node[2], state, agent)
+            left = self.label(node[1], state, need)
+            return self.label(node[2], state, left) if left else 0
         if op == "not":
-            return not self.eval(node[1], state, agent)
+            return need & ~self.label(node[1], state, need)
         if op == "nom":
-            return node[1] == agent
+            return need & (1 << node[1])
         if op == "heart":
-            who = self.arena.agents[node[1] if node[1] >= 0 else agent]
-            return self.allocation(state).placement[who] == 1
+            placement = self.allocation(state).placement
+            agents = self.arena.agents
+            if node[1] >= 0:
+                return need if placement[agents[node[1]]] == 1 else 0
+            return sum(1 << i for i in _bits(need) if placement[agents[i]] == 1)
         if op == "lin":
             utility = self.allocation(state).utility
             agents = self.arena.agents
-            total = 0
+            gap = node[2]  # the bound, less the terms that name an agent
+            per_self = 0
             for coeff, who in node[1]:
-                total += coeff * utility[agents[who if who >= 0 else agent]]
-            return total >= node[2]
-        key = node[-1] * self.width + agent
-        got = state.memo.get(key)
-        if got is not None:
-            return got
+                if who >= 0:
+                    gap -= coeff * utility[agents[who]]
+                else:
+                    per_self += coeff
+            if not per_self:
+                return need if gap <= 0 else 0
+            return sum(
+                1 << i for i in _bits(need) if per_self * utility[agents[i]] >= gap
+            )
+        known, value = state.memo.get(node[-1], (0, 0))
+        todo = need & ~known
+        if not todo:
+            return value & need
         if op == "box":
-            got = True
-            row = state.adj[agent]
-            while row:
-                low = row & -row
-                row ^= low
-                if not self.eval(node[1], state, low.bit_length() - 1):
-                    got = False
-                    break
+            # the child once, at every friend of every agent asked about;
+            # the bit loops are inline because boxes are the hot path
+            adj = state.adj
+            around = 0
+            rest = todo
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                around |= adj[low.bit_length() - 1]
+            failed = around & ~self.label(node[1], state, around)
+            got = todo
+            rest = todo if failed else 0
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                if adj[low.bit_length() - 1] & failed:
+                    got ^= low
         elif op == "diff":
+            # the action does not depend on the agent: one successor for all
             action = node[1]
-            got = not self.arena.feasible(
-                state.adj, state.budgets, action
-            ) or self.eval(node[2], cached_update(self, state, action), agent)
+            if self.arena.feasible(state.adj, state.budgets, action):
+                got = self.label(node[2], cached_update(self, state, action), todo)
+            else:
+                got = todo
         elif op == "coal":
             # every feasible choice of the members has a counter-choice of
             # the others after which the body holds
@@ -357,22 +393,27 @@ class _Engine:
                 for s in self.arena.seller_ids
             ]
             action = [-1] * len(options)
-            got = True
+            got = todo
             for picked in itertools.product(*(options[s] for s in members)):
                 for s, t in zip(members, picked):
                     action[s] = t
+                some = 0  # the agents of `got` some counter-choice answers
                 for counter in itertools.product(*(options[s] for s in others)):
                     for s, t in zip(others, counter):
                         action[s] = t
-                    if self.eval(child, cached_update(self, state, tuple(action)), agent):
+                    some |= self.label(
+                        child, cached_update(self, state, tuple(action)), got & ~some
+                    )
+                    if some == got:
                         break
-                else:
-                    got = False
+                got = some
+                if not got:
                     break
         else:
             raise TypeError(f"cannot evaluate compiled node {node!r}")
-        state.memo[key] = got
-        return got
+        value |= got
+        state.memo[node[-1]] = (known | todo, value)
+        return value & need
 
 
 def cached_update(engine: _Engine, state: _State, action) -> _State:
@@ -393,7 +434,7 @@ def _check(query: CheckQuery, stats: CheckStats | None, strategic: bool) -> bool
     at = engine.arena.index.get(query.at)
     if at is None:
         raise UnknownAgentError(f"{query.at.id!r} is not an agent of the mechanism")
-    result = engine.eval(compiled, engine.root, at)
+    result = engine.label(compiled, engine.root, 1 << at) != 0
     if stats is not None:
         stats.agents = engine.width
         stats.states_explored = len(engine.table)

@@ -401,9 +401,10 @@ def _int_token(token: str, where: str) -> int:
 
 def _scan(text: str, fmt: str):
     """The variable count, (quantifier, variables) blocks and clauses of
-    (Q)DIMACS text. Requires a `p cnf` header; `a`/`e` lines must precede the
-    first clause; clauses end at 0, may span lines, and must not be empty."""
-    num_vars = None
+    (Q)DIMACS text. Requires a `p cnf` header whose clause count is the number
+    of clauses; `a`/`e` lines must precede the first clause; clauses end at 0,
+    may span lines, and must not be empty."""
+    num_vars = num_clauses = None
     blocks: list[tuple[str, list[int]]] = []
     clauses: list[list[int]] = []
     literals: list[int] = []
@@ -416,6 +417,7 @@ def _scan(text: str, fmt: str):
             if len(parts) < 4 or parts[1] != "cnf":
                 raise MechanismError(f"bad {fmt} header {line!r}")
             num_vars = _int_token(parts[2], f"{fmt} header")
+            num_clauses = _int_token(parts[3], f"{fmt} header")
         elif line[0] in "ae":
             if clauses or literals:
                 raise MechanismError("quantifier line after the matrix began")
@@ -440,6 +442,10 @@ def _scan(text: str, fmt: str):
         raise MechanismError(f"unterminated clause in {fmt} input")
     if num_vars is None:
         raise MechanismError("missing 'p cnf' header")
+    if len(clauses) != num_clauses:
+        raise MechanismError(
+            f"{fmt} header declares {num_clauses} clauses, found {len(clauses)}"
+        )
     return num_vars, blocks, clauses
 
 
@@ -458,13 +464,18 @@ def read_dimacs(text: str) -> CnfInstance:
 
 
 def read_qdimacs(text: str) -> QbfInstance:
-    """Parse prenex QDIMACS; variables are renumbered into prefix order and
-    every matrix variable must be quantified."""
-    _, blocks, clauses = _scan(text, "QDIMACS")
+    """Parse prenex QDIMACS; quantified variables must lie within the
+    header's variable count and are renumbered into prefix order, and every
+    matrix variable must be quantified."""
+    num_vars, blocks, clauses = _scan(text, "QDIMACS")
     prefix: list[str] = []
     renumber: dict[int, int] = {}
     for quant, block in blocks:
         for var in block:
+            if not 1 <= var <= num_vars:
+                raise MechanismError(
+                    f"quantified variable {var} outside the header's 1..{num_vars}"
+                )
             if var in renumber:
                 raise MechanismError(f"variable {var} quantified twice")
             prefix.append(quant)

@@ -26,10 +26,13 @@ from damcheck.formula import (
     CoalitionBox,
     CoalitionDiamond,
     Compare,
+    Diamond,
     Diffuse,
     DiffuseDiamond,
     Heart,
+    Nominal,
     Not,
+    Or,
     Truth,
     UtilityTerm,
     big_and,
@@ -508,3 +511,30 @@ def test_check_ne_direct_matches_reference_loop():
         if violation is not None:
             v = got.violation
             assert (v.seller, v.position, v.target, v.baseline, v.achieved) == violation
+
+
+def test_multi_seller_strategy_agrees_with_exhaustive_enumeration():
+    # several sellers and non-integer money: one labelling per searched state
+    # at all sellers at once, against the reference judging seller by seller.
+    # Goals false at the root, half of them reachable by befriending a buyer,
+    # so the search has to step
+    rng = random.Random(1618)
+    searched = found = 0
+    while searched < 40:
+        mech = random_rational_market(rng, n_sellers=rng.randint(2, 3), n_buyers=4)
+        net = mech.network
+        buyer_noms = sorted(n for n, a in net.names.items() if a.kind == "buyer")
+        goal = desugar(
+            Or(
+                Diamond(Nominal(rng.choice(buyer_noms))),
+                random_formula(rng, mech, depth=1, coalition=False),
+            )
+        )
+        if exhaustive_strategy(mech, goal, 0):
+            continue
+        depth = rng.randint(1, 2)
+        got = strategy_exists(StrategyQuery(mech, goal, max_depth=depth))
+        assert got.found == exhaustive_strategy(mech, goal, depth)
+        searched += 1
+        found += got.found
+    assert 0 < found < searched

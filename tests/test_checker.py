@@ -373,3 +373,65 @@ def test_check_strategic_matches_reference_evaluator():
             assert check_strategic(CheckQuery(mech, agent, form)) == reference_check(
                 mech, agent, form
             )
+
+
+def test_labelling_merges_partly_known_memos():
+    # one engine asked about agents in shuffled order and in random groups
+    # reuses memo entries that decide only some agents; every answer must
+    # hold the bits of a fresh engine per agent, which `check_strategic`
+    # gives and the reference confirms
+    from damcheck.checker import _Engine
+
+    rng = random.Random(8086)
+    for _ in range(150):
+        mech = random_rational_market(rng, n_sellers=rng.randint(2, 3))
+        form = desugar(random_formula(rng, mech, depth=2, coalition=True))
+        shared = _Engine(mech)
+        want = 0
+        for agent in mech.network.agents():
+            holds = check_strategic(CheckQuery(mech, agent, form))
+            assert holds == reference_check(mech, agent, form)
+            want |= holds << shared.arena.index[agent]
+        compiled = shared.arena.compile(form)
+        everyone = (1 << shared.width) - 1
+        asks = [1 << i for i in range(shared.width)]
+        rng.shuffle(asks)
+        asks += [rng.randrange(everyone + 1) for _ in range(4)] + [everyone]
+        for need in asks:
+            assert shared.label(compiled, shared.root, need) == want & need
+
+
+def _odd_degree_rule(net):
+    # a rule unlike smf: an agent holds an item when she has an odd number
+    # of friends, and her utility is her budget plus her friend count
+    from fractions import Fraction
+
+    from damcheck.auction import AllocationResult
+
+    return AllocationResult(
+        placement={a: len(net.friends_of(a)) % 2 for a in net.agents()},
+        payment={b: Fraction(0) for b in net.buyers},
+        utility={a: net.budget[a] + len(net.friends_of(a)) for a in net.agents()},
+    )
+
+
+def test_registered_rule_drives_wins_and_utility_atoms():
+    from damcheck import Mechanism, auction
+
+    auction.register_rule("odd-degree", _odd_degree_rule)
+    try:
+        rng = random.Random(1729)
+        fixed = parse_formula(
+            "[] (wins(@self) | ut[@self] >= 2) & [sig1:bet1] (wins(@self) -> <> true)"
+        )
+        for _ in range(30):
+            plain = random_rational_market(rng, n_sellers=rng.randint(1, 3))
+            mech = Mechanism(plain.network, "odd-degree")
+            forms = [fixed, desugar(random_formula(rng, mech, depth=2))]
+            for form in forms:
+                for agent in mech.network.agents():
+                    assert check(CheckQuery(mech, agent, form)) == reference_check(
+                        mech, agent, form
+                    )
+    finally:
+        auction._RULES.pop("odd-degree", None)

@@ -255,3 +255,21 @@ def test_bad_input_exits_two(content, argv, chain_path, tmp_path, capsys):
     args = [a.format(bad=bad, chain=chain_path, out=tmp_path / "out") for a in argv]
     assert main(args) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "kind, flag, text",
+    [
+        ("qbf", "--qdimacs", "p cnf 1 1\ne 7 0\n7 0\n"),
+        ("sat", "--dimacs", "p cnf 2 3\n1 2 0\n"),
+    ],
+    ids=["quantified-variable-above-header", "clause-count-off-header"],
+)
+def test_gen_rejects_input_that_contradicts_its_header(kind, flag, text, tmp_path, capsys):
+    source = tmp_path / "instance"
+    source.write_text(text, encoding="utf-8")
+    out = str(tmp_path / "out")
+    rc = main(["gen", kind, flag, str(source), "--out-model", out,
+               f"--out-{'goal' if kind == 'sat' else 'formula'}", out])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")

@@ -256,3 +256,62 @@ def test_readers_reject_garbage_tokens():
         read_qdimacs("p cnf 1 1\ne x 0\n1 0\n")
     with pytest.raises(MechanismError):
         read_qdimacs("p cnf 2 2\ne 1 0\n1 0\na 2 0\n-2 0\n")  # prefix after matrix
+
+
+@pytest.mark.parametrize(
+    "read, text",
+    [
+        (read_qdimacs, "p cnf 1 0\ne -1 0\n"),  # a negative quantified variable
+        (read_qdimacs, "p cnf 1 1\ne 7 0\n7 0\n"),  # above the header's count
+        (read_qdimacs, "p cnf 2 1\na 1 0\ne 2 3 0\n1 0\n"),
+        (read_dimacs, "p cnf 3 9\n1 0\n"),  # fewer clauses than declared
+        (read_dimacs, "p cnf 1 1\n1 0\n-1 0\n"),  # more clauses than declared
+        (read_qdimacs, "p cnf 1 2\ne 1 0\n1 0\n"),
+        (read_qdimacs, "p cnf 1 0\ne 1 0\n1 0\n"),
+        (read_dimacs, "p cnf 1 x\n1 0\n"),
+    ],
+)
+def test_readers_hold_input_to_its_header(read, text):
+    with pytest.raises(MechanismError):
+        read(text)
+
+
+def test_readers_accept_unused_declared_variables():
+    assert read_dimacs("p cnf 5 1\n1 -3 0\n").num_vars == 5
+    instance = read_qdimacs("p cnf 3 1\na 3 0\ne 1 0\n-3 1 0\n")
+    assert instance.prefix == (FORALL, EXISTS)
+    assert read_qdimacs("p cnf 1 0\n").prefix == ()
+
+
+# unsatisfiable cores, as clauses of one to three literals over variables 1..3
+_UNSAT_CORES = [
+    ((1, 2), (1, -2), (-1, 2), (-1, -2)),
+    ((1, 2), (1, -2), (-1, 3), (-1, -3)),
+    ((1,), (-1, 2), (-2, 3), (-3,)),
+    ((1,), (-1, 2), (-2,), (1, 2)),
+    ((1, 2), (-1, 2), (-2, 3), (-2, -3)),
+]
+
+
+def test_sat_gadget_on_unsatisfiable_cores():
+    # criterion 5's draw is almost all satisfiable, so the search rarely has
+    # to exhaust every reachable state; here every instance is a core under
+    # a seeded renaming, polarity flip and reordering
+    rng = random.Random(6174)
+    for draw in range(15):
+        core = _UNSAT_CORES[draw % len(_UNSAT_CORES)]
+        num_vars = max(abs(lit) for clause in core for lit in clause)
+        renamed = rng.sample(range(1, num_vars + 1), num_vars)
+        image = {v: rng.choice([-1, 1]) * w for v, w in enumerate(renamed, start=1)}
+        clauses = []
+        for clause in core:
+            lits = [image[l] if l > 0 else -image[-l] for l in clause]
+            lits += [rng.choice(lits) for _ in range(3 - len(lits))]
+            rng.shuffle(lits)
+            clauses.append(tuple(lits))
+        rng.shuffle(clauses)
+        instance = CnfInstance(num_vars, tuple(clauses))
+        expected = sat_oracle(instance)
+        assert not expected
+        mech, goal = gen_sat_gadget(instance)
+        assert strategy_exists(StrategyQuery(mech, goal)).found == expected
