@@ -136,6 +136,34 @@ def test_parser_reports_positions():
         parse_formula("skip")
 
 
+@pytest.mark.parametrize(
+    "text, line, column, message",
+    [
+        ("wins(", 1, 6, "expected agent name or '@self'"),
+        ("wins(a) &\n  wins(", 2, 8, "expected agent name or '@self'"),
+        ("wins(a) &\n\n  !(b |\n    c", 4, 6, "expected ')'"),
+        ("\twins(a) ?", 1, 10, "unexpected character '?'"),
+        ("a &\t\tb\t)", 1, 8, "unexpected trailing input ')'"),
+        ("[ <s1>] true", 1, 3, "expected seller name, found '<'"),
+        ("[<s1> ] true", 1, 7, "expected >']' to close the coalition"),
+        ("<\n[s1]> true", 2, 1, "expected seller name, found '['"),
+        ("[<s1>\n] true", 2, 1, "expected >']' to close the coalition"),
+        ("ut[x]>2)", 1, 8, "unexpected trailing input ')'"),
+        ("ut[x]> >2", 1, 8, "expected a number or ut[...]"),
+        ("wins(a) wins(b)", 1, 9, "unexpected trailing input 'wins'"),
+        ("a & #", 1, 5, "unexpected character '#'"),
+        ("ut[a] >= 1/0 & b", 1, 14, "zero denominator"),
+        ("[s1:b1, s1:b2] true", 1, 9, "seller 's1' listed twice"),
+        ("a &\n", 2, 1, "expected a formula, found 'end of input'"),
+    ],
+)
+def test_syntax_errors_report_line_and_column(text, line, column, message):
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula(text)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert str(err.value).startswith(f"line {line}, column {column}: {message}")
+
+
 def test_precedence_binds_as_documented():
     a, b, c = Nominal("a"), Nominal("b"), Nominal("c")
     assert parse_formula("!a & b") == And(Not(a), b)
