@@ -208,53 +208,89 @@ def _negated(terms):
     return tuple((-c, t) for c, t in terms)
 
 
+# --- sugar in core terms: the one definition that `desugar` and the parser share
+
+
+def core_or(left: Formula, right: Formula) -> Formula:
+    return Not(And(Not(left), Not(right)))
+
+
+def core_implies(left: Formula, right: Formula) -> Formula:
+    return Not(And(left, Not(right)))
+
+
+def core_iff(left: Formula, right: Formula) -> Formula:
+    """Both implications; they share the operand objects, so a chain of
+    biconditionals costs linear time and memory."""
+    return And(core_implies(left, right), core_implies(right, left))
+
+
+def core_diamond(child: Formula) -> Formula:
+    return Not(Box(Not(child)))
+
+
+def core_diffuse_diamond(bindings, child: Formula) -> Formula:
+    return Not(Diffuse(bindings, Not(child)))
+
+
+def core_coalition_diamond(coalition, child: Formula) -> Formula:
+    return Not(CoalitionBox(coalition, Not(child)))
+
+
+def core_compare(op: str, terms, bound) -> Formula:
+    """A rational linear comparison as integer `>=` atoms."""
+    terms, bound = _cleared(terms, bound)
+    if op == ">=":
+        return LinearGeq(terms, bound)
+    if op == "<=":
+        return LinearGeq(_negated(terms), -bound)
+    if op == "<":
+        return Not(LinearGeq(terms, bound))
+    if op == ">":
+        return Not(LinearGeq(_negated(terms), -bound))
+    if op == "=":
+        return And(LinearGeq(terms, bound), LinearGeq(_negated(terms), -bound))
+    raise ValueError(f"unknown comparison {op!r}")
+
+
 def desugar(node: Formula) -> Formula:
-    """Rewrite into the core fragment; identity (up to reconstruction) on it."""
+    """Rewrite into the core fragment. A node with no sugar beneath it comes
+    back as the same object, so desugaring a core formula builds nothing."""
     kind = type(node)
     if kind is Nominal or kind is Heart or kind is LinearGeq:
         return node
-    if kind is Not:
-        return Not(desugar(node.child))
+    if kind is Not or kind is Box:
+        child = desugar(node.child)
+        return node if child is node.child else kind(child)
     if kind is And:
-        return And(desugar(node.left), desugar(node.right))
-    if kind is Box:
-        return Box(desugar(node.child))
+        left, right = desugar(node.left), desugar(node.right)
+        if left is node.left and right is node.right:
+            return node
+        return And(left, right)
     if kind is Diffuse:
-        return Diffuse(node.bindings, desugar(node.child))
+        child = desugar(node.child)
+        return node if child is node.child else Diffuse(node.bindings, child)
     if kind is CoalitionBox:
-        return CoalitionBox(node.coalition, desugar(node.child))
+        child = desugar(node.child)
+        return node if child is node.child else CoalitionBox(node.coalition, child)
     if kind is Truth:
         return TRUE
     if kind is Falsity:
         return FALSE
     if kind is Or:
-        return Not(And(Not(desugar(node.left)), Not(desugar(node.right))))
+        return core_or(desugar(node.left), desugar(node.right))
     if kind is Implies:
-        return Not(And(desugar(node.left), Not(desugar(node.right))))
+        return core_implies(desugar(node.left), desugar(node.right))
     if kind is Iff:
-        return And(
-            desugar(Implies(node.left, node.right)),
-            desugar(Implies(node.right, node.left)),
-        )
+        return core_iff(desugar(node.left), desugar(node.right))
     if kind is Diamond:
-        return Not(Box(Not(desugar(node.child))))
+        return core_diamond(desugar(node.child))
     if kind is DiffuseDiamond:
-        return Not(Diffuse(node.bindings, Not(desugar(node.child))))
+        return core_diffuse_diamond(node.bindings, desugar(node.child))
     if kind is CoalitionDiamond:
-        return Not(CoalitionBox(node.coalition, Not(desugar(node.child))))
+        return core_coalition_diamond(node.coalition, desugar(node.child))
     if kind is Compare:
-        terms, bound = _cleared(node.terms, node.bound)
-        if node.op == ">=":
-            return LinearGeq(terms, bound)
-        if node.op == "<=":
-            return LinearGeq(_negated(terms), -bound)
-        if node.op == "<":
-            return Not(LinearGeq(terms, bound))
-        if node.op == ">":
-            return Not(LinearGeq(_negated(terms), -bound))
-        if node.op == "=":
-            return And(LinearGeq(terms, bound), LinearGeq(_negated(terms), -bound))
-        raise ValueError(f"unknown comparison {node.op!r}")
+        return core_compare(node.op, node.terms, node.bound)
     raise TypeError(f"not a formula node: {node!r}")
 
 
@@ -313,55 +349,71 @@ _IFF, _IMP, _OR, _AND, _UNARY, _ATOM = 1, 2, 3, 4, 5, 6
 
 
 def format_formula(node: Formula) -> str:
-    """Concrete syntax; parsing the output of a core formula reproduces it."""
-    return _fmt(node, _IFF)
+    """Concrete syntax; parsing the output of a core formula reproduces it.
+
+    The printer works from an explicit stack and joins the pieces once, so
+    it prints a formula of any depth in time linear in the output."""
+    out: list[str] = []
+    todo: list = [(node, _IFF)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, min_level = item
+        pieces, level = _layout(node)
+        if level < min_level:
+            out.append("(")
+            todo.append(")")
+        if type(pieces) is str:
+            out.append(pieces)
+        else:
+            todo.extend(pieces)
+    return "".join(out)
 
 
-def _fmt(node, min_level: int) -> str:
-    text, level = _fmt_level(node)
-    if level < min_level:
-        return f"({text})"
-    return text
-
-
-def _fmt_level(node):
+def _layout(node):
+    """The node's printed form and its precedence level. The form of an atom
+    is its text; any other node's is its pieces, last first, each text or a
+    (child, the least level the child may print at without parentheses).
+    Core kinds are tested first: they are most of what is printed."""
     kind = type(node)
+    if kind is Not:
+        return ((node.child, _UNARY), "!"), _UNARY
+    if kind is And:
+        return ((node.right, _UNARY), " & ", (node.left, _AND)), _AND
     if kind is Nominal:
         return node.name, _ATOM
+    if kind is Diffuse:
+        return ((node.child, _UNARY), f"[{_bindings_str(node.bindings)}] "), _UNARY
+    if kind is LinearGeq:
+        return f"{_sum_str(node.terms)} >= {node.bound}", _ATOM
+    if kind is Box:
+        return ((node.child, _UNARY), "[] "), _UNARY
+    if kind is Heart:
+        return f"wins({_subject(node.target)})", _ATOM
+    if kind is CoalitionBox:
+        inside = ", ".join(sorted(node.coalition)) or " "
+        return ((node.child, _UNARY), f"[<{inside}>] "), _UNARY
     if kind is Truth:
         return "true", _ATOM
     if kind is Falsity:
         return "false", _ATOM
-    if kind is Heart:
-        return f"wins({_subject(node.target)})", _ATOM
-    if kind is LinearGeq:
-        return f"{_sum_str(node.terms)} >= {node.bound}", _ATOM
     if kind is Compare:
         return f"{_sum_str(node.terms)} {node.op} {_rat_str(node.bound)}", _ATOM
-    if kind is Not:
-        return f"!{_fmt(node.child, _UNARY)}", _UNARY
-    if kind is Box:
-        return f"[] {_fmt(node.child, _UNARY)}", _UNARY
+    if kind is Or:
+        return ((node.right, _AND), " | ", (node.left, _OR)), _OR
+    if kind is Implies:
+        return ((node.right, _IMP), " -> ", (node.left, _OR)), _IMP
+    if kind is Iff:
+        return ((node.right, _IMP), " <-> ", (node.left, _IFF)), _IFF
     if kind is Diamond:
-        return f"<> {_fmt(node.child, _UNARY)}", _UNARY
-    if kind is Diffuse:
-        return f"[{_bindings_str(node.bindings)}] {_fmt(node.child, _UNARY)}", _UNARY
+        return ((node.child, _UNARY), "<> "), _UNARY
     if kind is DiffuseDiamond:
-        return f"<{_bindings_str(node.bindings)}> {_fmt(node.child, _UNARY)}", _UNARY
-    if kind is CoalitionBox:
-        inside = ", ".join(sorted(node.coalition)) or " "
-        return f"[<{inside}>] {_fmt(node.child, _UNARY)}", _UNARY
+        return ((node.child, _UNARY), f"<{_bindings_str(node.bindings)}> "), _UNARY
     if kind is CoalitionDiamond:
         inside = ", ".join(sorted(node.coalition)) or " "
-        return f"<[{inside}]> {_fmt(node.child, _UNARY)}", _UNARY
-    if kind is And:
-        return f"{_fmt(node.left, _AND)} & {_fmt(node.right, _UNARY)}", _AND
-    if kind is Or:
-        return f"{_fmt(node.left, _OR)} | {_fmt(node.right, _AND)}", _OR
-    if kind is Implies:
-        return f"{_fmt(node.left, _OR)} -> {_fmt(node.right, _IMP)}", _IMP
-    if kind is Iff:
-        return f"{_fmt(node.left, _IFF)} <-> {_fmt(node.right, _IMP)}", _IFF
+        return ((node.child, _UNARY), f"<[{inside}]> "), _UNARY
     raise TypeError(f"not a formula node: {node!r}")
 
 

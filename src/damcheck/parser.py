@@ -1,4 +1,4 @@
-"""Recursive-descent parser for the concrete formula syntax.
+"""Recursive-descent parser for the concrete formula syntax, in one pass.
 
 Grammar (loosest binding first):
 
@@ -21,280 +21,242 @@ Grammar (loosest binding first):
     rational:= int ['/' int]
     cmp     := '>=' | '<=' | '<' | '>' | '='
 
+One compiled pattern tokenizes the whole text with `finditer`. A token is a
+plain tuple (kind, text, offset): the kind of an operator is its own text,
+otherwise IDENT, INT, SELF, BAD (a character no token starts with) or EOF,
+and the offset indexes the text. Line and column, 1-based and counted in
+characters, are worked out from the offset only when an error is reported.
 Coalition brackets are two adjacent characters ("[<", ">]", "<[", "]>");
-they are recognised by token adjacency so that e.g. "ut[x]>2" still lexes."""
+adjacency is read from the offsets, so that e.g. "ut[x]>2" still lexes.
+
+The parser builds core nodes as it goes: disjunction, implication,
+biconditional, the diamonds, true/false and the comparisons become Not, And
+and LinearGeq when they are parsed (`formula.core_*`), so the result needs no
+second walk. Each unary operator costs one Python frame and each parenthesis
+six, so text nested too deeply for the stack is a FormulaSyntaxError."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from fractions import Fraction
 
 from .errors import FormulaSyntaxError
 from .formula import (
+    FALSE,
     SELF,
+    TRUE,
     And,
     Box,
     CoalitionBox,
-    CoalitionDiamond,
-    Compare,
-    Diamond,
     Diffuse,
-    DiffuseDiamond,
-    Falsity,
     Formula,
     Heart,
-    Iff,
-    Implies,
     Nominal,
     Not,
-    Or,
-    Truth,
     UtilityTerm,
-    desugar,
+    core_coalition_diamond,
+    core_compare,
+    core_diamond,
+    core_diffuse_diamond,
+    core_iff,
+    core_implies,
+    core_or,
 )
 from .model import RESERVED_WORDS, SKIP
 
-_THREE = ("<->",)
-_TWO = ("[]", "<>", "->", ">=", "<=")
-_ONE = "&|!()[]<>,:+-*/="
+# Longer operators come first, so "<->" is never read as "<" "-" ">".
+# Whitespace matches no alternative and `finditer` steps over it.
+_TOKEN = re.compile(
+    r"(?P<IDENT>[^\W\d]\w*)|(?P<INT>\d+)|(?P<SELF>@self)"
+    r"|<->|\[\]|<>|->|>=|<=|[&|!()\[\]<>,:+\-*/=]"
+    r"|(?P<BAD>\S)"
+)
+# Every character that can start a BAD token, or an IDENT that `[^\W\d]`
+# admits but that does not start with a letter or "_" (such as "²"). Only
+# non-ASCII text can hold the latter, so ASCII text without a match skips
+# the token-by-token check.
+_STRAY = re.compile(r"[^\s\w&|!()\[\]<>,:+\-*/=@]|@(?!self)|[^\x00-\x7f]")
+_COMPARISONS = frozenset((">=", "<=", "<", ">", "="))
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # operator text, or one of IDENT, INT, SELF, EOF
-    text: str
-    line: int
-    col: int
-
-
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col, i = 1, 1, 0
-    n = len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if src.startswith("@self", i):
-            tokens.append(_Token("SELF", "@self", line, col))
-            i += 5
-            col += 5
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(_Token("IDENT", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and src[j].isdigit():
-                j += 1
-            tokens.append(_Token("INT", src[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        matched = None
-        for op in _THREE + _TWO:
-            if src.startswith(op, i):
-                matched = op
-                break
-        if matched is None and ch in _ONE:
-            matched = ch
-        if matched is None:
-            raise FormulaSyntaxError(f"unexpected character {ch!r}", line, col)
-        tokens.append(_Token(matched, matched, line, col))
-        i += len(matched)
-        col += len(matched)
-    tokens.append(_Token("EOF", "", line, col))
+def _tokenize(src: str) -> list[tuple[str, str, int]]:
+    tokens = [(m.lastgroup or m[0], m[0], m.start()) for m in _TOKEN.finditer(src)]
+    tokens.append(("EOF", "", len(src)))
+    if _STRAY.search(src) is not None:
+        for kind, text, offset in tokens:
+            if kind == "BAD" or (kind == "IDENT" and not (text[0].isalpha() or text[0] == "_")):
+                raise _error(src, offset, f"unexpected character {text[0]!r}")
     return tokens
 
 
+def _error(src: str, offset: int, message: str) -> FormulaSyntaxError:
+    line = src.count("\n", 0, offset) + 1
+    return FormulaSyntaxError(message, line, offset - src.rfind("\n", 0, offset))
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, src: str, tokens: list[tuple[str, str, int]]):
+        self.src = src
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def error(self, message: str) -> FormulaSyntaxError:
+        """A syntax error at the current token."""
+        return _error(self.src, self.tokens[self.pos][2], message)
 
-    def next(self) -> _Token:
+    def found(self) -> str:
+        return repr(self.tokens[self.pos][1] or "end of input")
+
+    def expect(self, kind: str) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
+        if tok[0] != kind:
+            raise self.error(f"expected {kind!r}, found {self.found()}")
+        self.pos += 1
         return tok
-
-    def expect(self, kind: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            self.fail(f"expected {kind!r}, found {tok.text or 'end of input'!r}")
-        return self.next()
-
-    def fail(self, message: str):
-        tok = self.peek()
-        raise FormulaSyntaxError(message, tok.line, tok.col)
-
-    def adjacent(self) -> bool:
-        a, b = self.peek(), self.peek(1)
-        return a.line == b.line and b.col == a.col + len(a.text)
 
     # --- formula levels ---
 
     def formula(self) -> Formula:
         out = self.imp()
-        while self.peek().kind == "<->":
-            self.next()
-            out = Iff(out, self.imp())
+        while self.tokens[self.pos][0] == "<->":
+            self.pos += 1
+            out = core_iff(out, self.imp())
         return out
 
     def imp(self) -> Formula:
         parts = [self.disj()]
-        while self.peek().kind == "->":
-            self.next()
+        while self.tokens[self.pos][0] == "->":
+            self.pos += 1
             parts.append(self.disj())
-        out = parts[-1]
-        for left in reversed(parts[:-1]):
-            out = Implies(left, out)
+        out = parts.pop()
+        while parts:
+            out = core_implies(parts.pop(), out)
         return out
 
     def disj(self) -> Formula:
         out = self.conj()
-        while self.peek().kind == "|":
-            self.next()
-            out = Or(out, self.conj())
+        while self.tokens[self.pos][0] == "|":
+            self.pos += 1
+            out = core_or(out, self.conj())
         return out
 
     def conj(self) -> Formula:
         out = self.unary()
-        while self.peek().kind == "&":
-            self.next()
+        while self.tokens[self.pos][0] == "&":
+            self.pos += 1
             out = And(out, self.unary())
         return out
 
     def unary(self) -> Formula:
-        kind = self.peek().kind
+        tok = self.tokens[self.pos]
+        kind = tok[0]
         if kind == "!":
-            self.next()
+            self.pos += 1
             return Not(self.unary())
+        if kind == "[":
+            nxt = self.tokens[self.pos + 1]
+            if nxt[0] == "<" and nxt[2] == tok[2] + 1:
+                self.pos += 2
+                coalition = self.coalition(">", "]")
+                return CoalitionBox(coalition, self.unary())
+            self.pos += 1
+            bindings = self.bindings("]")
+            return Diffuse(bindings, self.unary())
         if kind == "[]":
-            self.next()
+            self.pos += 1
             return Box(self.unary())
         if kind == "<>":
-            self.next()
-            return Diamond(self.unary())
-        if kind == "[":
-            if self.peek(1).kind == "<" and self.adjacent():
-                self.next()
-                self.next()
-                coalition = self.coalition(close=(">", "]"))
-                return CoalitionBox(coalition, self.unary())
-            self.next()
-            bindings = self.bindings(close="]")
-            return Diffuse(bindings, self.unary())
+            self.pos += 1
+            return core_diamond(self.unary())
         if kind == "<":
-            if self.peek(1).kind == "[" and self.adjacent():
-                self.next()
-                self.next()
-                coalition = self.coalition(close=("]", ">"))
-                return CoalitionDiamond(coalition, self.unary())
-            self.next()
-            bindings = self.bindings(close=">")
-            return DiffuseDiamond(bindings, self.unary())
+            nxt = self.tokens[self.pos + 1]
+            if nxt[0] == "[" and nxt[2] == tok[2] + 1:
+                self.pos += 2
+                coalition = self.coalition("]", ">")
+                return core_coalition_diamond(coalition, self.unary())
+            self.pos += 1
+            bindings = self.bindings(">")
+            return core_diffuse_diamond(bindings, self.unary())
         return self.atom()
 
-    def coalition(self, close: tuple[str, str]) -> frozenset[str]:
+    def coalition(self, first: str, second: str) -> frozenset[str]:
         members: list[str] = []
-        while self.peek().kind == "IDENT":
+        while self.tokens[self.pos][0] == "IDENT":
             members.append(self.ident("seller name"))
-            if self.peek().kind == ",":
-                self.next()
+            if self.tokens[self.pos][0] == ",":
+                self.pos += 1
                 continue
             break
-        first, second = close
         tok = self.expect(first)
-        nxt = self.peek()
-        if nxt.kind != second or not (
-            nxt.line == tok.line and nxt.col == tok.col + 1
-        ):
-            self.fail(f"expected {first}{second!r} to close the coalition")
-        self.next()
+        nxt = self.tokens[self.pos]
+        if nxt[0] != second or nxt[2] != tok[2] + 1:
+            raise self.error(f"expected {first}{second!r} to close the coalition")
+        self.pos += 1
         return frozenset(members)
 
     def bindings(self, close: str) -> tuple:
         out: list[tuple[str, object]] = []
         seen: set[str] = set()
         while True:
-            tok = self.peek()
+            offset = self.tokens[self.pos][2]
             sell = self.ident("seller name")
             if sell in seen:
-                raise FormulaSyntaxError(
-                    f"seller {sell!r} listed twice in one action", tok.line, tok.col
-                )
+                raise _error(self.src, offset, f"seller {sell!r} listed twice in one action")
             seen.add(sell)
             self.expect(":")
-            target_tok = self.peek()
-            if target_tok.kind == "IDENT" and target_tok.text == "skip":
-                self.next()
+            target = self.tokens[self.pos]
+            if target[0] == "IDENT" and target[1] == "skip":
+                self.pos += 1
                 out.append((sell, SKIP))
             else:
                 out.append((sell, self.ident("buyer name or 'skip'")))
-            if self.peek().kind == ",":
-                self.next()
+            if self.tokens[self.pos][0] == ",":
+                self.pos += 1
                 continue
             break
         self.expect(close)
         return tuple(out)
 
     def ident(self, what: str) -> str:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text in RESERVED_WORDS:
-            self.fail(f"expected {what}, found {tok.text or 'end of input'!r}")
-        self.next()
-        return tok.text
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "IDENT" or text in RESERVED_WORDS:
+            raise self.error(f"expected {what}, found {self.found()}")
+        self.pos += 1
+        return text
 
     def atom(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "(":
-            self.next()
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "(":
+            self.pos += 1
             out = self.formula()
             self.expect(")")
             return out
-        if tok.kind == "IDENT":
-            if tok.text == "true":
-                self.next()
-                return Truth()
-            if tok.text == "false":
-                self.next()
-                return Falsity()
-            if tok.text == "wins":
-                self.next()
+        if kind == "IDENT":
+            if text == "true":
+                self.pos += 1
+                return TRUE
+            if text == "false":
+                self.pos += 1
+                return FALSE
+            if text == "wins":
+                self.pos += 1
                 self.expect("(")
                 target = self.subject()
                 self.expect(")")
                 return Heart(target)
-            if tok.text == "ut":
+            if text == "ut":
                 return self.linear()
-            if tok.text == "skip":
-                self.fail("'skip' is only allowed as an action target")
-            self.next()
-            return Nominal(tok.text)
-        if tok.kind in ("INT", "-"):
+            if text == "skip":
+                raise self.error("'skip' is only allowed as an action target")
+            self.pos += 1
+            return Nominal(text)
+        if kind == "INT" or kind == "-":
             return self.linear()
-        self.fail(f"expected a formula, found {tok.text or 'end of input'!r}")
+        raise self.error(f"expected a formula, found {self.found()}")
 
     def subject(self):
-        tok = self.peek()
-        if tok.kind == "SELF":
-            self.next()
+        if self.tokens[self.pos][0] == "SELF":
+            self.pos += 1
             return SELF
         return self.ident("agent name or '@self'")
 
@@ -302,65 +264,65 @@ class _Parser:
 
     def linear(self) -> Formula:
         lhs_terms, lhs_const = self.sum_()
-        op_tok = self.peek()
-        if op_tok.kind not in (">=", "<=", "<", ">", "="):
-            self.fail("expected a comparison (>=, <=, <, >, =)")
-        self.next()
+        op = self.tokens[self.pos][0]
+        if op not in _COMPARISONS:
+            raise self.error("expected a comparison (>=, <=, <, >, =)")
+        self.pos += 1
         rhs_terms, rhs_const = self.sum_()
-        terms = lhs_terms + tuple((-c, t) for c, t in rhs_terms)
-        return Compare(op_tok.kind, terms, rhs_const - lhs_const)
+        terms = lhs_terms + [(-c, t) for c, t in rhs_terms]
+        return core_compare(op, terms, rhs_const - lhs_const)
 
     def sum_(self):
         terms: list[tuple[Fraction, UtilityTerm]] = []
         const = Fraction(0)
         sign = 1
-        if self.peek().kind == "-":
-            self.next()
+        if self.tokens[self.pos][0] == "-":
+            self.pos += 1
             sign = -1
         while True:
             const = self.addend(terms, const, sign)
-            kind = self.peek().kind
+            kind = self.tokens[self.pos][0]
             if kind == "+":
-                self.next()
+                self.pos += 1
                 sign = 1
             elif kind == "-":
-                self.next()
+                self.pos += 1
                 sign = -1
             else:
-                return tuple(terms), const
+                return terms, const
 
     def addend(self, terms, const, sign):
-        tok = self.peek()
-        if tok.kind == "INT":
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "INT":
             value = self.rational()
-            if self.peek().kind == "*":
-                self.next()
+            if self.tokens[self.pos][0] == "*":
+                self.pos += 1
                 terms.append((sign * value, self.ut_term()))
                 return const
             return const + sign * value
-        if tok.kind == "IDENT" and tok.text == "ut":
+        if kind == "IDENT" and text == "ut":
             terms.append((Fraction(sign), self.ut_term()))
             return const
-        self.fail("expected a number or ut[...]")
+        raise self.error("expected a number or ut[...]")
 
     def rational(self) -> Fraction:
-        tok = self.peek()
+        start = self.tokens[self.pos][2]
         try:
-            numerator, denominator = int(self.expect("INT").text), 1
-            if self.peek().kind == "/":
-                self.next()
-                denominator = int(self.expect("INT").text)
+            numerator, denominator = int(self.expect("INT")[1]), 1
+            if self.tokens[self.pos][0] == "/":
+                self.pos += 1
+                denominator = int(self.expect("INT")[1])
         except ValueError:  # more digits than the interpreter will convert
-            raise FormulaSyntaxError("number too long", tok.line, tok.col) from None
+            raise _error(self.src, start, "number too long") from None
         if denominator == 0:
-            self.fail("zero denominator")
+            raise self.error("zero denominator")
         return Fraction(numerator, denominator)
 
     def ut_term(self) -> UtilityTerm:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != "ut":
-            self.fail("expected ut[...]")
-        self.next()
+        kind, text, _ = self.tokens[self.pos]
+        if kind != "IDENT" or text != "ut":
+            raise self.error("expected ut[...]")
+        self.pos += 1
         self.expect("[")
         subject = self.subject()
         self.expect("]")
@@ -368,16 +330,13 @@ class _Parser:
 
 
 def parse_formula(src: str) -> Formula:
-    """Parse concrete syntax into a core formula (sugar is desugared)."""
-    parser = _Parser(_tokenize(src))
+    """Parse concrete syntax straight into a core formula."""
+    parser = _Parser(src, _tokenize(src))
     try:
-        out = desugar(parser.formula())
+        out = parser.formula()
     except RecursionError:
-        tok = parser.peek()
-        raise FormulaSyntaxError("formula nests too deeply", tok.line, tok.col) from None
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise FormulaSyntaxError(
-            f"unexpected trailing input {tok.text!r}", tok.line, tok.col
-        )
+        raise parser.error("formula nests too deeply") from None
+    tok = parser.tokens[parser.pos]
+    if tok[0] != "EOF":
+        raise parser.error(f"unexpected trailing input {tok[1]!r}")
     return out

@@ -4,8 +4,9 @@ import json
 
 import pytest
 
-from damcheck import load_mechanism, sat_oracle, save_mechanism
+from damcheck import load_mechanism, parse_formula, sat_oracle, save_mechanism
 from damcheck.cli import main
+from damcheck.formula import TRUE, Not
 from damcheck.gadgets import read_dimacs
 
 from helpers import referral_chain, two_seller_market
@@ -216,6 +217,27 @@ def test_too_deep_formula_exits_two(formula, capsys):
     rc = main(["check", "--model", str(chain), "--at", "a", "--formula", formula])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_translate_prints_a_deep_formula_that_parses_back(chain_path, capsys):
+    text = "!" * 900 + "true"
+    assert main(["translate", "--model", chain_path, "--formula", text]) == 0
+    node = parse_formula(capsys.readouterr().out)
+    # walked, not compared with ==: dataclass equality recurses per level
+    for _ in range(900):
+        assert type(node) is Not
+        node = node.child
+    assert node == TRUE
+
+
+def test_translate_of_a_formula_too_deep_to_translate_exits_two(chain_path, capsys):
+    # the parser reads a chain of implications in a loop, but the translated
+    # tree nests two levels per implication
+    text = "alpha -> " * 1500 + "alpha"
+    assert main(["translate", "--model", chain_path, "--formula", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 @pytest.mark.parametrize(

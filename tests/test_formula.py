@@ -1,12 +1,15 @@
 """Formula layer: parsing, printing, desugaring, nominal collection."""
 
+import functools
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from damcheck import SKIP, desugar, format_formula, names_of, parse_formula
+from damcheck import SKIP, desugar, format_formula, names_of, parse_formula, translate
 from damcheck.errors import FormulaSyntaxError
 from damcheck.formula import (
     FALSE,
@@ -33,6 +36,19 @@ from damcheck.formula import (
     big_and,
     big_or,
 )
+from damcheck.gadgets import (
+    EXISTS,
+    FORALL,
+    PIff,
+    PNot,
+    POr,
+    PVar,
+    QbfInstance,
+    gen_qbf_gadget,
+)
+
+from helpers import random_formula, random_mechanism
+from reference_parser import parse_formula as reference_parse
 
 
 def ut(subject, coeff=1):
@@ -268,3 +284,142 @@ def test_desugar_idempotent_and_name_preserving(f):
     once = desugar(f)
     assert desugar(once) == once
     assert names_of(once) == names_of(f)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_core_formulas)
+def test_desugar_returns_core_formulas_unchanged(f):
+    assert desugar(f) is f
+
+
+# --- biconditionals ----------------------------------------------------------------
+
+
+def _expanded(node):
+    """Desugaring that rebuilds each operand once per use, as a reference."""
+    if type(node) is Iff:
+        return desugar(
+            And(
+                Implies(_expanded(node.left), _expanded(node.right)),
+                Implies(_expanded(node.right), _expanded(node.left)),
+            )
+        )
+    return desugar(node)
+
+
+def test_iff_halves_share_their_operands():
+    left = Or(Nominal("a"), Nominal("b"))
+    right = Diamond(Nominal("c"))
+    out = desugar(Iff(left, right))
+    # And(Not(And(l, Not(r))), Not(And(r, Not(l))))
+    forward, backward = out.left.child, out.right.child
+    assert forward.left is backward.right.child
+    assert forward.right.child is backward.left
+    assert forward.left == desugar(left) and backward.left == desugar(right)
+
+
+def test_iff_chains_desugar_in_linear_time():
+    chain = Nominal("a")
+    for level in range(1, 9):
+        chain = Iff(chain, Nominal("b") if level % 2 else Or(Nominal("c"), Nominal("d")))
+        assert desugar(chain) == _expanded(chain)
+    assert parse_formula("a" + " <-> b" * 8) == _expanded(
+        functools.reduce(lambda acc, _: Iff(acc, Nominal("b")), range(8), Nominal("a"))
+    )
+    began = time.perf_counter()
+    chain = Nominal("a")
+    for _ in range(40):
+        chain = Iff(chain, Nominal("b"))
+    # compared by value these would be walked as trees of 2**40 nodes
+    assert _distinct_nodes(desugar(chain)) < 10 * 40
+    assert _distinct_nodes(parse_formula("a" + " <-> b" * 40)) < 10 * 40
+    assert time.perf_counter() - began < 5
+
+
+def _distinct_nodes(node) -> int:
+    seen: set[int] = set()
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(getattr(node, part) for part in ("child", "left", "right") if hasattr(node, part))
+    return len(seen)
+
+
+# --- the one-pass parser against the parser it replaced ----------------------------
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except FormulaSyntaxError as err:
+        return (err.line, err.column)
+
+
+def _agree(text):
+    assert _parse_outcome(parse_formula, text) == _parse_outcome(reference_parse, text)
+
+
+_EDIT_CHARS = "()[]<>!&|-:,=+*/@_ \n\t#?aσ0129"
+_edits = st.lists(
+    st.tuples(st.floats(0, 1, exclude_max=True), st.sampled_from(("", *_EDIT_CHARS))),
+    max_size=4,
+)
+
+
+def _edited(text: str, edits) -> str:
+    """Each edit at a relative position: "" deletes a character, any other
+    character is inserted."""
+    for where, char in edits:
+        at = int(where * (len(text) + 1))
+        text = text[:at] + char + text[at + 1 :] if char == "" else text[:at] + char + text[at:]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sugar_formulas, _edits)
+def test_parser_agrees_with_reference_on_printed_and_edited_formulas(f, edits):
+    text = format_formula(f)
+    _agree(text)
+    _agree(_edited(text, edits))
+
+
+def _translate_outputs():
+    rng = random.Random(4242)
+    texts = []
+    for _ in range(20):
+        mech = random_mechanism(rng, max_sellers=2, max_buyers=3)
+        texts.append(format_formula(translate(mech, random_formula(rng, mech, 2, coalition=True))))
+    instance = QbfInstance((FORALL, EXISTS), PIff(PVar(1), POr(PVar(2), PNot(PVar(1)))))
+    mech, form = gen_qbf_gadget(instance)
+    texts.append(format_formula(translate(mech, form)))
+    return texts
+
+
+def test_parser_agrees_with_reference_on_translate_outputs():
+    rng = random.Random(77)
+    for text in _translate_outputs():
+        _agree(text)
+        for _ in range(4):
+            edits = [(rng.random(), rng.choice(("", *_EDIT_CHARS))) for _ in range(rng.randint(1, 3))]
+            _agree(_edited(text, edits))
+
+
+def test_non_ascii_characters_are_reported_where_they_stand():
+    for text, column in (("ut[a] >= ²", 10), ("ut[a] >= 1²", 11), ("a &\n ½", 2)):
+        with pytest.raises(FormulaSyntaxError) as err:
+            parse_formula(text)
+        assert str(err.value).endswith(f"unexpected character {text.strip()[-1]!r}")
+        assert err.value.column == column
+    # letters and decimal digits of other scripts still lex as before
+    assert parse_formula("σ & ut[a²] >= ٣") == And(
+        Nominal("σ"), LinearGeq((ut("a²"),), 3)
+    )
+
+
+def test_format_prints_formulas_of_any_depth():
+    deep = TRUE
+    for _ in range(5000):
+        deep = Not(deep)
+    assert format_formula(deep) == "!" * 5000 + "0 >= 0"
