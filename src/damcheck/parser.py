@@ -84,8 +84,9 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     tokens.append(("EOF", "", len(src)))
     if _STRAY.search(src) is not None:
         for kind, text, offset in tokens:
-            if kind == "BAD" or (kind == "IDENT" and not (text[0].isalpha() or text[0] == "_")):
-                raise _error(src, offset, f"unexpected character {text[0]!r}")
+            first = text[:1]
+            if kind == "BAD" or (kind == "IDENT" and not (first.isalpha() or first == "_")):
+                raise _error(src, offset, f"unexpected character {first!r}")
     return tokens
 
 

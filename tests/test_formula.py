@@ -171,6 +171,7 @@ def test_parser_reports_positions():
         ("ut[a] >= 1/0 & b", 1, 14, "zero denominator"),
         ("[s1:b1, s1:b2] true", 1, 9, "seller 's1' listed twice"),
         ("a &\n", 2, 1, "expected a formula, found 'end of input'"),
+        ("ut[a] >= 2/" + "9" * 5000, 1, 10, "number too long"),
     ],
 )
 def test_syntax_errors_report_line_and_column(text, line, column, message):
@@ -343,7 +344,8 @@ def _distinct_nodes(node) -> int:
         node = todo.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            todo.extend(getattr(node, part) for part in ("child", "left", "right") if hasattr(node, part))
+            parts = ("child", "left", "right")
+            todo.extend(getattr(node, part) for part in parts if hasattr(node, part))
     return len(seen)
 
 
@@ -402,7 +404,9 @@ def test_parser_agrees_with_reference_on_translate_outputs():
     for text in _translate_outputs():
         _agree(text)
         for _ in range(4):
-            edits = [(rng.random(), rng.choice(("", *_EDIT_CHARS))) for _ in range(rng.randint(1, 3))]
+            edits = [
+                (rng.random(), rng.choice(("", *_EDIT_CHARS))) for _ in range(rng.randint(1, 3))
+            ]
             _agree(_edited(text, edits))
 
 
