@@ -231,8 +231,8 @@ def test_translate_prints_a_deep_formula_that_parses_back(chain_path, capsys):
 
 
 def test_translate_of_a_formula_too_deep_to_translate_exits_two(chain_path, capsys):
-    # the parser reads a chain of implications in a loop, but the translated
-    # tree nests two levels per implication
+    # the parser reads a chain of implications in a loop, but the parsed
+    # tree nests three levels per implication
     text = "alpha -> " * 1500 + "alpha"
     assert main(["translate", "--model", chain_path, "--formula", text]) == 2
     captured = capsys.readouterr()
