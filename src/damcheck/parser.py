@@ -71,22 +71,18 @@ _TOKEN = re.compile(
     r"|<->|\[\]|<>|->|>=|<=|[&|!()\[\]<>,:+\-*/=]"
     r"|(?P<BAD>\S)"
 )
-# Every character that can start a BAD token, or an IDENT that `[^\W\d]`
-# admits but that does not start with a letter or "_" (such as "²"). Only
-# non-ASCII text can hold the latter, so ASCII text without a match skips
-# the token-by-token check.
-_STRAY = re.compile(r"[^\s\w&|!()\[\]<>,:+\-*/=@]|@(?!self)|[^\x00-\x7f]")
 _COMPARISONS = frozenset((">=", "<=", "<", ">", "="))
 
 
 def _tokenize(src: str) -> list[tuple[str, str, int]]:
     tokens = [(m.lastgroup or m[0], m[0], m.start()) for m in _TOKEN.finditer(src)]
     tokens.append(("EOF", "", len(src)))
-    if _STRAY.search(src) is not None:
-        for kind, text, offset in tokens:
-            first = text[:1]
-            if kind == "BAD" or (kind == "IDENT" and not (first.isalpha() or first == "_")):
-                raise _error(src, offset, f"unexpected character {first!r}")
+    # `[^\W\d]` also admits numeric characters such as "²"; an identifier
+    # starts with a letter or "_".
+    for kind, text, offset in tokens:
+        first = text[:1]
+        if kind == "BAD" or (kind == "IDENT" and not (first.isalpha() or first == "_")):
+            raise _error(src, offset, f"unexpected character {first!r}")
     return tokens
 
 
@@ -331,7 +327,11 @@ class _Parser:
 
 
 def parse_formula(src: str) -> Formula:
-    """Parse concrete syntax straight into a core formula."""
+    """Parse concrete syntax straight into a core formula.
+
+    A run of binary operators is read in a loop, so the tree returned can be
+    deeper than the recursive helpers allow: `names_of`, `contains_coalition`,
+    `==` and `hash` raise `RecursionError` on it."""
     parser = _Parser(src, _tokenize(src))
     try:
         out = parser.formula()
