@@ -8,22 +8,29 @@ here, and the strategy search and the equilibrium test in `analysis`.
   held as integers scaled by the least common denominator of the network's
   budgets and incentives, so money comparisons stay exact. An arena is
   built once per network and cached on the immutable `MarketNetwork`.
-* `_Arena.compile` turns a core formula into a hash-consed tuple graph over
-  agent numbers (global model checking for hybrid logics, Franceschet & de
-  Rijke 2006; hash-consing, Filliatre & Conchon 2006).
+* `_Arena.compile` turns a core formula into its evaluator in one walk
+  (global model checking for hybrid logics, Franceschet & de Rijke 2006).
+  The walk hash-conses as it goes (Filliatre & Conchon 2006): a node's key
+  is its operator and its operands' serials, so hashing a key costs the
+  same at any depth, and equal subformulas share one serial. Each distinct
+  node gets one closure `fn(engine, state, need)`, made when its key is
+  first seen; a closure calls its children's closures directly, so there
+  is no dispatch on the operator at evaluation time (Feeley & Lapalme,
+  "Using closures for code generation", 1987).
 * `_Engine` is one query: a table of the states it built, keyed by
   (friendship rows, budgets), and the labelling of compiled formulas over
   them (Clarke, Emerson & Sistla, ACM TOPLAS 1986). `_Engine.label(node,
-  state, need)` answers a node at a whole set of agents at once: `need` and
-  the result are bitmasks over agent numbers. A friendship box labels its
-  child once, at the union of the asked agents' friends; a diffusion box
-  builds its one successor once for all of them; a coalition box narrows
-  the set as choices fail and asks each counter-choice only about the
-  agents no earlier one answered; a conjunction asks its right operand only
-  where the left one holds. Each state memoises modal nodes by serial as a
-  pair (agents decided, agents where it holds), so a later call computes
-  only the agents not yet decided, and nested boxes cost time linear in
-  their depth. Nothing outlives the query.
+  state, need)` calls a node's closure, which answers the node at a whole
+  set of agents at once: `need` and the result are bitmasks over agent
+  numbers. A friendship box labels its child once, at the union of the
+  asked agents' friends; a diffusion box builds its one successor once for
+  all of them; a coalition box narrows the set as choices fail and asks
+  each counter-choice only about the agents no earlier one answered; a
+  conjunction asks its right operand only where the left one holds. Each
+  state memoises modal nodes by serial as a pair (agents decided, agents
+  where it holds), so a later call computes only the agents not yet
+  decided, and nested boxes cost time linear in their depth. Nothing
+  outlives the query.
 
 `model.apply_joint_action` stays the value-level update; tests hold the
 arena's update to it field for field."""
@@ -146,25 +153,33 @@ class _Arena:
 
     def apply(self, adj, budgets, action):
         """Rows and budgets after a feasible action (see
-        model.apply_joint_action)."""
-        targeted: dict[int, list[int]] = {}
+        model.apply_joint_action). An all-SKIP action returns its input."""
+        price = self.price
+        winner: dict[int, int] = {}  # target -> the seller who wins her
         for s, target in enumerate(action):
             if target >= 0:
-                targeted.setdefault(target, []).append(s)
+                best = winner.get(target)
+                # only a strictly higher bid wins: ties go to the least seller id
+                if best is None or price[s][target] > price[best][target]:
+                    winner[target] = s
+        if not winner:
+            return adj, budgets
         new_adj = list(adj)
         new_bud = None  # copy only when money actually moves
-        for target, candidates in targeted.items():
-            # max keeps the first of equal bids: ties go to the least seller id
-            winner = max(candidates, key=lambda s: self.price[s][target])
-            gained = adj[target] & self.buyer_mask & ~new_adj[winner]
-            for j in _bits(gained):
-                new_adj[j] |= 1 << winner
-            new_adj[winner] |= gained
-            paid = self.price[winner][target]
+        for target, s in winner.items():
+            gained = adj[target] & self.buyer_mask & ~new_adj[s]
+            bit = 1 << s
+            rest = gained
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                new_adj[low.bit_length() - 1] |= bit
+            new_adj[s] |= gained
+            paid = price[s][target]
             if paid:
                 if new_bud is None:
                     new_bud = list(budgets)
-                new_bud[winner] -= paid
+                new_bud[s] -= paid
                 new_bud[target] += paid
         return tuple(new_adj), (budgets if new_bud is None else tuple(new_bud))
 
@@ -227,35 +242,35 @@ class _Arena:
         )
 
     def compile(self, node):
-        """Core formula -> hash-consed tuple graph over agent numbers. Each
-        node is (op, operands..., serial); equal subformulas share one node."""
-        interned: dict[tuple, tuple] = {}
+        """Core formula -> its evaluator, a closure `fn(engine, state, need)`
+        that returns the agents of the bitmask `need` at which the formula
+        holds. One walk hash-conses and builds: a node's key is (op, operand
+        serials and data), so equal subformulas share one serial and one
+        closure, and a closure is made only for a key not seen before. The op
+        is the closure's maker, called as `op(arena, made, serial,
+        *operands)`, where made[serial] is the closure of each earlier key."""
+        serials: dict[tuple, int] = {}
+        made: list = []
 
-        def put(*item) -> tuple:
-            got = interned.get(item)
-            if got is None:
-                got = interned[item] = (*item, len(interned))
-            return got
-
-        def go(n) -> tuple:
+        def go(n) -> int:
             kind = type(n)
-            if kind is Nominal:
-                return put("nom", self.resolve(n.name))
             if kind is Not:
-                return put("not", go(n.child))
-            if kind is And:
-                return put("and", go(n.left), go(n.right))
-            if kind is Box:
-                return put("box", go(n.child))
-            if kind is Heart:
-                return put("heart", -1 if n.target is SELF else self.resolve(n.target))
-            if kind is LinearGeq:
+                key = (_not, go(n.child))
+            elif kind is And:
+                key = (_and, go(n.left), go(n.right))
+            elif kind is Nominal:
+                key = (_nom, self.resolve(n.name))
+            elif kind is Box:
+                key = (_box, go(n.child))
+            elif kind is Heart:
+                key = (_heart, -1 if n.target is SELF else self.resolve(n.target))
+            elif kind is LinearGeq:
                 terms = tuple(
                     (c, -1 if t.subject is SELF else self.resolve(t.subject))
                     for c, t in n.terms
                 )
-                return put("lin", terms, n.bound)
-            if kind is Diffuse:
+                key = (_lin, terms, n.bound)
+            elif kind is Diffuse:
                 action = [-1] * len(self.seller_ids)
                 bound: set[int] = set()
                 for nominal, target in n.bindings:
@@ -265,14 +280,184 @@ class _Arena:
                     bound.add(s)
                     if target is not SKIP:
                         action[s] = self.buyer(target)
-                return put("diff", tuple(action), go(n.child))
-            if kind is CoalitionBox:
-                members = {self.seller(nom) for nom in n.coalition}
-                others = [s for s in self.seller_ids if s not in members]
-                return put("coal", tuple(sorted(members)), tuple(others), go(n.child))
-            raise TypeError(f"cannot compile node {n!r}")
+                key = (_diff, tuple(action), go(n.child))
+            elif kind is CoalitionBox:
+                members = tuple(sorted({self.seller(nom) for nom in n.coalition}))
+                key = (_coal, members, go(n.child))
+            else:
+                raise TypeError(f"cannot compile node {n!r}")
+            serial = serials.get(key)
+            if serial is None:
+                serial = serials[key] = len(made)
+                made.append(key[0](self, made, serial, *key[1:]))
+            return serial
 
-        return go(node)
+        return made[go(node)]
+
+
+# --- the evaluators that _Arena.compile builds ---------------------------------
+#
+# Each maker returns the closure of one compiled node. A closure calls its
+# children's closures directly, one Python frame per formula level, so a deep
+# formula needs as many frames as it has levels. Modal closures keep their
+# answers in the state's memo under their serial as (agents decided, agents
+# where it holds) and compute only the asked agents not yet decided.
+
+_UNDECIDED = (0, 0)
+
+
+def _nom(arena, made, serial, agent):
+    bit = 1 << agent
+
+    def nom(engine, state, need):
+        return need & bit
+
+    return nom
+
+
+def _not(arena, made, serial, child):
+    child = made[child]
+
+    def neg(engine, state, need):
+        return need & ~child(engine, state, need)
+
+    return neg
+
+
+def _and(arena, made, serial, left, right):
+    left, right = made[left], made[right]
+
+    def conj(engine, state, need):
+        # the right operand only where the left one holds
+        got = left(engine, state, need)
+        return right(engine, state, got) if got else 0
+
+    return conj
+
+
+def _heart(arena, made, serial, target):
+    agents = arena.agents
+    if target >= 0:
+        who = agents[target]
+
+        def heart(engine, state, need):
+            return need if engine.allocation(state).placement[who] == 1 else 0
+
+    else:
+
+        def heart(engine, state, need):
+            placement = engine.allocation(state).placement
+            return sum(1 << i for i in _bits(need) if placement[agents[i]] == 1)
+
+    return heart
+
+
+def _lin(arena, made, serial, terms, bound):
+    agents = arena.agents
+    named = [(c, agents[who]) for c, who in terms if who >= 0]
+    per_self = sum(c for c, who in terms if who < 0)
+
+    def lin(engine, state, need):
+        utility = engine.allocation(state).utility
+        gap = bound  # the bound, less the terms that name an agent
+        for coeff, who in named:
+            gap -= coeff * utility[who]
+        if not per_self:
+            return need if gap <= 0 else 0
+        return sum(1 << i for i in _bits(need) if per_self * utility[agents[i]] >= gap)
+
+    return lin
+
+
+def _box(arena, made, serial, child):
+    child = made[child]
+
+    def box(engine, state, need):
+        known, value = state.memo.get(serial, _UNDECIDED)
+        todo = need & ~known
+        if not todo:
+            return value & need
+        # the child once, at every friend of every agent asked about; the
+        # bit loops are inline because boxes are the hot path
+        adj = state.adj
+        around = 0
+        rest = todo
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            around |= adj[low.bit_length() - 1]
+        failed = around & ~child(engine, state, around)
+        got = todo
+        rest = todo if failed else 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if adj[low.bit_length() - 1] & failed:
+                got ^= low
+        value |= got
+        state.memo[serial] = (known | todo, value)
+        return value & need
+
+    return box
+
+
+def _diff(arena, made, serial, action, child):
+    child = made[child]
+    feasible = arena.feasible
+
+    def diff(engine, state, need):
+        known, value = state.memo.get(serial, _UNDECIDED)
+        todo = need & ~known
+        if not todo:
+            return value & need
+        # the action does not depend on the agent: one successor for all
+        if feasible(state.adj, state.budgets, action):
+            got = child(engine, cached_update(engine, state, action), todo)
+        else:
+            got = todo
+        value |= got
+        state.memo[serial] = (known | todo, value)
+        return value & need
+
+    return diff
+
+
+def _coal(arena, made, serial, members, child):
+    child = made[child]
+    others = [s for s in arena.seller_ids if s not in members]
+    options_of = arena.options
+    sellers = arena.seller_ids
+
+    def coal(engine, state, need):
+        known, value = state.memo.get(serial, _UNDECIDED)
+        todo = need & ~known
+        if not todo:
+            return value & need
+        # every feasible choice of the members has a counter-choice of the
+        # others after which the body holds
+        options = [options_of(state.adj, state.budgets, s) for s in sellers]
+        action = [-1] * len(options)
+        got = todo
+        for picked in itertools.product(*(options[s] for s in members)):
+            for s, t in zip(members, picked):
+                action[s] = t
+            some = 0  # the agents of `got` some counter-choice answers
+            for counter in itertools.product(*(options[s] for s in others)):
+                for s, t in zip(others, counter):
+                    action[s] = t
+                some |= child(
+                    engine, cached_update(engine, state, tuple(action)), got & ~some
+                )
+                if some == got:
+                    break
+            got = some
+            if not got:
+                break
+        value |= got
+        state.memo[serial] = (known | todo, value)
+        return value & need
+
+    return coal
 
 
 class _State:
@@ -302,13 +487,13 @@ class _Engine:
         self.arena = arena
         self.width = len(arena.agents)
         self.table: dict[tuple, _State] = {}
-        self.root = self.state(arena.adj0, arena.budget0)
+        self.root = self.state((arena.adj0, arena.budget0))
 
-    def state(self, adj, budgets) -> _State:
-        key = (adj, budgets)
+    def state(self, key) -> _State:
+        """The query's state for key (rows, budgets), built on first use."""
         got = self.table.get(key)
         if got is None:
-            got = self.table[key] = _State(adj, budgets)
+            got = self.table[key] = _State(*key)
         return got
 
     def allocation(self, state: _State) -> auction.AllocationResult:
@@ -322,105 +507,16 @@ class _Engine:
         return state.alloc
 
     def label(self, node, state: _State, need: int) -> int:
-        """The agents of the bitmask `need` at which the node holds, as a
-        bitmask. Modal nodes remember per state which agents they have
-        decided, so a later call computes only the agents still unknown."""
-        # one Python frame per formula level: deep formulas need the stack
-        op = node[0]
-        if op == "and":
-            left = self.label(node[1], state, need)
-            return self.label(node[2], state, left) if left else 0
-        if op == "not":
-            return need & ~self.label(node[1], state, need)
-        if op == "nom":
-            return need & (1 << node[1])
-        if op == "heart":
-            placement = self.allocation(state).placement
-            agents = self.arena.agents
-            if node[1] >= 0:
-                return need if placement[agents[node[1]]] == 1 else 0
-            return sum(1 << i for i in _bits(need) if placement[agents[i]] == 1)
-        if op == "lin":
-            utility = self.allocation(state).utility
-            agents = self.arena.agents
-            gap = node[2]  # the bound, less the terms that name an agent
-            per_self = 0
-            for coeff, who in node[1]:
-                if who >= 0:
-                    gap -= coeff * utility[agents[who]]
-                else:
-                    per_self += coeff
-            if not per_self:
-                return need if gap <= 0 else 0
-            return sum(
-                1 << i for i in _bits(need) if per_self * utility[agents[i]] >= gap
-            )
-        known, value = state.memo.get(node[-1], (0, 0))
-        todo = need & ~known
-        if not todo:
-            return value & need
-        if op == "box":
-            # the child once, at every friend of every agent asked about;
-            # the bit loops are inline because boxes are the hot path
-            adj = state.adj
-            around = 0
-            rest = todo
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                around |= adj[low.bit_length() - 1]
-            failed = around & ~self.label(node[1], state, around)
-            got = todo
-            rest = todo if failed else 0
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                if adj[low.bit_length() - 1] & failed:
-                    got ^= low
-        elif op == "diff":
-            # the action does not depend on the agent: one successor for all
-            action = node[1]
-            if self.arena.feasible(state.adj, state.budgets, action):
-                got = self.label(node[2], cached_update(self, state, action), todo)
-            else:
-                got = todo
-        elif op == "coal":
-            # every feasible choice of the members has a counter-choice of
-            # the others after which the body holds
-            _, members, others, child, _ = node
-            options = [
-                self.arena.options(state.adj, state.budgets, s)
-                for s in self.arena.seller_ids
-            ]
-            action = [-1] * len(options)
-            got = todo
-            for picked in itertools.product(*(options[s] for s in members)):
-                for s, t in zip(members, picked):
-                    action[s] = t
-                some = 0  # the agents of `got` some counter-choice answers
-                for counter in itertools.product(*(options[s] for s in others)):
-                    for s, t in zip(others, counter):
-                        action[s] = t
-                    some |= self.label(
-                        child, cached_update(self, state, tuple(action)), got & ~some
-                    )
-                    if some == got:
-                        break
-                got = some
-                if not got:
-                    break
-        else:
-            raise TypeError(f"cannot evaluate compiled node {node!r}")
-        value |= got
-        state.memo[node[-1]] = (known | todo, value)
-        return value & need
+        """The agents of the bitmask `need` at which the compiled node holds,
+        as a bitmask."""
+        return node(self, state, need)
 
 
 def cached_update(engine: _Engine, state: _State, action) -> _State:
     """The state after a feasible action: the engine's one successor lookup.
     A successor already in the query's table comes back with its memo and
     allocation."""
-    return engine.state(*engine.arena.apply(state.adj, state.budgets, action))
+    return engine.state(engine.arena.apply(state.adj, state.budgets, action))
 
 
 def _check(query: CheckQuery, stats: CheckStats | None, strategic: bool) -> bool:

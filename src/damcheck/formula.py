@@ -295,51 +295,54 @@ def desugar(node: Formula) -> Formula:
 
 
 def names_of(node: Formula) -> set[str]:
-    """Every nominal occurring in the formula; SELF is not a nominal."""
+    """Every nominal occurring in the formula; SELF is not a nominal. The
+    walk keeps its own stack, so it answers at any depth."""
     out: set[str] = set()
-    _collect_names(node, out)
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is Nominal:
+            out.add(node.name)
+        elif kind is Heart:
+            if isinstance(node.target, str):
+                out.add(node.target)
+        elif kind in (LinearGeq, Compare):
+            for _, term in node.terms:
+                if isinstance(term.subject, str):
+                    out.add(term.subject)
+        elif kind in (Not, Box, Diamond):
+            todo.append(node.child)
+        elif kind in (And, Or, Implies, Iff):
+            todo.append(node.right)
+            todo.append(node.left)
+        elif kind in (Diffuse, DiffuseDiamond):
+            for sell, target in node.bindings:
+                out.add(sell)
+                if isinstance(target, str):
+                    out.add(target)
+            todo.append(node.child)
+        elif kind in (CoalitionBox, CoalitionDiamond):
+            out.update(node.coalition)
+            todo.append(node.child)
+        elif kind not in (Truth, Falsity):
+            raise TypeError(f"not a formula node: {node!r}")
     return out
 
 
-def _collect_names(node, out: set[str]) -> None:
-    kind = type(node)
-    if kind is Nominal:
-        out.add(node.name)
-    elif kind is Heart:
-        if isinstance(node.target, str):
-            out.add(node.target)
-    elif kind in (LinearGeq, Compare):
-        for _, term in node.terms:
-            if isinstance(term.subject, str):
-                out.add(term.subject)
-    elif kind in (Not, Box, Diamond):
-        _collect_names(node.child, out)
-    elif kind in (And, Or, Implies, Iff):
-        _collect_names(node.left, out)
-        _collect_names(node.right, out)
-    elif kind in (Diffuse, DiffuseDiamond):
-        for sell, target in node.bindings:
-            out.add(sell)
-            if isinstance(target, str):
-                out.add(target)
-        _collect_names(node.child, out)
-    elif kind in (CoalitionBox, CoalitionDiamond):
-        out.update(node.coalition)
-        _collect_names(node.child, out)
-    elif kind in (Truth, Falsity):
-        pass
-    else:
-        raise TypeError(f"not a formula node: {node!r}")
-
-
 def contains_coalition(node: Formula) -> bool:
-    kind = type(node)
-    if kind in (CoalitionBox, CoalitionDiamond):
-        return True
-    if kind in (Not, Box, Diamond, Diffuse, DiffuseDiamond):
-        return contains_coalition(node.child)
-    if kind in (And, Or, Implies, Iff):
-        return contains_coalition(node.left) or contains_coalition(node.right)
+    """Whether a coalition operator occurs in the formula, at any depth."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind in (CoalitionBox, CoalitionDiamond):
+            return True
+        if kind in (Not, Box, Diamond, Diffuse, DiffuseDiamond):
+            todo.append(node.child)
+        elif kind in (And, Or, Implies, Iff):
+            todo.append(node.right)
+            todo.append(node.left)
     return False
 
 

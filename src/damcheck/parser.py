@@ -187,7 +187,7 @@ class _Parser:
         tok = self.expect(first)
         nxt = self.tokens[self.pos]
         if nxt[0] != second or nxt[2] != tok[2] + 1:
-            raise self.error(f"expected {first}{second!r} to close the coalition")
+            raise self.error(f"expected '{first}{second}' to close the coalition")
         self.pos += 1
         return frozenset(members)
 
@@ -330,8 +330,8 @@ def parse_formula(src: str) -> Formula:
     """Parse concrete syntax straight into a core formula.
 
     A run of binary operators is read in a loop, so the tree returned can be
-    deeper than the recursive helpers allow: `names_of`, `contains_coalition`,
-    `==` and `hash` raise `RecursionError` on it."""
+    deeper than the recursive helpers allow: `==` and `hash` raise
+    `RecursionError` on it."""
     parser = _Parser(src, _tokenize(src))
     try:
         out = parser.formula()

@@ -384,6 +384,44 @@ def test_arena_update_matches_model_update():
     assert compared > 40
 
 
+def test_arena_update_matches_model_update_along_trajectories():
+    # the update again, now at reachable states: 2-3 step trajectories on
+    # rational markets, where the arena and the model each advance their own
+    # state; actions prefer two sellers bidding the same incentive for one
+    # buyer, so the tie-break to the least seller id is exercised
+    import itertools
+
+    from damcheck.analysis import _Arena
+
+    rng = random.Random(515)
+    compared = equal_bids = 0
+    for _ in range(120):
+        mech = random_rational_market(rng, n_sellers=rng.randint(2, 3), n_buyers=4)
+        arena = _Arena(mech)
+        adj, budgets = arena.adj0, arena.budget0
+        for _ in range(rng.randint(2, 3)):
+            options = [arena.options(adj, budgets, s) for s in arena.seller_ids]
+            actions = list(itertools.product(*options))
+
+            def equal_bid(action):
+                return any(
+                    t >= 0 and t == u and arena.price[s][t] == arena.price[r][u]
+                    for (s, t), (r, u) in itertools.combinations(enumerate(action), 2)
+                )
+
+            tied = [a for a in actions if equal_bid(a)]
+            action = rng.choice(tied if tied and rng.random() < 0.8 else actions)
+            joint = arena.action_to_joint(action)
+            assert action_precondition(mech, joint)
+            adj, budgets = arena.apply(adj, budgets, action)
+            mech = apply_joint_action(mech, joint)
+            assert arena.materialize(adj, budgets) == mech
+            compared += 1
+            equal_bids += equal_bid(action)
+    assert compared > 250
+    assert equal_bids >= 30
+
+
 def test_coalition_clause_matches_handwritten_loop():
     # third route for the coalition box, written with bare model operations
     import itertools

@@ -35,6 +35,7 @@ from damcheck.formula import (
     UtilityTerm,
     big_and,
     big_or,
+    contains_coalition,
 )
 from damcheck.gadgets import (
     EXISTS,
@@ -161,9 +162,9 @@ def test_parser_reports_positions():
         ("\twins(a) ?", 1, 10, "unexpected character '?'"),
         ("a &\t\tb\t)", 1, 8, "unexpected trailing input ')'"),
         ("[ <s1>] true", 1, 3, "expected seller name, found '<'"),
-        ("[<s1> ] true", 1, 7, "expected >']' to close the coalition"),
+        ("[<s1> ] true", 1, 7, "expected '>]' to close the coalition"),
         ("<\n[s1]> true", 2, 1, "expected seller name, found '['"),
-        ("[<s1>\n] true", 2, 1, "expected >']' to close the coalition"),
+        ("[<s1>\n] true", 2, 1, "expected '>]' to close the coalition"),
         ("ut[x]>2)", 1, 8, "unexpected trailing input ')'"),
         ("ut[x]> >2", 1, 8, "expected a number or ut[...]"),
         ("wins(a) wins(b)", 1, 9, "unexpected trailing input 'wins'"),
@@ -427,3 +428,12 @@ def test_format_prints_formulas_of_any_depth():
     for _ in range(5000):
         deep = Not(deep)
     assert format_formula(deep) == "!" * 5000 + "0 >= 0"
+
+
+def test_names_and_coalition_scan_answer_at_any_depth():
+    # the parser reads a chain of binary operators in a loop, so it returns
+    # trees deeper than Python's stack; these two walks keep their own stack
+    deep = parse_formula("a -> " * 1500 + "a")
+    assert names_of(deep) == {"a"}
+    assert contains_coalition(deep) is False
+    assert contains_coalition(parse_formula("a -> " * 1500 + "<[s]> a")) is True
