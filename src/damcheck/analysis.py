@@ -21,13 +21,10 @@ from .checker import (  # noqa: F401  _Arena is imported from here by tests
     _shallow,
     cached_update,
 )
-from .errors import (
-    ActionError,
-    ArityError,
-    CoalitionOperatorError,
-    InfeasibleProfileError,
-)
+from .errors import ActionError, ArityError, InfeasibleProfileError
 from .formula import (
+    FALSE,
+    TRUE,
     And,
     Box,
     CoalitionBox,
@@ -36,15 +33,15 @@ from .formula import (
     DiffuseDiamond,
     Formula,
     Heart,
-    Implies,
     LinearGeq,
     Nominal,
     Not,
-    Truth,
     UtilityTerm,
+    _fold,
     big_and,
-    big_or,
-    contains_coalition,
+    core_diffuse_diamond,
+    core_implies,
+    core_or,
     desugar,
 )
 from .model import (
@@ -105,9 +102,7 @@ def check_ne_direct(query: NeQuery, stats: CheckStats | None = None) -> NeResult
     utility = engine.allocation(trajectory[-1]).utility
     baseline = [utility[engine.arena.agents[s]] for s in engine.arena.seller_ids]
     violation = _first_violation(engine, trajectory, steps, baseline)
-    if stats is not None:
-        stats.agents = engine.width
-        stats.states_explored = len(engine.table)
+    engine.report(stats)
     return NeResult(violation is None, violation, tuple(baseline))
 
 
@@ -234,12 +229,9 @@ def strategy_exists(
     at its minimal depth; the returned witness is shortest-first."""
     mech = query.mechanism
     net = mech.network
-    goal = desugar(query.goal)
-    if contains_coalition(goal):
-        raise CoalitionOperatorError("strategy goals must be coalition-free")
     engine = _Engine(mech)
     arena = engine.arena
-    compiled = arena.compile(goal)
+    compiled = arena.compile(query.goal, coalition_free=True)
     depth_cap = (
         query.max_depth
         if query.max_depth is not None
@@ -278,9 +270,7 @@ def strategy_exists(
                 break
         frontier = upcoming
         depth += 1
-    if stats is not None:
-        stats.agents = engine.width
-        stats.states_explored = len(engine.table)
+    engine.report(stats)
     if hit is None:
         return StrategyResult(False, None)
     steps = []
@@ -296,28 +286,28 @@ def strategy_exists(
 
 @_shallow
 def translate(mechanism: Mechanism, form: Formula) -> Formula:
-    """A coalition-free formula agreeing with the input on this mechanism at
-    every agent. Coalition boxes unfold into conjunctions over the coalition's
-    choices (buyers plus SKIP, one canonical name per buyer) of disjunctions
-    over counter-choices."""
-    return desugar(_tr(mechanism, desugar(form)))
+    """A core, coalition-free formula agreeing with the input on this
+    mechanism at every agent. Any formula is accepted: the one walk lowers a
+    sugar node with `desugar` where it meets one, and unfolds each coalition
+    box into a conjunction over the coalition's choices (buyers plus SKIP, one
+    canonical name per buyer) of disjunctions over counter-choices, built
+    from the `formula.core_*` constructors."""
+    return _tr(mechanism, form)
 
 
 def _tr(mechanism: Mechanism, node):
     kind = type(node)
     if kind in (Nominal, LinearGeq, Heart):
         return node
-    if kind is Not:
-        return Not(_tr(mechanism, node.child))
+    if kind is Not or kind is Box:
+        return kind(_tr(mechanism, node.child))
     if kind is And:
         return And(_tr(mechanism, node.left), _tr(mechanism, node.right))
-    if kind is Box:
-        return Box(_tr(mechanism, node.child))
     if kind is Diffuse:
         return Diffuse(node.bindings, _tr(mechanism, node.child))
     if kind is CoalitionBox:
         return _expand_coalition(mechanism, node)
-    raise TypeError(f"cannot translate node {node!r}")
+    return _tr(mechanism, desugar(node))
 
 
 def _expand_coalition(mechanism: Mechanism, node) -> Formula:
@@ -335,12 +325,12 @@ def _expand_coalition(mechanism: Mechanism, node) -> Formula:
     conjuncts = []
     for picked in itertools.product(options, repeat=len(coalition)):
         own = tuple((seller_nom[s], t) for s, t in zip(coalition, picked))
-        # the empty coalition's only "action" is all-skip, which is always possible
-        own_possible = DiffuseDiamond(own, Truth()) if own else Truth()
-        # one guard per choice: every choice has at least one counter-choice
         counters = [
-            DiffuseDiamond(own + tuple(zip(others, counter)), inner)
+            core_diffuse_diamond(own + tuple(zip(others, counter)), inner)
             for counter in itertools.product(options, repeat=len(others))
         ]
-        conjuncts.append(Implies(own_possible, big_or(counters)))
-    return big_and(conjuncts)
+        # the empty coalition's only "action" is all-skip, which is always possible
+        own_possible = core_diffuse_diamond(own, TRUE) if own else TRUE
+        # one guard per choice: every choice has at least one counter-choice
+        conjuncts.append(core_implies(own_possible, _fold(counters, core_or, FALSE)))
+    return _fold(conjuncts, And, TRUE)

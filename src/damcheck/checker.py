@@ -8,8 +8,11 @@ here, and the strategy search and the equilibrium test in `analysis`.
   held as integers scaled by the least common denominator of the network's
   budgets and incentives, so money comparisons stay exact. An arena is
   built once per network and cached on the immutable `MarketNetwork`.
-* `_Arena.compile` turns a core formula into its evaluator in one walk
-  (global model checking for hybrid logics, Franceschet & de Rijke 2006).
+* `_Arena.compile` turns a formula into its evaluator in one walk, the
+  only one a query makes over its formula (global model checking for
+  hybrid logics, Franceschet & de Rijke 2006). It lowers a sugar node with
+  `desugar` where it meets one, and for `check` and `strategy_exists` it
+  refuses coalition boxes, so both rules are kept in one place.
   The walk hash-conses as it goes (Filliatre & Conchon 2006): a node's key
   is its operator and its operands' serials, so hashing a key costs the
   same at any depth, and equal subformulas share one serial. Each distinct
@@ -62,7 +65,6 @@ from .formula import (
     LinearGeq,
     Nominal,
     Not,
-    contains_coalition,
     desugar,
 )
 from .model import SKIP, AgentId, JointAction, Mechanism, joint_action
@@ -241,14 +243,15 @@ class _Arena:
             },
         )
 
-    def compile(self, node):
-        """Core formula -> its evaluator, a closure `fn(engine, state, need)`
-        that returns the agents of the bitmask `need` at which the formula
-        holds. One walk hash-conses and builds: a node's key is (op, operand
-        serials and data), so equal subformulas share one serial and one
-        closure, and a closure is made only for a key not seen before. The op
-        is the closure's maker, called as `op(arena, made, serial,
-        *operands)`, where made[serial] is the closure of each earlier key."""
+    def compile(self, node, coalition_free: bool = False):
+        """Any formula -> its evaluator, a closure `fn(engine, state, need)`
+        that returns the agents of the bitmask `need` at which it holds. A
+        sugar node is compiled as `desugar(node)`; with `coalition_free` a
+        coalition box raises CoalitionOperatorError. A node's key is (op,
+        operand serials and data), so equal subformulas share one serial and
+        one closure, made only for a key not seen before. The op is the
+        closure's maker, called as `op(arena, made, serial, *operands)`,
+        where made[serial] is the closure of each earlier key."""
         serials: dict[tuple, int] = {}
         made: list = []
 
@@ -282,10 +285,15 @@ class _Arena:
                         action[s] = self.buyer(target)
                 key = (_diff, tuple(action), go(n.child))
             elif kind is CoalitionBox:
+                if coalition_free:
+                    raise CoalitionOperatorError(
+                        f"the coalition {{{', '.join(sorted(n.coalition))}}} occurs"
+                        " in a formula that must be coalition-free"
+                    )
                 members = tuple(sorted({self.seller(nom) for nom in n.coalition}))
                 key = (_coal, members, go(n.child))
             else:
-                raise TypeError(f"cannot compile node {n!r}")
+                return go(desugar(n))
             serial = serials.get(key)
             if serial is None:
                 serial = serials[key] = len(made)
@@ -353,6 +361,9 @@ def _heart(arena, made, serial, target):
 
 
 def _lin(arena, made, serial, terms, bound):
+    if not terms:  # `true` and `false` read no utility, so they run no auction
+        holds = -1 if bound <= 0 else 0
+        return lambda engine, state, need: need & holds
     agents = arena.agents
     named = [(c, agents[who]) for c, who in terms if who >= 0]
     per_self = sum(c for c, who in terms if who < 0)
@@ -506,6 +517,12 @@ class _Engine:
             state.alloc = auction.evaluate(mech)
         return state.alloc
 
+    def report(self, stats: CheckStats | None) -> None:
+        """Write the agent count and the states built into stats, if given."""
+        if stats is not None:
+            stats.agents = self.width
+            stats.states_explored = len(self.table)
+
     def label(self, node, state: _State, need: int) -> int:
         """The agents of the bitmask `need` at which the compiled node holds,
         as a bitmask."""
@@ -520,20 +537,13 @@ def cached_update(engine: _Engine, state: _State, action) -> _State:
 
 
 def _check(query: CheckQuery, stats: CheckStats | None, strategic: bool) -> bool:
-    body = desugar(query.formula)
-    if not strategic and contains_coalition(body):
-        raise CoalitionOperatorError(
-            "formula contains coalition operators; use check_strategic"
-        )
     engine = _Engine(query.mechanism)
-    compiled = engine.arena.compile(body)
+    compiled = engine.arena.compile(query.formula, coalition_free=not strategic)
     at = engine.arena.index.get(query.at)
     if at is None:
         raise UnknownAgentError(f"{query.at.id!r} is not an agent of the mechanism")
     result = engine.label(compiled, engine.root, 1 << at) != 0
-    if stats is not None:
-        stats.agents = engine.width
-        stats.states_explored = len(engine.table)
+    engine.report(stats)
     return result
 
 

@@ -30,6 +30,8 @@ from damcheck.formula import (
     Diffuse,
     DiffuseDiamond,
     Heart,
+    Implies,
+    LinearGeq,
     Nominal,
     Not,
     Or,
@@ -333,6 +335,10 @@ def test_strategy_rejects_coalition_goals():
         strategy_exists(
             StrategyQuery(referral_chain(), CoalitionDiamond(frozenset({"sigma"}), Truth()))
         )
+    # a coalition under sugar that was never desugared
+    nested = Implies(Nominal("alpha"), CoalitionDiamond(frozenset({"sigma"}), Truth()))
+    with pytest.raises(CoalitionOperatorError):
+        strategy_exists(StrategyQuery(referral_chain(), nested))
 
 
 def test_strategy_agrees_with_exhaustive_enumeration():
@@ -517,13 +523,32 @@ def test_translate_guards_each_coalition_choice_once():
         )
 
 
+def _only_core_kinds(node) -> bool:
+    """Whether every node of the formula is a coalition-free core kind."""
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is And:
+            todo += [node.left, node.right]
+        elif kind in (Not, Box, Diffuse):
+            todo.append(node.child)
+        elif kind not in (Nominal, LinearGeq, Heart):
+            return False
+    return True
+
+
 def test_translate_agreement_random():
     rng = random.Random(555)
     for _ in range(30):
         mech = random_mechanism(rng, max_sellers=2, max_buyers=3)
-        form = desugar(random_formula(rng, mech, depth=2, coalition=True))
+        raw = random_formula(rng, mech, depth=2, coalition=True)
+        form = desugar(raw)
         flat = translate(mech, form)
         assert not contains_coalition(flat)
+        # sugar is lowered inside translate's one walk, to the same output
+        assert translate(mech, raw) == flat
+        assert _only_core_kinds(flat)
         for agent in mech.network.agents():
             assert check_strategic(CheckQuery(mech, agent, form)) == check(
                 CheckQuery(mech, agent, flat)

@@ -21,7 +21,10 @@ from damcheck.formula import (
     Diffuse,
     DiffuseDiamond,
     Heart,
+    Implies,
+    Nominal,
     Not,
+    Truth,
     big_and,
     desugar,
 )
@@ -167,6 +170,10 @@ def test_check_rejects_coalitions_and_unknowns():
     mech = referral_chain()
     with pytest.raises(CoalitionOperatorError):
         run(mech, "a", "[<sigma>] wins(beta)")
+    # a coalition under sugar that was never desugared
+    nested = Implies(Nominal("alpha"), CoalitionDiamond(frozenset({"sigma"}), Truth()))
+    with pytest.raises(CoalitionOperatorError):
+        check(CheckQuery(mech, at(mech, "a"), nested))
     with pytest.raises(UnknownNominalError):
         run(mech, "a", "wins(zeta)")
     with pytest.raises(UnknownAgentError):
@@ -435,3 +442,24 @@ def test_registered_rule_drives_wins_and_utility_atoms():
                     )
     finally:
         auction._RULES.pop("odd-degree", None)
+
+
+def test_constant_atoms_run_no_auction():
+    from damcheck import Mechanism, auction
+
+    calls = []
+
+    def counting(net):
+        calls.append(net)
+        return auction.smf_evaluate(net)
+
+    auction.register_rule("counting", counting)
+    try:
+        mech = Mechanism(referral_chain().network, "counting")
+        for text in ("true", "<sigma:alpha> true", "[] [] true", "!false"):
+            assert run(mech, "a", text)
+        assert calls == []
+        assert not run(mech, "a", "[] false")
+        assert calls == []
+    finally:
+        auction._RULES.pop("counting", None)
