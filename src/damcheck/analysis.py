@@ -21,16 +21,14 @@ from .checker import (  # noqa: F401  _Arena is imported from here by tests
     _shallow,
     cached_update,
 )
-from .errors import ActionError, ArityError, InfeasibleProfileError
+from .errors import ActionError, ArityError, DamError, InfeasibleProfileError
 from .formula import (
     FALSE,
     TRUE,
     And,
     Box,
     CoalitionBox,
-    Compare,
     Diffuse,
-    DiffuseDiamond,
     Formula,
     Heart,
     LinearGeq,
@@ -38,7 +36,7 @@ from .formula import (
     Not,
     UtilityTerm,
     _fold,
-    big_and,
+    core_compare,
     core_diffuse_diamond,
     core_implies,
     core_or,
@@ -144,7 +142,7 @@ def _play(engine: _Engine, state, actions):
 
 
 def _ut_cmp(op: str, nominal: str, value: Fraction) -> Formula:
-    return Compare(op, ((Fraction(1), UtilityTerm(nominal)),), Fraction(value))
+    return core_compare(op, ((Fraction(1), UtilityTerm(nominal)),), Fraction(value))
 
 
 def _choices(net: MarketNetwork):
@@ -178,15 +176,11 @@ def ne_formula(mechanism: Mechanism, profile, utilities) -> Formula:
 
     def diamonds(bindings, body: Formula) -> Formula:
         for step in reversed(bindings):
-            body = DiffuseDiamond(step, body)
+            body = core_diffuse_diamond(step, body)
         return body
 
-    goal = diamonds(
-        steps,
-        big_and(
-            _ut_cmp("=", seller_nom[s], utilities[i]) for i, s in enumerate(sellers)
-        ),
-    )
+    shares = [_ut_cmp("=", seller_nom[s], utilities[i]) for i, s in enumerate(sellers)]
+    goal = diamonds(steps, _fold(shares, And, TRUE))
     deviations = []
     for position, step in enumerate(steps):
         for i, sell in enumerate(sellers):
@@ -196,7 +190,7 @@ def ne_formula(mechanism: Mechanism, profile, utilities) -> Formula:
                 deviations.append(
                     diamonds((*steps[:position], deviated, *steps[position + 1 :]), bound)
                 )
-    return desugar(big_and([goal, *deviations]))
+    return _fold([goal, *deviations], And, TRUE)
 
 
 # --- bounded strategy existence ----------------------------------------------
@@ -205,7 +199,7 @@ def ne_formula(mechanism: Mechanism, profile, utilities) -> Formula:
 @dataclass(frozen=True)
 class StrategyQuery:
     """Search for a feasible action sequence after which the goal holds at
-    every seller. Depth defaults to |sellers| * |buyers|."""
+    every seller. Depth, at least 0, defaults to |sellers| * |buyers|."""
 
     mechanism: Mechanism
     goal: Formula
@@ -229,14 +223,16 @@ def strategy_exists(
     at its minimal depth; the returned witness is shortest-first."""
     mech = query.mechanism
     net = mech.network
-    engine = _Engine(mech)
-    arena = engine.arena
-    compiled = arena.compile(query.goal, coalition_free=True)
     depth_cap = (
         query.max_depth
         if query.max_depth is not None
         else len(net.sellers) * len(net.buyers)
     )
+    if depth_cap < 0:
+        raise DamError(f"max_depth must be at least 0, got {depth_cap}")
+    engine = _Engine(mech)
+    arena = engine.arena
+    compiled = arena.compile(query.goal, coalition_free=True)
 
     sellers = (1 << len(arena.seller_ids)) - 1  # sellers are numbered first
 

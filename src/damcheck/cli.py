@@ -43,7 +43,8 @@ def _agent_arg(mechanism: Mechanism, ident: str):
 
 def _parse_profile(mechanism: Mechanism, text: str) -> tuple[JointAction, ...]:
     """Profile syntax: steps separated by ';', entries 'sellerId:buyerId' or
-    'sellerId:skip' separated by ','; sellers omitted from a step SKIP."""
+    'sellerId:skip' separated by ','; sellers omitted from a step SKIP, and
+    a seller may appear at most once in a step."""
     net = mechanism.network
     steps = []
     for chunk in text.split(";"):
@@ -56,6 +57,8 @@ def _parse_profile(mechanism: Mechanism, text: str) -> tuple[JointAction, ...]:
             if ":" not in entry:
                 raise DamError(f"profile entry {entry!r} is not sellerId:target")
             sid, tid = (part.strip() for part in entry.split(":", 1))
+            if sid in targets:
+                raise DamError(f"seller {sid!r} twice in --profile step {chunk!r}")
             if tid == "skip":
                 targets[sid] = SKIP
             else:

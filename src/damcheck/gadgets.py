@@ -2,7 +2,10 @@
 
 Generators turn 3-SAT and prenex QBF instances into (mechanism, formula)
 pairs whose strategy-existence / strategic-checking answers match the source
-instance; the exponential oracles exist to cross-validate them."""
+instance; the exponential oracles exist to cross-validate them. The
+generators build core formulas directly, from the `formula.core_*`
+constructors and the balanced fold `formula._fold`. QDIMACS clauses and
+matrices are balanced folds too, so thousands of clauses nest shallowly."""
 
 from __future__ import annotations
 
@@ -11,22 +14,20 @@ from typing import Callable
 
 from .errors import MechanismError, OracleLimitError
 from .formula import (
+    FALSE,
+    TRUE,
     And,
     Box,
     CoalitionBox,
-    CoalitionDiamond,
-    Diamond,
-    Falsity,
     Formula,
-    Iff,
-    Implies,
     Nominal,
     Not,
-    Or,
-    Truth,
-    big_and,
-    big_or,
-    desugar,
+    _fold,
+    core_coalition_diamond,
+    core_diamond,
+    core_iff,
+    core_implies,
+    core_or,
 )
 from .mechjson import mechanism_from_dict
 from .model import Mechanism
@@ -151,14 +152,15 @@ def prop_vars(node: Prop) -> set[int]:
 
 
 def prop_to_formula(node: Prop, atom_for: Callable[[int], Formula]) -> Formula:
+    """The core formula of a propositional one; variable i becomes atom_for(i)."""
     kind = type(node)
     if kind is PVar:
         return atom_for(node.index)
     if kind is PConst:
-        return Truth() if node.value else Falsity()
+        return TRUE if node.value else FALSE
     if kind is PNot:
         return Not(prop_to_formula(node.child, atom_for))
-    pairs = {PAnd: And, POr: Or, PImplies: Implies, PIff: Iff}
+    pairs = {PAnd: And, POr: core_or, PImplies: core_implies, PIff: core_iff}
     ctor = pairs.get(kind)
     if ctor is None:
         raise TypeError(f"not a propositional node: {node!r}")
@@ -212,6 +214,25 @@ def qbf_oracle(instance: QbfInstance) -> bool:
     return go(1)
 
 
+# --- the gadgets' one-seller mechanism --------------------------------------------
+
+
+def _one_seller(buyers, edges, budget: int = 1, incentives=None) -> Mechanism:
+    """The gadgets' mechanism: seller s, named sigma, with budget 1 under the
+    smf rule. A buyer is an (id, name) pair with valuation 0, the given budget
+    and the incentive from s that `incentives` gives its id (default 0)."""
+    incentives = incentives or {}
+    entries = [
+        {"id": ident, "names": [name], "budget": budget, "valuation": 0,
+         "incentives": {"s": incentives.get(ident, 0)}}
+        for ident, name in buyers
+    ]
+    sellers = [{"id": "s", "names": ["sigma"], "budget": 1}]
+    return mechanism_from_dict(
+        {"sellers": sellers, "buyers": entries, "edges": edges, "rule": "smf"}
+    )
+
+
 # --- the 3-SAT gadget ------------------------------------------------------------
 
 
@@ -228,59 +249,39 @@ def gen_sat_gadget(instance: CnfInstance) -> tuple[Mechanism, Formula]:
     truth/falsity agents; every incentive is zero, so reachability is the only
     constraint. Setting atom l true (false) means linking the seller to t_l
     (f_l) by incentivising the matching splitter."""
-    k = len(instance.clauses)
-    n = instance.num_vars
     buyers = []
     edges = []
+    clause_parts = []
 
-    for i in range(1, k + 1):
-        buyers.append({"id": f"b{i}", "names": [f"beta{i}"], "budget": 1, "valuation": 0})
+    def reach3(nominal: str) -> Formula:
+        core = And(Nominal(nominal), core_diamond(Nominal("sigma")))
+        return core_diamond(core_diamond(core_diamond(core)))
+
+    for i, clause in enumerate(instance.clauses, start=1):
+        buyers.append((f"b{i}", f"beta{i}"))
         edges.append(["s", f"b{i}"])
-        for j, lit in enumerate(instance.clauses[i - 1], start=1):
-            cid = f"c{i}_{j}"
-            buyers.append(
-                {"id": cid, "names": [_literal_name(i, j, lit)], "budget": 1, "valuation": 0}
-            )
+        bodies = []
+        for j, lit in enumerate(clause, start=1):
+            cid, name, l = f"c{i}_{j}", _literal_name(i, j, lit), abs(lit)
+            buyers.append((cid, name))
             edges.append([f"b{i}", cid])
-            edges.append([cid, f"d{abs(lit)}"])
-    for l in range(1, n + 1):
-        buyers.append({"id": f"d{l}", "names": [f"delta{l}"], "budget": 1, "valuation": 0})
-        buyers.append({"id": f"e{l}_1", "names": [f"epsilon{l}_1"], "budget": 1, "valuation": 0})
-        buyers.append({"id": f"e{l}_2", "names": [f"epsilon{l}_2"], "budget": 1, "valuation": 0})
-        buyers.append({"id": f"t{l}", "names": [f"true{l}"], "budget": 1, "valuation": 0})
-        buyers.append({"id": f"f{l}", "names": [f"false{l}"], "budget": 1, "valuation": 0})
+            edges.append([cid, f"d{l}"])
+            yes, no = ("true", "false") if lit > 0 else ("false", "true")
+            settled = And(reach3(f"{yes}{l}"), Not(reach3(f"{no}{l}")))
+            bodies.append(And(Nominal(name), settled))
+        some = core_diamond(_fold(bodies, core_or, FALSE))
+        clause_parts.append(Box(core_implies(Nominal(f"beta{i}"), some)))
+    for l in range(1, instance.num_vars + 1):
+        buyers.append((f"d{l}", f"delta{l}"))
+        buyers.append((f"e{l}_1", f"epsilon{l}_1"))
+        buyers.append((f"e{l}_2", f"epsilon{l}_2"))
+        buyers.append((f"t{l}", f"true{l}"))
+        buyers.append((f"f{l}", f"false{l}"))
         edges.append([f"d{l}", f"e{l}_1"])
         edges.append([f"d{l}", f"e{l}_2"])
         edges.append([f"e{l}_1", f"t{l}"])
         edges.append([f"e{l}_2", f"f{l}"])
-
-    mechanism = mechanism_from_dict(
-        {
-            "sellers": [{"id": "s", "names": ["sigma"], "budget": 1}],
-            "buyers": buyers,
-            "edges": edges,
-            "rule": "smf",
-        }
-    )
-
-    def reach3(nominal: str) -> Formula:
-        core = And(Nominal(nominal), Diamond(Nominal("sigma")))
-        return Diamond(Diamond(Diamond(core)))
-
-    clause_parts = []
-    for i in range(1, k + 1):
-        bodies = []
-        for j, lit in enumerate(instance.clauses[i - 1], start=1):
-            l = abs(lit)
-            if lit > 0:
-                settled = And(reach3(f"true{l}"), Not(reach3(f"false{l}")))
-            else:
-                settled = And(reach3(f"false{l}"), Not(reach3(f"true{l}")))
-            bodies.append(And(Nominal(_literal_name(i, j, lit)), settled))
-        clause_parts.append(
-            Box(Implies(Nominal(f"beta{i}"), Diamond(big_or(bodies))))
-        )
-    return mechanism, desugar(big_and(clause_parts))
+    return _one_seller(buyers, edges), _fold(clause_parts, And, TRUE)
 
 
 # --- the QBF gadget --------------------------------------------------------------
@@ -293,47 +294,35 @@ def gen_qbf_gadget(instance: QbfInstance) -> tuple[Mechanism, Formula]:
     Variable i gets buyer pairs (a_i^0, b_i^0) and (a_i^1, b_i^1); linking the
     seller to b_i^j (via a_i^j) sets p_i to j. Guards force step t to fix
     exactly variable t, so the coalition modalities quantify the prefix
-    outermost-first."""
+    outermost-first. A loop wraps the matrix from the innermost quantifier."""
     n = len(instance.prefix)
     buyers = []
     edges = []
     for i in range(1, n + 1):
         for j in (0, 1):
-            buyers.append(
-                {"id": f"a{i}_{j}", "names": [f"alpha{i}_{j}"], "budget": 1, "valuation": 0}
-            )
-            buyers.append(
-                {"id": f"b{i}_{j}", "names": [f"beta{i}_{j}"], "budget": 1, "valuation": 0}
-            )
+            buyers.append((f"a{i}_{j}", f"alpha{i}_{j}"))
+            buyers.append((f"b{i}_{j}", f"beta{i}_{j}"))
             edges.append(["s", f"a{i}_{j}"])
             edges.append([f"a{i}_{j}", f"b{i}_{j}"])
-    mechanism = mechanism_from_dict(
-        {
-            "sellers": [{"id": "s", "names": ["sigma"], "budget": 1}],
-            "buyers": buyers,
-            "edges": edges,
-            "rule": "smf",
-        }
-    )
 
     def sees(i: int, j: int) -> Formula:
-        return Diamond(Nominal(f"beta{i}_{j}"))
+        return core_diamond(Nominal(f"beta{i}_{j}"))
 
     def fixed(k: int) -> Formula:
-        parts = [Iff(sees(i, 0), Not(sees(i, 1))) for i in range(1, k + 1)]
+        parts = [core_iff(sees(i, 0), Not(sees(i, 1))) for i in range(1, k + 1)]
         parts += [
             And(Not(sees(i, 0)), Not(sees(i, 1))) for i in range(k + 1, n + 1)
         ]
-        return big_and(parts)
+        return _fold(parts, And, TRUE)
 
-    def build(k: int) -> Formula:
-        if k > n:
-            return prop_to_formula(instance.matrix, lambda i: sees(i, 1))
+    sigma = frozenset({"sigma"})
+    formula = prop_to_formula(instance.matrix, lambda i: sees(i, 1))
+    for k in range(n, 0, -1):
         if instance.prefix[k - 1] == FORALL:
-            return CoalitionBox(frozenset({"sigma"}), Implies(fixed(k), build(k + 1)))
-        return CoalitionDiamond(frozenset({"sigma"}), And(fixed(k), build(k + 1)))
-
-    return mechanism, desugar(build(1))
+            formula = CoalitionBox(sigma, core_implies(fixed(k), formula))
+        else:
+            formula = core_coalition_diamond(sigma, And(fixed(k), formula))
+    return _one_seller(buyers, edges), formula
 
 
 # --- the expressivity pair --------------------------------------------------------
@@ -349,43 +338,20 @@ def expressivity_pair(n: int) -> tuple[Mechanism, Mechanism, Formula]:
     def build(bridge_incentive: int) -> Mechanism:
         buyers = []
         edges = []
+        incentives = {"b": bridge_incentive}
         for i in range(1, n + 1):
-            buyers.append(
-                {
-                    "id": f"a{i}",
-                    "names": [f"alpha{i}"],
-                    "budget": 0,
-                    "valuation": 0,
-                    "incentives": {"s": 1},
-                }
-            )
-            buyers.append(
-                {"id": f"l{i}", "names": [f"lambda{i}"], "budget": 0, "valuation": 0}
-            )
+            buyers.append((f"a{i}", f"alpha{i}"))
+            buyers.append((f"l{i}", f"lambda{i}"))
             edges.append(["s", f"a{i}"])
             edges.append([f"a{i}", f"l{i}"])
-        buyers.append(
-            {
-                "id": "b",
-                "names": ["beta"],
-                "budget": 0,
-                "valuation": 0,
-                "incentives": {"s": bridge_incentive},
-            }
-        )
-        buyers.append({"id": "c", "names": ["gamma"], "budget": 0, "valuation": 0})
+            incentives[f"a{i}"] = 1
+        buyers.append(("b", "beta"))
+        buyers.append(("c", "gamma"))
         edges.append(["s", "b"])
         edges.append(["b", "c"])
-        return mechanism_from_dict(
-            {
-                "sellers": [{"id": "s", "names": ["sigma"], "budget": 1}],
-                "buyers": buyers,
-                "edges": edges,
-                "rule": "smf",
-            }
-        )
+        return _one_seller(buyers, edges, budget=0, incentives=incentives)
 
-    formula = desugar(CoalitionDiamond(frozenset({"sigma"}), Diamond(Nominal("gamma"))))
+    formula = core_coalition_diamond(frozenset({"sigma"}), core_diamond(Nominal("gamma")))
     return build(2), build(1), formula
 
 
@@ -466,7 +432,8 @@ def read_dimacs(text: str) -> CnfInstance:
 def read_qdimacs(text: str) -> QbfInstance:
     """Parse prenex QDIMACS; quantified variables must lie within the
     header's variable count and are renumbered into prefix order, and every
-    matrix variable must be quantified."""
+    matrix variable must be quantified. Each clause and the matrix are
+    balanced folds, of POr and of PAnd."""
     num_vars, blocks, clauses = _scan(text, "QDIMACS")
     prefix: list[str] = []
     renumber: dict[int, int] = {}
@@ -480,14 +447,15 @@ def read_qdimacs(text: str) -> QbfInstance:
                 raise MechanismError(f"variable {var} quantified twice")
             prefix.append(quant)
             renumber[var] = len(prefix)
-    matrix: Prop | None = None
-    for literals in clauses:
-        disj: Prop | None = None
-        for lit in literals:
-            if abs(lit) not in renumber:
-                raise MechanismError(f"free variable {abs(lit)} in QDIMACS matrix")
-            atom: Prop = PVar(renumber[abs(lit)])
-            atom = PNot(atom) if lit < 0 else atom
-            disj = atom if disj is None else POr(disj, atom)
-        matrix = disj if matrix is None else PAnd(matrix, disj)
-    return QbfInstance(tuple(prefix), PConst(True) if matrix is None else matrix)
+
+    def atom(lit: int) -> Prop:
+        if abs(lit) not in renumber:
+            raise MechanismError(f"free variable {abs(lit)} in QDIMACS matrix")
+        var = PVar(renumber[abs(lit)])
+        return PNot(var) if lit < 0 else var
+
+    disjunctions = [
+        _fold([atom(lit) for lit in literals], POr, PConst(False))
+        for literals in clauses
+    ]
+    return QbfInstance(tuple(prefix), _fold(disjunctions, PAnd, PConst(True)))

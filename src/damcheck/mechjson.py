@@ -30,16 +30,21 @@ from .model import (
 
 
 def parse_rational(value: Any, where: str = "value") -> Fraction:
-    """Exact rational from an int or a "p/q" / "p" string."""
+    """Exact rational from an int or a "p" / "p/q" string: an optional '-',
+    decimal digits, and optionally '/' and more digits; q is not 0."""
     if isinstance(value, bool):
         raise MechanismError(f"{where}: booleans are not rationals")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise MechanismError(f"{where}: cannot parse rational {value!r}") from None
+        num, slash, den = value.partition("/")
+        digits = num.removeprefix("-")
+        if (digits + den).isascii() and digits.isdigit() and (den.isdigit() or not slash):
+            try:
+                return Fraction(int(num), int(den) if slash else 1)
+            except (ValueError, ZeroDivisionError):  # too many digits, or q = 0
+                pass
+        raise MechanismError(f"{where}: cannot parse rational {value!r}")
     raise MechanismError(
         f"{where}: rationals must be integers or 'p/q' strings, got {value!r}"
     )

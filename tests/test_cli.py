@@ -261,6 +261,15 @@ def test_translate_of_a_formula_too_deep_to_translate_exits_two(chain_path, caps
             b"",
             ["check", "--model", "{chain}", "--at", "a", "--formula", "ut[sigma] >= " + "9" * 5000],
         ),
+        (
+            b'{"sellers": [{"id": "s1", "names": ["sig1"], "budget": "1e5000"}], '
+            b'"buyers": [{"id": "a", "names": ["alpha"], "budget": 3, "valuation": 1}, '
+            b'{"id": "b", "names": ["beta"], "budget": 3, "valuation": 2}], '
+            b'"edges": [["s1", "a"], ["a", "b"]], "rule": "smf"}',
+            ["ne", "--model", "{bad}", "--profile", "s1:skip"],
+        ),
+        (b"", ["ne", "--model", "{chain}", "--profile", "s:b,s:a"]),
+        (b"", ["strategy", "--model", "{chain}", "--goal", "true", "--max-depth", "-1"]),
     ],
     ids=[
         "mechanism-not-utf8",
@@ -269,6 +278,9 @@ def test_translate_of_a_formula_too_deep_to_translate_exits_two(chain_path, caps
         "mechanism-nested-too-deep",
         "mechanism-integer-too-long",
         "formula-integer-too-long",
+        "rational-with-exponent",
+        "seller-twice-in-profile-step",
+        "negative-max-depth",
     ],
 )
 def test_bad_input_exits_two(content, argv, chain_path, tmp_path, capsys):

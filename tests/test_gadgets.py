@@ -20,6 +20,7 @@ from damcheck import (
 )
 from damcheck.analysis import StrategyQuery
 from damcheck.checker import CheckQuery
+from damcheck.cli import main
 from damcheck.errors import MechanismError, OracleLimitError
 from damcheck.gadgets import (
     EXISTS,
@@ -242,6 +243,21 @@ a 1 0
     assert qbf_oracle(instance) == qbf_oracle(
         QbfInstance((EXISTS, FORALL), PAnd(PVar(1), POr(PNot(PVar(2)), PVar(1))))
     )
+
+
+@pytest.mark.parametrize("last", ["1 2 0", "-1 2 0"], ids=["true", "false"])
+def test_qbf_gadget_from_a_long_qdimacs_matrix(last, tmp_path):
+    # 2,000 clauses: folded left-deep, the matrix nests too deep to walk
+    text = "p cnf 2 2000\ne 1 0\na 2 0\n" + "1 2 0\n" * 1999 + last + "\n"
+    instance = read_qdimacs(text)
+    mech, form = gen_qbf_gadget(instance)
+    got = check_strategic(CheckQuery(mech, seller_of(mech), form))
+    assert got == qbf_oracle(instance) == (last == "1 2 0")
+    source = tmp_path / "long.qdimacs"
+    source.write_text(text, encoding="utf-8")
+    argv = ["gen", "qbf", "--qdimacs", str(source), "--out-model",
+            str(tmp_path / "m.json"), "--out-formula", str(tmp_path / "f.txt")]
+    assert main(argv) == 0
 
 
 def test_read_qdimacs_rejects_free_variables():

@@ -1,6 +1,7 @@
 """Core model: validation, naming, action preconditions, and the update."""
 
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -240,6 +241,14 @@ def test_rational_parsing():
         parse_rational("1/0")
     with pytest.raises(MechanismError):
         parse_rational(True)
+    assert parse_rational("-1/2") == Fraction(-1, 2)
+    # the grammar is -?digits(/digits)?: no exponent (expanding one takes
+    # seconds), decimal point, '_', '+' or space
+    for text in ("1e10000000", "1.5", "1_000", "+2", " 3", "3/"):
+        began = time.perf_counter()
+        with pytest.raises(MechanismError):
+            parse_rational(text)
+        assert time.perf_counter() - began < 0.5, text
 
 
 def test_duplicate_and_reversed_edges_rejected():
