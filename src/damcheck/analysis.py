@@ -23,24 +23,22 @@ from .checker import (  # noqa: F401  _Arena is imported from here by tests
 )
 from .errors import ActionError, ArityError, DamError, InfeasibleProfileError
 from .formula import (
-    FALSE,
     TRUE,
     And,
     Box,
     CoalitionBox,
+    Compare,
     Diffuse,
+    DiffuseDiamond,
     Formula,
     Heart,
+    Implies,
     LinearGeq,
     Nominal,
     Not,
     UtilityTerm,
-    _fold,
-    core_compare,
-    core_diffuse_diamond,
-    core_implies,
-    core_or,
-    desugar,
+    big_and,
+    big_or,
 )
 from .model import (
     SELLER,
@@ -142,7 +140,7 @@ def _play(engine: _Engine, state, actions):
 
 
 def _ut_cmp(op: str, nominal: str, value: Fraction) -> Formula:
-    return core_compare(op, ((Fraction(1), UtilityTerm(nominal)),), Fraction(value))
+    return Compare(op, ((Fraction(1), UtilityTerm(nominal)),), Fraction(value))
 
 
 def _choices(net: MarketNetwork):
@@ -176,11 +174,11 @@ def ne_formula(mechanism: Mechanism, profile, utilities) -> Formula:
 
     def diamonds(bindings, body: Formula) -> Formula:
         for step in reversed(bindings):
-            body = core_diffuse_diamond(step, body)
+            body = DiffuseDiamond(step, body)
         return body
 
     shares = [_ut_cmp("=", seller_nom[s], utilities[i]) for i, s in enumerate(sellers)]
-    goal = diamonds(steps, _fold(shares, And, TRUE))
+    goal = diamonds(steps, big_and(shares))
     deviations = []
     for position, step in enumerate(steps):
         for i, sell in enumerate(sellers):
@@ -190,7 +188,7 @@ def ne_formula(mechanism: Mechanism, profile, utilities) -> Formula:
                 deviations.append(
                     diamonds((*steps[:position], deviated, *steps[position + 1 :]), bound)
                 )
-    return _fold([goal, *deviations], And, TRUE)
+    return big_and([goal, *deviations])
 
 
 # --- bounded strategy existence ----------------------------------------------
@@ -282,12 +280,12 @@ def strategy_exists(
 
 @_shallow
 def translate(mechanism: Mechanism, form: Formula) -> Formula:
-    """A core, coalition-free formula agreeing with the input on this
-    mechanism at every agent. Any formula is accepted: the one walk lowers a
-    sugar node with `desugar` where it meets one, and unfolds each coalition
-    box into a conjunction over the coalition's choices (buyers plus SKIP, one
-    canonical name per buyer) of disjunctions over counter-choices, built
-    from the `formula.core_*` constructors."""
+    """A coalition-free formula agreeing with the input on this mechanism at
+    every agent. The one walk copies the core nodes and unfolds each
+    coalition box into a conjunction over the coalition's choices (buyers
+    plus SKIP, one canonical name per buyer) of disjunctions over
+    counter-choices, built from the `formula` constructors of the derived
+    operators, so the output is core too."""
     return _tr(mechanism, form)
 
 
@@ -303,7 +301,7 @@ def _tr(mechanism: Mechanism, node):
         return Diffuse(node.bindings, _tr(mechanism, node.child))
     if kind is CoalitionBox:
         return _expand_coalition(mechanism, node)
-    return _tr(mechanism, desugar(node))
+    raise TypeError(f"not a formula node: {node!r}")
 
 
 def _expand_coalition(mechanism: Mechanism, node) -> Formula:
@@ -322,11 +320,11 @@ def _expand_coalition(mechanism: Mechanism, node) -> Formula:
     for picked in itertools.product(options, repeat=len(coalition)):
         own = tuple((seller_nom[s], t) for s, t in zip(coalition, picked))
         counters = [
-            core_diffuse_diamond(own + tuple(zip(others, counter)), inner)
+            DiffuseDiamond(own + tuple(zip(others, counter)), inner)
             for counter in itertools.product(options, repeat=len(others))
         ]
         # the empty coalition's only "action" is all-skip, which is always possible
-        own_possible = core_diffuse_diamond(own, TRUE) if own else TRUE
+        own_possible = DiffuseDiamond(own, TRUE) if own else TRUE
         # one guard per choice: every choice has at least one counter-choice
-        conjuncts.append(core_implies(own_possible, _fold(counters, core_or, FALSE)))
-    return _fold(conjuncts, And, TRUE)
+        conjuncts.append(Implies(own_possible, big_or(counters)))
+    return big_and(conjuncts)

@@ -10,9 +10,9 @@ here, and the strategy search and the equilibrium test in `analysis`.
   built once per network and cached on the immutable `MarketNetwork`.
 * `_Arena.compile` turns a formula into its evaluator in one walk, the
   only one a query makes over its formula (global model checking for
-  hybrid logics, Franceschet & de Rijke 2006). It lowers a sugar node with
-  `desugar` where it meets one, and for `check` and `strategy_exists` it
-  refuses coalition boxes, so both rules are kept in one place.
+  hybrid logics, Franceschet & de Rijke 2006). Formulas are core, so it
+  meets only the eight core node kinds, and for `check` and
+  `strategy_exists` it refuses coalition boxes in that same walk.
   The walk hash-conses as it goes (Filliatre & Conchon 2006): a node's key
   is its operator and its operands' serials, so hashing a key costs the
   same at any depth, and equal subformulas share one serial. Each distinct
@@ -65,7 +65,6 @@ from .formula import (
     LinearGeq,
     Nominal,
     Not,
-    desugar,
 )
 from .model import SKIP, AgentId, JointAction, Mechanism, joint_action
 
@@ -244,10 +243,10 @@ class _Arena:
         )
 
     def compile(self, node, coalition_free: bool = False):
-        """Any formula -> its evaluator, a closure `fn(engine, state, need)`
-        that returns the agents of the bitmask `need` at which it holds. A
-        sugar node is compiled as `desugar(node)`; with `coalition_free` a
-        coalition box raises CoalitionOperatorError. A node's key is (op,
+        """A formula -> its evaluator, a closure `fn(engine, state, need)`
+        that returns the agents of the bitmask `need` at which it holds.
+        With `coalition_free` a coalition box raises CoalitionOperatorError;
+        anything but a core node raises TypeError. A node's key is (op,
         operand serials and data), so equal subformulas share one serial and
         one closure, made only for a key not seen before. The op is the
         closure's maker, called as `op(arena, made, serial, *operands)`,
@@ -293,7 +292,7 @@ class _Arena:
                 members = tuple(sorted({self.seller(nom) for nom in n.coalition}))
                 key = (_coal, members, go(n.child))
             else:
-                return go(desugar(n))
+                raise TypeError(f"not a formula node: {n!r}")
             serial = serials.get(key)
             if serial is None:
                 serial = serials[key] = len(made)

@@ -1,17 +1,19 @@
-"""Formula ASTs: core constructors, surface sugar, desugaring, printing.
+"""Formula ASTs: the core node kinds, the derived operators, printing.
 
-Core constructors are nominals, integer linear utility inequalities (>=),
-negation, conjunction, the friendship box, the concurrent-incentivisation
-box, the coalition box, and the allocation test. Everything else (duals,
-disjunction, implication, other comparisons, rational constants, true/false)
-is sugar that `desugar` eliminates."""
+A formula is built from eight core node kinds: nominals, integer linear
+utility inequalities (>=), negation, conjunction, the friendship box, the
+concurrent-incentivisation box, the coalition box, and the allocation test.
+Every other operator (true/false, disjunction, implication, the
+biconditional, the three diamonds, and comparisons with rational
+coefficients) is a constructor that builds core nodes, so every formula is
+core. `desugar` is kept as the identity for its callers."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .errors import DamError
 
 
 class _Self:
@@ -26,14 +28,6 @@ class _Self:
 SELF = _Self()
 
 
-def _check_bindings(bindings) -> None:
-    if not bindings:
-        raise ValueError("an action must bind at least one seller (use skip)")
-    sellers = [s for s, _ in bindings]
-    if len(set(sellers)) != len(sellers):
-        raise ValueError(f"seller bound twice in one action: {sellers}")
-
-
 @dataclass(frozen=True)
 class UtilityTerm:
     """The utility of a named agent, or of the current agent (SELF)."""
@@ -41,7 +35,7 @@ class UtilityTerm:
     subject: object  # nominal str | SELF
 
 
-# --- core constructors -----------------------------------------------------
+# --- core node kinds ---------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -84,7 +78,11 @@ class Diffuse:
     child: "Formula"
 
     def __post_init__(self):
-        _check_bindings(self.bindings)
+        if not self.bindings:
+            raise ValueError("an action must bind at least one seller (use skip)")
+        sellers = [s for s, _ in self.bindings]
+        if len(set(sellers)) != len(sellers):
+            raise ValueError(f"seller bound twice in one action: {sellers}")
 
 
 @dataclass(frozen=True)
@@ -103,142 +101,53 @@ class Heart:
     target: object  # nominal str | SELF
 
 
+Formula = Nominal | LinearGeq | Not | And | Box | Diffuse | CoalitionBox | Heart
+
 TRUE = LinearGeq((), 0)
 FALSE = LinearGeq((), 1)
 
 
-# --- sugar -----------------------------------------------------------------
+# --- derived operators: constructors of core nodes ----------------------------
 
 
-@dataclass(frozen=True)
-class Truth:
-    pass
+def Truth() -> Formula:
+    return TRUE
 
 
-@dataclass(frozen=True)
-class Falsity:
-    pass
+def Falsity() -> Formula:
+    return FALSE
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Iff:
-    left: "Formula"
-    right: "Formula"
-
-
-@dataclass(frozen=True)
-class Diamond:
-    child: "Formula"
-
-
-@dataclass(frozen=True)
-class DiffuseDiamond:
-    bindings: tuple[tuple[str, object], ...]
-    child: "Formula"
-
-    def __post_init__(self):
-        _check_bindings(self.bindings)
-
-
-@dataclass(frozen=True)
-class CoalitionDiamond:
-    coalition: frozenset[str]
-    child: "Formula"
-
-
-@dataclass(frozen=True)
-class Compare:
-    """Linear comparison with rational coefficients; desugared by clearing
-    denominators and rewriting <=, <, >, = in terms of >=."""
-
-    op: str  # one of >=, <=, <, >, =
-    terms: tuple[tuple[Fraction, UtilityTerm], ...]
-    bound: Fraction
-
-
-Formula = (
-    Nominal | LinearGeq | Not | And | Box | Diffuse | CoalitionBox | Heart
-    | Truth | Falsity | Or | Implies | Iff | Diamond | DiffuseDiamond
-    | CoalitionDiamond | Compare
-)
-
-
-def big_and(items) -> Formula:
-    """Balanced conjunction of the items (empty -> true)."""
-    return _fold(list(items), And, Truth())
-
-
-def big_or(items) -> Formula:
-    """Balanced disjunction of the items (empty -> false)."""
-    return _fold(list(items), Or, Falsity())
-
-
-def _fold(items: list, pair, empty) -> Formula:
-    if not items:
-        return empty
-    while len(items) > 1:
-        nxt = []
-        for i in range(0, len(items) - 1, 2):
-            nxt.append(pair(items[i], items[i + 1]))
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
-
-
-def _cleared(terms, bound):
-    denom = math.lcm(bound.denominator, *(c.denominator for c, _ in terms)) if terms else bound.denominator
-    out = tuple((int(c * denom), t) for c, t in terms)
-    return out, int(bound * denom)
-
-
-def _negated(terms):
-    return tuple((-c, t) for c, t in terms)
-
-
-# --- sugar in core terms: the one definition that `desugar` and the parser share
-
-
-def core_or(left: Formula, right: Formula) -> Formula:
+def Or(left: Formula, right: Formula) -> Formula:
     return Not(And(Not(left), Not(right)))
 
 
-def core_implies(left: Formula, right: Formula) -> Formula:
+def Implies(left: Formula, right: Formula) -> Formula:
     return Not(And(left, Not(right)))
 
 
-def core_iff(left: Formula, right: Formula) -> Formula:
+def Iff(left: Formula, right: Formula) -> Formula:
     """Both implications; they share the operand objects, so a chain of
     biconditionals costs linear time and memory."""
-    return And(core_implies(left, right), core_implies(right, left))
+    return And(Implies(left, right), Implies(right, left))
 
 
-def core_diamond(child: Formula) -> Formula:
+def Diamond(child: Formula) -> Formula:
     return Not(Box(Not(child)))
 
 
-def core_diffuse_diamond(bindings, child: Formula) -> Formula:
+def DiffuseDiamond(bindings, child: Formula) -> Formula:
     return Not(Diffuse(bindings, Not(child)))
 
 
-def core_coalition_diamond(coalition, child: Formula) -> Formula:
+def CoalitionDiamond(coalition, child: Formula) -> Formula:
     return Not(CoalitionBox(coalition, Not(child)))
 
 
-def core_compare(op: str, terms, bound) -> Formula:
-    """A rational linear comparison as integer `>=` atoms."""
+def Compare(op: str, terms, bound) -> Formula:
+    """A linear comparison (>=, <=, <, > or =) with rational coefficients,
+    as integer `>=` atoms: denominators are cleared, and the other
+    comparisons are rewritten in terms of >=."""
     terms, bound = _cleared(terms, bound)
     if op == ">=":
         return LinearGeq(terms, bound)
@@ -253,45 +162,43 @@ def core_compare(op: str, terms, bound) -> Formula:
     raise ValueError(f"unknown comparison {op!r}")
 
 
+def _cleared(terms, bound):
+    denom = math.lcm(bound.denominator, *(c.denominator for c, _ in terms)) if terms else bound.denominator
+    out = tuple((int(c * denom), t) for c, t in terms)
+    return out, int(bound * denom)
+
+
+def _negated(terms):
+    return tuple((-c, t) for c, t in terms)
+
+
+def big_and(items) -> Formula:
+    """Balanced conjunction of the items (empty -> true)."""
+    return _fold(list(items), And, TRUE)
+
+
+def big_or(items) -> Formula:
+    """Balanced disjunction of the items (empty -> false)."""
+    return _fold(list(items), Or, FALSE)
+
+
+def _fold(items: list, pair, empty):
+    if not items:
+        return empty
+    while len(items) > 1:
+        nxt = []
+        for i in range(0, len(items) - 1, 2):
+            nxt.append(pair(items[i], items[i + 1]))
+        if len(items) % 2:
+            nxt.append(items[-1])
+        items = nxt
+    return items[0]
+
+
 def desugar(node: Formula) -> Formula:
-    """Rewrite into the core fragment. A node with no sugar beneath it comes
-    back as the same object, so desugaring a core formula builds nothing."""
-    kind = type(node)
-    if kind is Nominal or kind is Heart or kind is LinearGeq:
-        return node
-    if kind is Not or kind is Box:
-        child = desugar(node.child)
-        return node if child is node.child else kind(child)
-    if kind is And:
-        left, right = desugar(node.left), desugar(node.right)
-        if left is node.left and right is node.right:
-            return node
-        return And(left, right)
-    if kind is Diffuse:
-        child = desugar(node.child)
-        return node if child is node.child else Diffuse(node.bindings, child)
-    if kind is CoalitionBox:
-        child = desugar(node.child)
-        return node if child is node.child else CoalitionBox(node.coalition, child)
-    if kind is Truth:
-        return TRUE
-    if kind is Falsity:
-        return FALSE
-    if kind is Or:
-        return core_or(desugar(node.left), desugar(node.right))
-    if kind is Implies:
-        return core_implies(desugar(node.left), desugar(node.right))
-    if kind is Iff:
-        return core_iff(desugar(node.left), desugar(node.right))
-    if kind is Diamond:
-        return core_diamond(desugar(node.child))
-    if kind is DiffuseDiamond:
-        return core_diffuse_diamond(node.bindings, desugar(node.child))
-    if kind is CoalitionDiamond:
-        return core_coalition_diamond(node.coalition, desugar(node.child))
-    if kind is Compare:
-        return core_compare(node.op, node.terms, node.bound)
-    raise TypeError(f"not a formula node: {node!r}")
+    """The formula itself. The derived operators build core nodes, so there
+    is nothing left to rewrite; kept as the identity for its callers."""
+    return node
 
 
 def names_of(node: Formula) -> set[str]:
@@ -307,25 +214,25 @@ def names_of(node: Formula) -> set[str]:
         elif kind is Heart:
             if isinstance(node.target, str):
                 out.add(node.target)
-        elif kind in (LinearGeq, Compare):
+        elif kind is LinearGeq:
             for _, term in node.terms:
                 if isinstance(term.subject, str):
                     out.add(term.subject)
-        elif kind in (Not, Box, Diamond):
+        elif kind is Not or kind is Box:
             todo.append(node.child)
-        elif kind in (And, Or, Implies, Iff):
+        elif kind is And:
             todo.append(node.right)
             todo.append(node.left)
-        elif kind in (Diffuse, DiffuseDiamond):
+        elif kind is Diffuse:
             for sell, target in node.bindings:
                 out.add(sell)
                 if isinstance(target, str):
                     out.add(target)
             todo.append(node.child)
-        elif kind in (CoalitionBox, CoalitionDiamond):
+        elif kind is CoalitionBox:
             out.update(node.coalition)
             todo.append(node.child)
-        elif kind not in (Truth, Falsity):
+        else:
             raise TypeError(f"not a formula node: {node!r}")
     return out
 
@@ -336,11 +243,11 @@ def contains_coalition(node: Formula) -> bool:
     while todo:
         node = todo.pop()
         kind = type(node)
-        if kind in (CoalitionBox, CoalitionDiamond):
+        if kind is CoalitionBox:
             return True
-        if kind in (Not, Box, Diamond, Diffuse, DiffuseDiamond):
+        if kind in (Not, Box, Diffuse):
             todo.append(node.child)
-        elif kind in (And, Or, Implies, Iff):
+        elif kind is And:
             todo.append(node.right)
             todo.append(node.left)
     return False
@@ -348,16 +255,17 @@ def contains_coalition(node: Formula) -> bool:
 
 # --- printing ----------------------------------------------------------------
 
-_IFF, _IMP, _OR, _AND, _UNARY, _ATOM = 1, 2, 3, 4, 5, 6
+_AND, _UNARY, _ATOM = 1, 2, 3
 
 
 def format_formula(node: Formula) -> str:
-    """Concrete syntax; parsing the output of a core formula reproduces it.
+    """Concrete syntax; parsing the output reproduces the formula. A number
+    with more digits than Python will convert to text is a DamError.
 
     The printer works from an explicit stack and joins the pieces once, so
     it prints a formula of any depth in time linear in the output."""
     out: list[str] = []
-    todo: list = [(node, _IFF)]
+    todo: list = [(node, _AND)]
     while todo:
         item = todo.pop()
         if type(item) is str:
@@ -378,8 +286,7 @@ def format_formula(node: Formula) -> str:
 def _layout(node):
     """The node's printed form and its precedence level. The form of an atom
     is its text; any other node's is its pieces, last first, each text or a
-    (child, the least level the child may print at without parentheses).
-    Core kinds are tested first: they are most of what is printed."""
+    (child, the least level the child may print at without parentheses)."""
     kind = type(node)
     if kind is Not:
         return ((node.child, _UNARY), "!"), _UNARY
@@ -390,7 +297,7 @@ def _layout(node):
     if kind is Diffuse:
         return ((node.child, _UNARY), f"[{_bindings_str(node.bindings)}] "), _UNARY
     if kind is LinearGeq:
-        return f"{_sum_str(node.terms)} >= {node.bound}", _ATOM
+        return _linear_str(node), _ATOM
     if kind is Box:
         return ((node.child, _UNARY), "[] "), _UNARY
     if kind is Heart:
@@ -398,25 +305,6 @@ def _layout(node):
     if kind is CoalitionBox:
         inside = ", ".join(sorted(node.coalition)) or " "
         return ((node.child, _UNARY), f"[<{inside}>] "), _UNARY
-    if kind is Truth:
-        return "true", _ATOM
-    if kind is Falsity:
-        return "false", _ATOM
-    if kind is Compare:
-        return f"{_sum_str(node.terms)} {node.op} {_rat_str(node.bound)}", _ATOM
-    if kind is Or:
-        return ((node.right, _AND), " | ", (node.left, _OR)), _OR
-    if kind is Implies:
-        return ((node.right, _IMP), " -> ", (node.left, _OR)), _IMP
-    if kind is Iff:
-        return ((node.right, _IMP), " <-> ", (node.left, _IFF)), _IFF
-    if kind is Diamond:
-        return ((node.child, _UNARY), "<> "), _UNARY
-    if kind is DiffuseDiamond:
-        return ((node.child, _UNARY), f"<{_bindings_str(node.bindings)}> "), _UNARY
-    if kind is CoalitionDiamond:
-        inside = ", ".join(sorted(node.coalition)) or " "
-        return ((node.child, _UNARY), f"<[{inside}]> "), _UNARY
     raise TypeError(f"not a formula node: {node!r}")
 
 
@@ -431,11 +319,11 @@ def _bindings_str(bindings) -> str:
     )
 
 
-def _rat_str(value) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+def _linear_str(node: LinearGeq) -> str:
+    try:
+        return f"{_sum_str(node.terms)} >= {node.bound}"
+    except ValueError:  # str() refuses integers past sys.get_int_max_str_digits()
+        raise DamError("a number in the formula has too many digits to print") from None
 
 
 def _sum_str(terms) -> str:
@@ -444,8 +332,8 @@ def _sum_str(terms) -> str:
     parts: list[str] = []
     for index, (coeff, term) in enumerate(terms):
         ut = f"ut[{_subject(term.subject)}]"
-        magnitude = abs(Fraction(coeff))
-        body = ut if magnitude == 1 else f"{_rat_str(magnitude)}*{ut}"
+        magnitude = abs(coeff)
+        body = ut if magnitude == 1 else f"{magnitude}*{ut}"
         if index == 0:
             parts.append(f"-{body}" if coeff < 0 else body)
         else:

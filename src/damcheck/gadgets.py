@@ -3,12 +3,15 @@
 Generators turn 3-SAT and prenex QBF instances into (mechanism, formula)
 pairs whose strategy-existence / strategic-checking answers match the source
 instance; the exponential oracles exist to cross-validate them. The
-generators build core formulas directly, from the `formula.core_*`
-constructors and the balanced fold `formula._fold`. QDIMACS clauses and
-matrices are balanced folds too, so thousands of clauses nest shallowly."""
+generators build core formulas with the `formula` constructors and the
+balanced folds `big_and` and `big_or`. QDIMACS clauses and matrices are
+balanced folds too, so thousands of clauses nest shallowly, and the
+propositional walks keep their own stack, so a matrix of any depth is
+accepted."""
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,15 +22,17 @@ from .formula import (
     And,
     Box,
     CoalitionBox,
+    CoalitionDiamond,
+    Diamond,
     Formula,
+    Iff,
+    Implies,
     Nominal,
     Not,
+    Or,
     _fold,
-    core_coalition_diamond,
-    core_diamond,
-    core_iff,
-    core_implies,
-    core_or,
+    big_and,
+    big_or,
 )
 from .mechjson import mechanism_from_dict
 from .model import Mechanism
@@ -119,54 +124,64 @@ class PIff:
 Prop = PVar | PConst | PNot | PAnd | POr | PImplies | PIff
 
 
+def _postorder(node: Prop) -> list:
+    """The nodes of a propositional formula, each after its operands. The
+    walk keeps its own stack, so it takes a formula of any depth."""
+    out = []
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        out.append(node)
+        kind = type(node)
+        if kind is PNot:
+            todo.append(node.child)
+        elif kind in (PAnd, POr, PImplies, PIff):
+            todo.append(node.left)
+            todo.append(node.right)
+        elif kind is not PVar and kind is not PConst:
+            raise TypeError(f"not a propositional node: {node!r}")
+    out.reverse()
+    return out
+
+
+def _prop_fold(node: Prop, atom, negate, pairs):
+    """Fold a propositional formula bottom-up: atom(n) for a PVar or PConst,
+    negate(v) for a PNot, and pairs[kind](l, r) for the binary kinds."""
+    values = []
+    for node in _postorder(node):
+        kind = type(node)
+        if kind is PVar or kind is PConst:
+            values.append(atom(node))
+        elif kind is PNot:
+            values.append(negate(values.pop()))
+        else:
+            right = values.pop()
+            values.append(pairs[kind](values.pop(), right))
+    return values.pop()
+
+
 def prop_eval(node: Prop, assignment) -> bool:
-    kind = type(node)
-    if kind is PVar:
-        return bool(assignment[node.index])
-    if kind is PConst:
-        return node.value
-    if kind is PNot:
-        return not prop_eval(node.child, assignment)
-    if kind is PAnd:
-        return prop_eval(node.left, assignment) and prop_eval(node.right, assignment)
-    if kind is POr:
-        return prop_eval(node.left, assignment) or prop_eval(node.right, assignment)
-    if kind is PImplies:
-        return (not prop_eval(node.left, assignment)) or prop_eval(
-            node.right, assignment
-        )
-    if kind is PIff:
-        return prop_eval(node.left, assignment) == prop_eval(node.right, assignment)
-    raise TypeError(f"not a propositional node: {node!r}")
+    def atom(leaf):
+        return bool(assignment[leaf.index] if type(leaf) is PVar else leaf.value)
+
+    # on bools, l <= r is l -> r
+    pairs = {PAnd: operator.and_, POr: operator.or_, PImplies: operator.le, PIff: operator.eq}
+    return _prop_fold(node, atom, operator.not_, pairs)
 
 
 def prop_vars(node: Prop) -> set[int]:
-    kind = type(node)
-    if kind is PVar:
-        return {node.index}
-    if kind is PConst:
-        return set()
-    if kind is PNot:
-        return prop_vars(node.child)
-    return prop_vars(node.left) | prop_vars(node.right)
+    return {leaf.index for leaf in _postorder(node) if type(leaf) is PVar}
 
 
 def prop_to_formula(node: Prop, atom_for: Callable[[int], Formula]) -> Formula:
     """The core formula of a propositional one; variable i becomes atom_for(i)."""
-    kind = type(node)
-    if kind is PVar:
-        return atom_for(node.index)
-    if kind is PConst:
-        return TRUE if node.value else FALSE
-    if kind is PNot:
-        return Not(prop_to_formula(node.child, atom_for))
-    pairs = {PAnd: And, POr: core_or, PImplies: core_implies, PIff: core_iff}
-    ctor = pairs.get(kind)
-    if ctor is None:
-        raise TypeError(f"not a propositional node: {node!r}")
-    return ctor(
-        prop_to_formula(node.left, atom_for), prop_to_formula(node.right, atom_for)
-    )
+
+    def atom(leaf):
+        if type(leaf) is PVar:
+            return atom_for(leaf.index)
+        return TRUE if leaf.value else FALSE
+
+    return _prop_fold(node, atom, Not, {PAnd: And, POr: Or, PImplies: Implies, PIff: Iff})
 
 
 # --- QBF instances --------------------------------------------------------------
@@ -254,8 +269,8 @@ def gen_sat_gadget(instance: CnfInstance) -> tuple[Mechanism, Formula]:
     clause_parts = []
 
     def reach3(nominal: str) -> Formula:
-        core = And(Nominal(nominal), core_diamond(Nominal("sigma")))
-        return core_diamond(core_diamond(core_diamond(core)))
+        core = And(Nominal(nominal), Diamond(Nominal("sigma")))
+        return Diamond(Diamond(Diamond(core)))
 
     for i, clause in enumerate(instance.clauses, start=1):
         buyers.append((f"b{i}", f"beta{i}"))
@@ -269,8 +284,8 @@ def gen_sat_gadget(instance: CnfInstance) -> tuple[Mechanism, Formula]:
             yes, no = ("true", "false") if lit > 0 else ("false", "true")
             settled = And(reach3(f"{yes}{l}"), Not(reach3(f"{no}{l}")))
             bodies.append(And(Nominal(name), settled))
-        some = core_diamond(_fold(bodies, core_or, FALSE))
-        clause_parts.append(Box(core_implies(Nominal(f"beta{i}"), some)))
+        some = Diamond(big_or(bodies))
+        clause_parts.append(Box(Implies(Nominal(f"beta{i}"), some)))
     for l in range(1, instance.num_vars + 1):
         buyers.append((f"d{l}", f"delta{l}"))
         buyers.append((f"e{l}_1", f"epsilon{l}_1"))
@@ -281,7 +296,7 @@ def gen_sat_gadget(instance: CnfInstance) -> tuple[Mechanism, Formula]:
         edges.append([f"d{l}", f"e{l}_2"])
         edges.append([f"e{l}_1", f"t{l}"])
         edges.append([f"e{l}_2", f"f{l}"])
-    return _one_seller(buyers, edges), _fold(clause_parts, And, TRUE)
+    return _one_seller(buyers, edges), big_and(clause_parts)
 
 
 # --- the QBF gadget --------------------------------------------------------------
@@ -306,22 +321,22 @@ def gen_qbf_gadget(instance: QbfInstance) -> tuple[Mechanism, Formula]:
             edges.append([f"a{i}_{j}", f"b{i}_{j}"])
 
     def sees(i: int, j: int) -> Formula:
-        return core_diamond(Nominal(f"beta{i}_{j}"))
+        return Diamond(Nominal(f"beta{i}_{j}"))
 
     def fixed(k: int) -> Formula:
-        parts = [core_iff(sees(i, 0), Not(sees(i, 1))) for i in range(1, k + 1)]
+        parts = [Iff(sees(i, 0), Not(sees(i, 1))) for i in range(1, k + 1)]
         parts += [
             And(Not(sees(i, 0)), Not(sees(i, 1))) for i in range(k + 1, n + 1)
         ]
-        return _fold(parts, And, TRUE)
+        return big_and(parts)
 
     sigma = frozenset({"sigma"})
     formula = prop_to_formula(instance.matrix, lambda i: sees(i, 1))
     for k in range(n, 0, -1):
         if instance.prefix[k - 1] == FORALL:
-            formula = CoalitionBox(sigma, core_implies(fixed(k), formula))
+            formula = CoalitionBox(sigma, Implies(fixed(k), formula))
         else:
-            formula = core_coalition_diamond(sigma, And(fixed(k), formula))
+            formula = CoalitionDiamond(sigma, And(fixed(k), formula))
     return _one_seller(buyers, edges), formula
 
 
@@ -351,7 +366,7 @@ def expressivity_pair(n: int) -> tuple[Mechanism, Mechanism, Formula]:
         edges.append(["b", "c"])
         return _one_seller(buyers, edges, budget=0, incentives=incentives)
 
-    formula = core_coalition_diamond(frozenset({"sigma"}), core_diamond(Nominal("gamma")))
+    formula = CoalitionDiamond(frozenset({"sigma"}), Diamond(Nominal("gamma")))
     return build(2), build(1), formula
 
 

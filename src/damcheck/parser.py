@@ -30,9 +30,9 @@ Coalition brackets are two adjacent characters ("[<", ">]", "<[", "]>");
 adjacency is read from the offsets, so that e.g. "ut[x]>2" still lexes.
 
 The parser builds core nodes as it goes: disjunction, implication,
-biconditional, the diamonds, true/false and the comparisons become Not, And
-and LinearGeq when they are parsed (`formula.core_*`), so the result needs no
-second walk. Each unary operator costs one Python frame and each parenthesis
+biconditional, the diamonds, true/false and the comparisons are the
+`formula` constructors that build Not, And and LinearGeq nodes, so the
+result needs no second walk. Each unary operator costs one Python frame and each parenthesis
 six, so text nested too deeply for the stack is a FormulaSyntaxError."""
 
 from __future__ import annotations
@@ -48,19 +48,19 @@ from .formula import (
     And,
     Box,
     CoalitionBox,
+    CoalitionDiamond,
+    Compare,
+    Diamond,
     Diffuse,
+    DiffuseDiamond,
     Formula,
     Heart,
+    Iff,
+    Implies,
     Nominal,
     Not,
+    Or,
     UtilityTerm,
-    core_coalition_diamond,
-    core_compare,
-    core_diamond,
-    core_diffuse_diamond,
-    core_iff,
-    core_implies,
-    core_or,
 )
 from .model import RESERVED_WORDS, SKIP
 
@@ -117,7 +117,7 @@ class _Parser:
         out = self.imp()
         while self.tokens[self.pos][0] == "<->":
             self.pos += 1
-            out = core_iff(out, self.imp())
+            out = Iff(out, self.imp())
         return out
 
     def imp(self) -> Formula:
@@ -127,14 +127,14 @@ class _Parser:
             parts.append(self.disj())
         out = parts.pop()
         while parts:
-            out = core_implies(parts.pop(), out)
+            out = Implies(parts.pop(), out)
         return out
 
     def disj(self) -> Formula:
         out = self.conj()
         while self.tokens[self.pos][0] == "|":
             self.pos += 1
-            out = core_or(out, self.conj())
+            out = Or(out, self.conj())
         return out
 
     def conj(self) -> Formula:
@@ -164,16 +164,16 @@ class _Parser:
             return Box(self.unary())
         if kind == "<>":
             self.pos += 1
-            return core_diamond(self.unary())
+            return Diamond(self.unary())
         if kind == "<":
             nxt = self.tokens[self.pos + 1]
             if nxt[0] == "[" and nxt[2] == tok[2] + 1:
                 self.pos += 2
                 coalition = self.coalition("]", ">")
-                return core_coalition_diamond(coalition, self.unary())
+                return CoalitionDiamond(coalition, self.unary())
             self.pos += 1
             bindings = self.bindings(">")
-            return core_diffuse_diamond(bindings, self.unary())
+            return DiffuseDiamond(bindings, self.unary())
         return self.atom()
 
     def coalition(self, first: str, second: str) -> frozenset[str]:
@@ -267,7 +267,7 @@ class _Parser:
         self.pos += 1
         rhs_terms, rhs_const = self.sum_()
         terms = lhs_terms + [(-c, t) for c, t in rhs_terms]
-        return core_compare(op, terms, rhs_const - lhs_const)
+        return Compare(op, terms, rhs_const - lhs_const)
 
     def sum_(self):
         terms: list[tuple[Fraction, UtilityTerm]] = []

@@ -291,6 +291,26 @@ def test_bad_input_exits_two(content, argv, chain_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_ne_formula_with_a_number_too_long_to_print_exits_two(tmp_path, capsys):
+    # the seller's utility, budget plus price, has 4,301 digits
+    amount = "9" * 4300
+    buyer = {"budget": amount, "valuation": amount, "incentives": {"s1": amount}}
+    doc = {
+        "sellers": [{"id": "s1", "names": ["sig1"], "budget": amount}],
+        "buyers": [{"id": "a", "names": ["alpha"], **buyer},
+                   {"id": "b", "names": ["beta"], **buyer}],
+        "edges": [["s1", "a"], ["a", "b"]],
+        "rule": "smf",
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["ne", "--model", str(path), "--profile", "s1:skip", "--emit-formula"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 @pytest.mark.parametrize(
     "kind, flag, text",
     [

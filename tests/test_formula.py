@@ -294,6 +294,20 @@ def test_desugar_returns_core_formulas_unchanged(f):
     assert desugar(f) is f
 
 
+_CORE_KINDS = (Nominal, LinearGeq, Not, And, Box, Diffuse, CoalitionBox, Heart)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sugar_formulas)
+def test_sugar_constructors_build_core_nodes_only(f):
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        assert type(node) in _CORE_KINDS
+        todo.extend(getattr(node, part) for part in ("child", "left", "right") if hasattr(node, part))
+    assert parse_formula(format_formula(f)) == f
+
+
 # --- biconditionals ----------------------------------------------------------------
 
 
@@ -384,6 +398,58 @@ def _edited(text: str, edits) -> str:
 @given(_sugar_formulas, _edits)
 def test_parser_agrees_with_reference_on_printed_and_edited_formulas(f, edits):
     text = format_formula(f)
+    _agree(text)
+    _agree(_edited(text, edits))
+
+
+# Surface text straight from the README grammar, so that every operator the
+# printer no longer writes (|, ->, <->, the diamonds, <=, <, >, =, rationals,
+# true and false) still reaches both parsers.
+_subject_texts = st.one_of(_names, st.just("@self"))
+_ut_texts = _subject_texts.map(lambda s: f"ut[{s}]")
+_rational_texts = st.one_of(
+    st.integers(0, 12).map(str),
+    st.tuples(st.integers(0, 12), st.integers(1, 6)).map(lambda p: f"{p[0]}/{p[1]}"),
+)
+_addend_texts = st.one_of(
+    _rational_texts, _ut_texts, st.tuples(_rational_texts, _ut_texts).map("*".join)
+)
+_sum_texts = st.tuples(
+    st.sampled_from(["", "-"]),
+    _addend_texts,
+    st.lists(st.tuples(st.sampled_from([" + ", " - "]), _addend_texts).map("".join), max_size=2),
+).map(lambda p: p[0] + p[1] + "".join(p[2]))
+_comparison_texts = st.tuples(
+    _sum_texts, st.sampled_from([" >= ", " <= ", " < ", " > ", " = "]), _sum_texts
+).map("".join)
+_binding_texts = st.lists(
+    st.tuples(_names, st.one_of(_names, st.just("skip"))).map(":".join), min_size=1, max_size=2
+).map(", ".join)
+_member_texts = st.lists(_names, max_size=2).map(", ".join)
+_atom_texts = st.one_of(
+    _names,
+    st.sampled_from(["true", "false"]),
+    _subject_texts.map(lambda s: f"wins({s})"),
+    _comparison_texts,
+)
+_surface_texts = st.recursive(
+    _atom_texts,
+    lambda kids: st.one_of(
+        st.tuples(st.sampled_from(["!", "[] ", "<> "]), kids).map("".join),
+        st.tuples(_binding_texts, kids).map(lambda p: f"[{p[0]}] {p[1]}"),
+        st.tuples(_binding_texts, kids).map(lambda p: f"<{p[0]}> {p[1]}"),
+        st.tuples(_member_texts, kids).map(lambda p: f"[< {p[0]} >] {p[1]}"),
+        st.tuples(_member_texts, kids).map(lambda p: f"<[ {p[0]} ]> {p[1]}"),
+        st.tuples(kids, st.sampled_from([" & ", " | ", " -> ", " <-> "]), kids).map("".join),
+        kids.map(lambda text: f"({text})"),
+    ),
+    max_leaves=10,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_surface_texts, _edits)
+def test_parser_agrees_with_reference_on_surface_text_from_the_grammar(text, edits):
     _agree(text)
     _agree(_edited(text, edits))
 

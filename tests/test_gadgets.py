@@ -22,6 +22,7 @@ from damcheck.analysis import StrategyQuery
 from damcheck.checker import CheckQuery
 from damcheck.cli import main
 from damcheck.errors import MechanismError, OracleLimitError
+from damcheck.formula import And, Nominal
 from damcheck.gadgets import (
     EXISTS,
     FORALL,
@@ -33,6 +34,7 @@ from damcheck.gadgets import (
     POr,
     PVar,
     prop_eval,
+    prop_to_formula,
 )
 from damcheck.model import action_precondition, apply_joint_action, joint_action
 
@@ -258,6 +260,20 @@ def test_qbf_gadget_from_a_long_qdimacs_matrix(last, tmp_path):
     argv = ["gen", "qbf", "--qdimacs", str(source), "--out-model",
             str(tmp_path / "m.json"), "--out-formula", str(tmp_path / "f.txt")]
     assert main(argv) == 0
+
+
+def test_prop_walks_take_a_left_deep_matrix():
+    matrix = PVar(1)
+    for _ in range(1999):
+        matrix = PAnd(matrix, PVar(1))
+    assert qbf_oracle(QbfInstance((EXISTS,), matrix)) is True
+    form = prop_to_formula(matrix, lambda i: Nominal(f"p{i}"))
+    # walked, not compared with ==: dataclass equality recurses per level
+    depth = 0
+    while type(form) is And:
+        assert form.right == Nominal("p1")
+        form, depth = form.left, depth + 1
+    assert (depth, form) == (1999, Nominal("p1"))
 
 
 def test_read_qdimacs_rejects_free_variables():
