@@ -51,15 +51,17 @@ def parse_rational(value: Any, where: str = "value") -> Fraction:
 
 
 def format_rational(value: Fraction) -> int | str:
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
+    num, den = value.as_integer_ratio()
+    return num if den == 1 else f"{num}/{den}"
 
 
 def mechanism_from_dict(doc: dict) -> Mechanism:
     """Build and validate a Mechanism from the schema dictionary."""
     if not isinstance(doc, dict):
         raise MechanismError("mechanism document must be a JSON object")
+    for key in ("sellers", "buyers", "edges"):
+        if not isinstance(doc.get(key, []), list):
+            raise MechanismError(f"{key!r} must be a list")
 
     sellers: list[AgentId] = []
     buyers: list[AgentId] = []
@@ -67,6 +69,15 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
     valuation: dict[AgentId, Fraction] = {}
     incentive: dict[tuple[AgentId, AgentId], Fraction] = {}
     names: dict[str, AgentId] = {}
+    parsed: dict[int | str, Fraction] = {}  # amounts repeat: parse each once
+
+    def rational(value: Any, where: str) -> Fraction:
+        if type(value) is not int and type(value) is not str:  # True == 1.0 == 1
+            return parse_rational(value, where)
+        exact = parsed.get(value)
+        if exact is None:
+            exact = parsed[value] = parse_rational(value, where)
+        return exact
 
     def add_names(agent: AgentId, noms: Any) -> None:
         if not isinstance(noms, list) or not all(isinstance(n, str) for n in noms):
@@ -84,17 +95,15 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
     for entry in doc.get("sellers", []):
         agent = seller(agent_id_of(entry, "seller"))
         sellers.append(agent)
-        budget[agent] = parse_rational(entry.get("budget", 0), f"budget of {agent.id}")
+        budget[agent] = rational(entry.get("budget", 0), f"budget of {agent.id}")
         add_names(agent, entry.get("names", []))
 
     seller_by_id = {s.id: s for s in sellers}
     for entry in doc.get("buyers", []):
         agent = buyer(agent_id_of(entry, "buyer"))
         buyers.append(agent)
-        budget[agent] = parse_rational(entry.get("budget", 0), f"budget of {agent.id}")
-        valuation[agent] = parse_rational(
-            entry.get("valuation", 0), f"valuation of {agent.id}"
-        )
+        budget[agent] = rational(entry.get("budget", 0), f"budget of {agent.id}")
+        valuation[agent] = rational(entry.get("valuation", 0), f"valuation of {agent.id}")
         add_names(agent, entry.get("names", []))
         incentives = entry.get("incentives", {})
         if not isinstance(incentives, dict):
@@ -105,8 +114,8 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
                 raise MechanismError(
                     f"incentives of {agent.id!r} mention unknown seller {sid!r}"
                 )
-            value = parse_rational(amount, f"incentive of ({agent.id}, {sid})")
-            if value != 0:  # zero is the default; keep the map canonical
+            value = rational(amount, f"incentive of ({agent.id}, {sid})")
+            if value:  # zero is the default; keep the map canonical
                 incentive[(agent, sell)] = value
 
     by_id = {a.id: a for a in sellers + buyers}
@@ -163,10 +172,10 @@ def mechanism_to_dict(mechanism: Mechanism) -> dict:
     ]
     buyers = []
     for b in net.buyers:
-        incentives = {
-            s.id: format_rational(net.incentive_for(b, s))
+        incentives = {  # each amount read once; absent or zero is left out
+            s.id: format_rational(amount)
             for s in net.sellers
-            if net.incentive_for(b, s) != 0
+            if (amount := net.incentive.get((b, s)))
         }
         buyers.append(
             {

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import (
     ActionError,
@@ -32,17 +32,26 @@ class _Skip:
 
 
 SKIP = _Skip()
+_ZERO = Fraction(0)
 
 
-@dataclass(frozen=True, order=True)
-class AgentId:
-    """An agent, identified by a unique id string and a kind (seller/buyer)."""
+class AgentId(NamedTuple):
+    """An agent: a unique id string and a kind (seller/buyer). A named tuple
+    that hashes and sorts by (id, kind) in C, but never equals a plain tuple."""
 
     id: str
     kind: str
 
     def __repr__(self) -> str:
         return f"{self.kind[0]}:{self.id}"
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is AgentId and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return type(other) is not AgentId or tuple.__ne__(self, other)
+
+    __hash__ = tuple.__hash__
 
 
 def seller(ident: str) -> AgentId:
@@ -73,7 +82,7 @@ class MarketNetwork:
         return self.friends.get(agent, frozenset())
 
     def incentive_for(self, buy: AgentId, sell: AgentId) -> Fraction:
-        return self.incentive.get((buy, sell), Fraction(0))
+        return self.incentive.get((buy, sell), _ZERO)
 
     def agent_by_id(self, ident: str) -> AgentId | None:
         table = self.__dict__.get("_by_id")
@@ -196,16 +205,17 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
         if agent not in agents:
             out.append(f"friendship mentions unknown agent {agent.id!r}")
             continue
+        looped = agent in nbrs  # set lookups hash in C; `==` only on a self-loop row
         for other in nbrs:
             if other not in agents:
                 out.append(
                     f"friendship of {agent.id!r} mentions unknown agent {other.id!r}"
                 )
                 continue
-            if other == agent:
+            if looped and other == agent:
                 out.append(f"friendship irreflexivity violated at {agent.id!r}")
                 continue
-            if agent not in net.friends_of(other):
+            if agent not in net.friends.get(other, ()):
                 out.append(
                     f"friendship not symmetric: {agent.id!r}-{other.id!r}"
                 )
@@ -220,14 +230,14 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
         bdg = net.budget.get(agent)
         if bdg is None:
             out.append(f"no budget for agent {agent.id!r}")
-        elif bdg < 0:
+        elif bdg.numerator < 0:  # cheaper than Fraction's `<`
             out.append(f"negative budget for agent {agent.id!r}")
     for b in net.buyers:
         val = net.valuation.get(b)
         if val is None:
             out.append(f"no valuation for buyer {b.id!r}")
             continue
-        if val < 0:
+        if val.numerator < 0:
             out.append(f"negative valuation for buyer {b.id!r}")
         bdg = net.budget.get(b)
         if bdg is not None and val > bdg:
@@ -238,7 +248,7 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
             out.append(f"incentive keyed by non-buyer {buy.id!r}")
         if sell not in agents or sell.kind != SELLER:
             out.append(f"incentive keyed by non-seller {sell.id!r}")
-        if amount < 0:
+        if amount.numerator < 0:
             out.append(f"negative incentive for ({buy.id!r}, {sell.id!r})")
 
     named = set()

@@ -4,7 +4,9 @@
 successor through `model.apply_joint_action`; `reference_ne` is the
 equilibrium test as a loop over whole deviated profiles. Neither memoises
 anything, so both are exponential and meant for small instances only: they
-are the oracles the engine's answers are compared against."""
+are the oracles the engine's answers are compared against. `reference_validate`
+is the invariant check as it stood before `AgentId` became a named tuple: one
+generic `==` or lookup per friendship entry, money compared as Fractions."""
 
 from __future__ import annotations
 
@@ -25,6 +27,9 @@ from damcheck.formula import (
     desugar,
 )
 from damcheck.model import (
+    _IDENT_RE,
+    BUYER,
+    RESERVED_WORDS,
     SELLER,
     SKIP,
     AgentId,
@@ -164,3 +169,90 @@ def reference_ne(mechanism: Mechanism, profile):
                     violation = (sell, position, candidate_agent, baseline[sell], achieved)
                     return False, violation, utilities
     return True, None, utilities
+
+
+def reference_validate(mechanism: Mechanism) -> list[str]:
+    """The invariant violations of `model.validate_mechanism`, in its order."""
+    net = mechanism.network
+    out: list[str] = []
+    if not net.sellers:
+        out.append("no sellers: at least one seller is required")
+    if not net.buyers:
+        out.append("no buyers: at least one buyer is required")
+
+    seen_ids: set[str] = set()
+    for agent in net.agents():
+        if agent.id in seen_ids:
+            out.append(f"duplicate agent id {agent.id!r}")
+        seen_ids.add(agent.id)
+    for s in net.sellers:
+        if s.kind != SELLER:
+            out.append(f"agent {s.id!r} listed as seller but has kind {s.kind!r}")
+    for b in net.buyers:
+        if b.kind != BUYER:
+            out.append(f"agent {b.id!r} listed as buyer but has kind {b.kind!r}")
+
+    agents = set(net.agents())
+    for agent, nbrs in net.friends.items():
+        if agent not in agents:
+            out.append(f"friendship mentions unknown agent {agent.id!r}")
+            continue
+        for other in nbrs:
+            if other not in agents:
+                out.append(
+                    f"friendship of {agent.id!r} mentions unknown agent {other.id!r}"
+                )
+                continue
+            if other == agent:
+                out.append(f"friendship irreflexivity violated at {agent.id!r}")
+                continue
+            if agent not in net.friends_of(other):
+                out.append(
+                    f"friendship not symmetric: {agent.id!r}-{other.id!r}"
+                )
+            if agent.kind == SELLER and other.kind == SELLER:
+                # report each unordered seller-seller edge once
+                if agent.id < other.id:
+                    out.append(
+                        f"seller-seller edge forbidden: {agent.id!r}-{other.id!r}"
+                    )
+
+    for agent in net.agents():
+        bdg = net.budget.get(agent)
+        if bdg is None:
+            out.append(f"no budget for agent {agent.id!r}")
+        elif bdg < 0:
+            out.append(f"negative budget for agent {agent.id!r}")
+    for b in net.buyers:
+        val = net.valuation.get(b)
+        if val is None:
+            out.append(f"no valuation for buyer {b.id!r}")
+            continue
+        if val < 0:
+            out.append(f"negative valuation for buyer {b.id!r}")
+        bdg = net.budget.get(b)
+        if bdg is not None and val > bdg:
+            out.append(f"valuation exceeds budget for buyer {b.id!r}")
+
+    for (buy, sell), amount in net.incentive.items():
+        if buy not in agents or buy.kind != BUYER:
+            out.append(f"incentive keyed by non-buyer {buy.id!r}")
+        if sell not in agents or sell.kind != SELLER:
+            out.append(f"incentive keyed by non-seller {sell.id!r}")
+        if amount < 0:
+            out.append(f"negative incentive for ({buy.id!r}, {sell.id!r})")
+
+    named = set()
+    for nominal, agent in net.names.items():
+        if not _IDENT_RE.match(nominal) or nominal in RESERVED_WORDS:
+            out.append(f"nominal {nominal!r} is not a usable identifier")
+        if agent not in agents:
+            out.append(f"nominal {nominal!r} names unknown agent {agent.id!r}")
+        named.add(agent)
+    for agent in net.agents():
+        if agent not in named:
+            out.append(f"agent {agent.id!r} has no name")
+
+    if not auction.has_rule(mechanism.rule):
+        out.append(f"unknown auction rule {mechanism.rule!r}")
+    return out

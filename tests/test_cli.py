@@ -327,3 +327,29 @@ def test_gen_rejects_input_that_contradicts_its_header(kind, flag, text, tmp_pat
                f"--out-{'goal' if kind == 'sat' else 'formula'}", out])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+_ONE_PAIR = {
+    "sellers": [{"id": "sig", "names": ["sigma"], "budget": 1}],
+    "buyers": [{"id": "b", "names": ["beta"], "budget": 1, "valuation": 1}],
+    "edges": [["sig", "b"]],
+    "rule": "smf",
+}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"sellers": None}, {"sellers": 5, "buyers": []}, {**_ONE_PAIR, "edges": None}],
+    ids=["sellers-null", "sellers-number", "edges-null"],
+)
+def test_document_section_that_is_not_a_list_exits_two(doc, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", "--model", str(path), "--at", "sig", "--formula", "true"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "must be a list" in captured.err
+    # the same document with the section as a list loads
+    if "edges" in doc:
+        path.write_text(json.dumps(_ONE_PAIR), encoding="utf-8")
+        assert main(["check", "--model", str(path), "--at", "sig", "--formula", "true"]) == 0

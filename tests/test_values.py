@@ -1,0 +1,147 @@
+"""The value layer: AgentId keys, validation against its reference, and the
+mechanism file format."""
+
+import json
+import random
+import re
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from damcheck import (
+    AgentId,
+    MarketNetwork,
+    Mechanism,
+    load_mechanism,
+    save_mechanism,
+    validate_mechanism,
+)
+from damcheck.mechjson import mechanism_to_dict
+from damcheck.model import buyer, seller
+
+from helpers import random_rational_market
+from reference import reference_validate
+
+
+def test_agent_id_is_a_type_strict_named_tuple():
+    x = seller("x")
+    assert hash(x) == hash(("x", "seller"))
+    assert seller("a") == seller("a") and not seller("a") != seller("a")
+    assert seller("a") != ("a", "seller") and not seller("a") == ("a", "seller")
+    assert ("a", "seller") != seller("a") and not ("a", "seller") == seller("a")
+    assert seller("a") != buyer("a")
+    assert len({seller("a"), ("a", "seller"), seller("a")}) == 2
+    agents = [seller("b"), buyer("b"), seller("a"), buyer("a"), buyer("ab")]
+    assert sorted(agents) == [buyer("a"), seller("a"), buyer("ab"), buyer("b"), seller("b")]
+    assert sorted(agents) == sorted(agents, key=lambda a: (a.id, a.kind))
+    assert repr(seller("a")) == "s:a" and repr(buyer("a")) == "b:a"
+    for attribute in ("id", "kind", "other"):
+        with pytest.raises(AttributeError):
+            setattr(x, attribute, "y")
+    assert x == AgentId("x", "seller")
+
+
+_STRANGERS = (buyer("zz"), seller("zz"), AgentId("b1", "seller"), AgentId("s1", "buyer"))
+
+
+def _faulty_mechanism(rng: random.Random) -> Mechanism:
+    """A random rational market with one to six faults. Half the faults fall
+    on one agent, so its friendship row often holds several at once."""
+    mech = random_rational_market(rng, rng.randint(1, 3), rng.randint(1, 4))
+    net, rule = mech.network, mech.rule
+    sellers, buyers = list(net.sellers), list(net.buyers)
+    agents = sellers + buyers
+    friends = {a: set(nbrs) for a, nbrs in net.friends.items()}
+    budget, valuation = dict(net.budget), dict(net.valuation)
+    incentive, names = dict(net.incentive), dict(net.names)
+    focus = rng.choice(agents)
+    for _ in range(rng.randint(1, 6)):
+        who = focus if rng.random() < 0.5 else rng.choice(agents)
+        some_buyer = rng.choice(net.buyers)
+        fault = rng.randrange(17)
+        if fault == 0:  # unknown agent in a row
+            friends.setdefault(who, set()).add(rng.choice(_STRANGERS))
+        elif fault == 1:  # a row of an unknown agent
+            friends[rng.choice(_STRANGERS)] = {who}
+        elif fault == 2:  # self-loop
+            friends.setdefault(who, set()).add(who)
+        elif fault == 3:  # one direction only
+            friends.setdefault(who, set()).add(rng.choice(agents))
+        elif fault == 4:  # seller-seller edge, one or both directions
+            a, b = rng.choice(net.sellers), rng.choice(net.sellers)
+            friends.setdefault(a, set()).add(b)
+            if rng.random() < 0.7:
+                friends.setdefault(b, set()).add(a)
+        elif fault == 5:
+            budget[who] = Fraction(-rng.randint(1, 5), rng.randint(1, 3))
+        elif fault == 6:
+            budget.pop(who, None)
+        elif fault == 7:  # over budget
+            valuation[some_buyer] = budget.get(some_buyer, 0) + Fraction(1, 3)
+        elif fault == 8:
+            valuation[some_buyer] = Fraction(-1, rng.randint(1, 3))
+        elif fault == 9:
+            valuation.pop(some_buyer, None)
+        elif fault == 10:  # unusable nominal
+            names[rng.choice(("skip", "wins", "1x", "a-b", "", "true"))] = who
+        elif fault == 11:  # an agent without a nominal
+            names = {nom: a for nom, a in names.items() if a != who}
+        elif fault == 12:
+            names[f"ghost{rng.randint(1, 3)}"] = rng.choice(_STRANGERS)
+        elif fault == 13:  # incentive keys that are not a (buyer, seller) pair
+            key = rng.choice(
+                ((rng.choice(net.sellers), some_buyer), (some_buyer, some_buyer),
+                 (rng.choice(_STRANGERS), rng.choice(net.sellers)),
+                 (some_buyer, rng.choice(_STRANGERS)))
+            )
+            incentive[key] = Fraction(rng.randint(-2, 3), 2)
+        elif fault == 14:
+            incentive[(some_buyer, rng.choice(net.sellers))] = Fraction(-1, 2)
+        elif fault == 15:  # an agent in the wrong list, or an id twice
+            (sellers if rng.random() < 0.5 else buyers).append(rng.choice(agents))
+        else:
+            rule = rng.choice(("vickrey", "smf"))
+    network = MarketNetwork(
+        sellers=tuple(sellers),
+        buyers=tuple(buyers),
+        friends={a: frozenset(nbrs) for a, nbrs in friends.items()},
+        budget=budget,
+        valuation=valuation,
+        incentive=incentive,
+        names=names,
+    )
+    return Mechanism(network, rule)
+
+
+def test_validate_agrees_with_reference_on_faulty_networks():
+    rng = random.Random(20261018)
+    kinds = set()
+    for _ in range(600):
+        mech = _faulty_mechanism(rng)
+        violations = validate_mechanism(mech)
+        assert violations == reference_validate(mech), mech
+        kinds.update(re.sub(r"'[^']*'", "_", v) for v in violations)
+    # every violation but "no sellers" and "no buyers" occurred
+    assert len(kinds) == 20, sorted(kinds)
+
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+@pytest.mark.parametrize("name", ["referral-chain.json", "two-sellers.json"])
+def test_samples_save_byte_for_byte(name, tmp_path):
+    copy = tmp_path / name
+    save_mechanism(load_mechanism(SAMPLES / name), copy)
+    assert copy.read_bytes() == (SAMPLES / name).read_bytes()
+
+
+def test_saved_file_is_the_indented_dict_and_reloads_equal(tmp_path):
+    rng = random.Random(4242)
+    for i in range(30):
+        mech = random_rational_market(rng, rng.randint(1, 3), rng.randint(1, 5))
+        path = tmp_path / f"market{i}.json"
+        save_mechanism(mech, path)
+        expected = json.dumps(mechanism_to_dict(mech), indent=2) + "\n"
+        assert path.read_bytes() == expected.encode("utf-8")
+        assert load_mechanism(path) == mech
