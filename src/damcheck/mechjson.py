@@ -8,8 +8,9 @@ Schema (rationals are integers or "p/q" strings; floats are rejected):
       "edges":   [ [idA, idB], ... ],
       "rule":    "smf" }
 
-Edges are undirected; duplicates and reversed pairs are rejected. Missing
-incentive entries default to 0. Loading refuses invalid mechanisms."""
+Each section, when present, must be a list. Edges are undirected; duplicates
+and reversed pairs are rejected. Missing incentive entries default to 0, and
+saving leaves zero ones out. Loading refuses what `validate_mechanism` finds."""
 
 from __future__ import annotations
 
