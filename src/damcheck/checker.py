@@ -51,6 +51,7 @@ from .errors import (
     ActionError,
     CoalitionOperatorError,
     DamError,
+    MechanismError,
     UnknownAgentError,
     UnknownNominalError,
 )
@@ -66,7 +67,7 @@ from .formula import (
     Nominal,
     Not,
 )
-from .model import SKIP, AgentId, JointAction, Mechanism, joint_action
+from .model import SKIP, AgentId, JointAction, Mechanism, is_rational, joint_action
 
 
 @dataclass
@@ -130,6 +131,9 @@ class _Arena:
             sum(1 << self.index[f] for f in net.friends_of(a)) for a in self.agents
         )
         money = (*net.budget.values(), *net.incentive.values())
+        for amount in (*money, *net.valuation.values()):
+            if not is_rational(amount):
+                raise MechanismError(f"money must be an int or a Fraction, got {amount!r}")
         self.scale = math.lcm(*(m.denominator for m in money))
         self.budget0 = tuple(int(net.budget[a] * self.scale) for a in self.agents)
         # price[s][b]: what buyer b demands from seller s, scaled

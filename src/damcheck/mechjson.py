@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -91,7 +92,10 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
     def agent_id_of(entry: Any, section: str) -> str:
         if not isinstance(entry, dict) or "id" not in entry:
             raise MechanismError(f"every {section} entry needs an 'id' field")
-        return str(entry["id"])
+        ident = entry["id"]
+        if not isinstance(ident, str):
+            raise MechanismError(f"{section} id {ident!r} is not a string")
+        return ident
 
     for entry in doc.get("sellers", []):
         agent = seller(agent_id_of(entry, "seller"))
@@ -110,7 +114,7 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
         if not isinstance(incentives, dict):
             raise MechanismError(f"incentives of {agent.id!r} must be an object")
         for sid, amount in incentives.items():
-            sell = seller_by_id.get(str(sid))
+            sell = seller_by_id.get(sid)
             if sell is None:
                 raise MechanismError(
                     f"incentives of {agent.id!r} mention unknown seller {sid!r}"
@@ -127,8 +131,10 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
     for pair in doc.get("edges", []):
         if not isinstance(pair, list) or len(pair) != 2:
             raise MechanismError(f"edge {pair!r} is not a two-element list")
+        if not isinstance(pair[0], str) or not isinstance(pair[1], str):
+            raise MechanismError(f"edge {pair!r}: agent ids must be strings")
         try:
-            a, b = by_id[str(pair[0])], by_id[str(pair[1])]
+            a, b = by_id[pair[0]], by_id[pair[1]]
         except KeyError as exc:
             raise MechanismError(f"edge {pair!r} mentions unknown agent {exc}") from None
         if b in adjacent[a]:
@@ -210,7 +216,35 @@ def load_mechanism(path: str | Path) -> Mechanism:
     return mechanism_from_dict(doc)
 
 
+def _render(value: Any, pad: str) -> str:
+    """`value` as `json.dumps(value, indent=2)` writes it, where `pad` is the
+    line break and indent of value's own nesting level. Only C-coded calls
+    touch the leaves; with `indent` set, `json.dumps` runs its pure-Python
+    encoder instead."""
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is not list and kind is not dict:
+        raise MechanismError(
+            f"cannot save {value!r}: agent ids, names and the rule must be strings"
+        )
+    if not value:
+        return "[]" if kind is list else "{}"
+    inner = pad + "  "
+    if kind is list:
+        items = [_render(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    items = [
+        encode_basestring_ascii(key) + ": " + _render(item, inner)
+        for key, item in value.items()
+    ]
+    return "{" + inner + ("," + inner).join(items) + pad + "}"
+
+
 def save_mechanism(mechanism: Mechanism, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(mechanism_to_dict(mechanism), indent=2) + "\n", encoding="utf-8"
-    )
+    """Write the file `json.dumps(mechanism_to_dict(mechanism), indent=2)`
+    plus a newline, byte for byte."""
+    text = _render(mechanism_to_dict(mechanism), "\n") + "\n"
+    Path(path).write_text(text, encoding="utf-8")

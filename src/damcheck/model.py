@@ -176,6 +176,11 @@ def resolve_name(mechanism: Mechanism, nominal: str) -> AgentId:
         ) from None
 
 
+def is_rational(amount: object) -> bool:
+    """Whether an amount is exact money: an int (not a bool) or a Fraction."""
+    return type(amount) is Fraction or type(amount) is int
+
+
 def validate_mechanism(mechanism: Mechanism) -> list[str]:
     """All invariant violations of the mechanism, as human-readable strings.
 
@@ -230,6 +235,8 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
         bdg = net.budget.get(agent)
         if bdg is None:
             out.append(f"no budget for agent {agent.id!r}")
+        elif not is_rational(bdg):
+            out.append(f"budget of agent {agent.id!r} is not rational: {bdg!r}")
         elif bdg.numerator < 0:  # cheaper than Fraction's `<`
             out.append(f"negative budget for agent {agent.id!r}")
     for b in net.buyers:
@@ -237,10 +244,13 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
         if val is None:
             out.append(f"no valuation for buyer {b.id!r}")
             continue
+        if not is_rational(val):
+            out.append(f"valuation of buyer {b.id!r} is not rational: {val!r}")
+            continue
         if val.numerator < 0:
             out.append(f"negative valuation for buyer {b.id!r}")
         bdg = net.budget.get(b)
-        if bdg is not None and val > bdg:
+        if is_rational(bdg) and val > bdg:
             out.append(f"valuation exceeds budget for buyer {b.id!r}")
 
     for (buy, sell), amount in net.incentive.items():
@@ -248,7 +258,11 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
             out.append(f"incentive keyed by non-buyer {buy.id!r}")
         if sell not in agents or sell.kind != SELLER:
             out.append(f"incentive keyed by non-seller {sell.id!r}")
-        if amount.numerator < 0:
+        if not is_rational(amount):
+            out.append(
+                f"incentive for ({buy.id!r}, {sell.id!r}) is not rational: {amount!r}"
+            )
+        elif amount.numerator < 0:
             out.append(f"negative incentive for ({buy.id!r}, {sell.id!r})")
 
     named = set()
