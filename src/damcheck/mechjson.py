@@ -8,9 +8,15 @@ Schema (rationals are integers or "p/q" strings; floats are rejected):
       "edges":   [ [idA, idB], ... ],
       "rule":    "smf" }
 
-Each section, when present, must be a list. Edges are undirected; duplicates
-and reversed pairs are rejected. Missing incentive entries default to 0, and
-saving leaves zero ones out. Loading refuses what `validate_mechanism` finds."""
+Each section, when present, must be a list, and ids and edge ends must be
+strings. Edges are undirected; duplicates and reversed pairs are rejected.
+Missing incentive entries default to 0, and saving leaves zero ones out.
+Loading refuses what `validate_mechanism` finds.
+
+A saved file is exactly `json.dumps(mechanism_to_dict(m), indent=2)` plus a
+newline. With `indent` set, CPython's `json.dumps` runs its pure-Python
+encoder, so `save_mechanism` renders the same bytes itself, leaving only the
+strings and integers to C."""
 
 from __future__ import annotations
 
@@ -216,31 +222,44 @@ def load_mechanism(path: str | Path) -> Mechanism:
     return mechanism_from_dict(doc)
 
 
+# json.dumps's own C-coded encoders of the leaves a mechanism dict holds
+_LEAF = {str: encode_basestring_ascii, int: int.__repr__}
+
+
 def _render(value: Any, pad: str) -> str:
-    """`value` as `json.dumps(value, indent=2)` writes it, where `pad` is the
-    line break and indent of value's own nesting level. Only C-coded calls
-    touch the leaves; with `indent` set, `json.dumps` runs its pure-Python
-    encoder instead."""
+    """A list or dict as `json.dumps(value, indent=2)` writes it, where `pad`
+    is the line break and indent of value's own nesting level."""
     kind = type(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
-    if kind is int:
-        return int.__repr__(value)
     if kind is not list and kind is not dict:
-        raise MechanismError(
-            f"cannot save {value!r}: agent ids, names and the rule must be strings"
-        )
+        raise _unsavable(value)
     if not value:
         return "[]" if kind is list else "{}"
     inner = pad + "  "
+    sep = "," + inner
     if kind is list:
-        items = [_render(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    items = [
-        encode_basestring_ascii(key) + ": " + _render(item, inner)
-        for key, item in value.items()
-    ]
-    return "{" + inner + ("," + inner).join(items) + pad + "}"
+        try:  # a list of strings, such as names or an edge, in one C call
+            return "[" + inner + sep.join(map(encode_basestring_ascii, value)) + pad + "]"
+        except TypeError:
+            pass
+        items = []
+        for item in value:
+            leaf = _LEAF.get(type(item))
+            items.append(_render(item, inner) if leaf is None else leaf(item))
+        return "[" + inner + sep.join(items) + pad + "]"
+    items = []
+    for key, item in value.items():
+        leaf = _LEAF.get(type(item))
+        text = _render(item, inner) if leaf is None else leaf(item)
+        if type(key) is not str:
+            raise _unsavable(key)
+        items.append(encode_basestring_ascii(key) + ": " + text)
+    return "{" + inner + sep.join(items) + pad + "}"
+
+
+def _unsavable(value: Any) -> MechanismError:
+    return MechanismError(
+        f"cannot save {value!r}: agent ids, names and the rule must be strings"
+    )
 
 
 def save_mechanism(mechanism: Mechanism, path: str | Path) -> None:
