@@ -67,7 +67,7 @@ from .formula import (
     Nominal,
     Not,
 )
-from .model import SKIP, AgentId, JointAction, Mechanism, is_rational, joint_action
+from .model import MONEY_TYPES, SKIP, AgentId, JointAction, Mechanism, joint_action
 
 
 @dataclass
@@ -132,7 +132,7 @@ class _Arena:
         )
         money = (*net.budget.values(), *net.incentive.values())
         for amount in (*money, *net.valuation.values()):
-            if not is_rational(amount):
+            if type(amount) not in MONEY_TYPES:
                 raise MechanismError(f"money must be an int or a Fraction, got {amount!r}")
         self.scale = math.lcm(*(m.denominator for m in money))
         self.budget0 = tuple(int(net.budget[a] * self.scale) for a in self.agents)

@@ -20,6 +20,9 @@ BUYER = "buyer"
 # Words the formula syntax claims for itself; they cannot be agent names.
 RESERVED_WORDS = frozenset({"true", "false", "wins", "ut", "skip"})
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# The types of exact money, matched by `type(amount) in MONEY_TYPES`, so a
+# bool, a float or a Decimal is not money.
+MONEY_TYPES = frozenset({int, Fraction})
 
 
 class _Skip:
@@ -176,11 +179,6 @@ def resolve_name(mechanism: Mechanism, nominal: str) -> AgentId:
         ) from None
 
 
-def is_rational(amount: object) -> bool:
-    """Whether an amount is exact money: an int (not a bool) or a Fraction."""
-    return type(amount) is Fraction or type(amount) is int
-
-
 def validate_mechanism(mechanism: Mechanism) -> list[str]:
     """All invariant violations of the mechanism, as human-readable strings.
 
@@ -235,7 +233,7 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
         bdg = net.budget.get(agent)
         if bdg is None:
             out.append(f"no budget for agent {agent.id!r}")
-        elif not is_rational(bdg):
+        elif type(bdg) not in MONEY_TYPES:
             out.append(f"budget of agent {agent.id!r} is not rational: {bdg!r}")
         elif bdg.numerator < 0:  # cheaper than Fraction's `<`
             out.append(f"negative budget for agent {agent.id!r}")
@@ -244,13 +242,13 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
         if val is None:
             out.append(f"no valuation for buyer {b.id!r}")
             continue
-        if not is_rational(val):
+        if type(val) not in MONEY_TYPES:
             out.append(f"valuation of buyer {b.id!r} is not rational: {val!r}")
             continue
         if val.numerator < 0:
             out.append(f"negative valuation for buyer {b.id!r}")
         bdg = net.budget.get(b)
-        if is_rational(bdg) and val > bdg:
+        if type(bdg) in MONEY_TYPES and val > bdg:
             out.append(f"valuation exceeds budget for buyer {b.id!r}")
 
     for (buy, sell), amount in net.incentive.items():
@@ -258,7 +256,7 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
             out.append(f"incentive keyed by non-buyer {buy.id!r}")
         if sell not in agents or sell.kind != SELLER:
             out.append(f"incentive keyed by non-seller {sell.id!r}")
-        if not is_rational(amount):
+        if type(amount) not in MONEY_TYPES:
             out.append(
                 f"incentive for ({buy.id!r}, {sell.id!r}) is not rational: {amount!r}"
             )
