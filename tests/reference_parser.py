@@ -1,9 +1,11 @@
 """The character-by-character parser that `damcheck.parser` replaced.
 
-It tokenizes into `_Token` records that carry line and column, parses into
-surface syntax, and desugars the result in a second walk. It is kept only as
-the oracle for the differential tests: for every input both parsers must give
-equal trees, or raise `FormulaSyntaxError` at the same line and column.
+It tokenizes into `_Token` records that carry line and column, and parses
+straight into core formulas: the constructors of the derived operators
+(`Or`, `Implies`, `Iff`, ...) build core nodes, so the `desugar` call it still
+makes is the identity. It is kept only as the oracle for the differential
+tests: for every input both parsers must give equal trees, or raise
+`FormulaSyntaxError` at the same line and column.
 
 Grammar (loosest binding first):
 

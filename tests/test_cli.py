@@ -353,3 +353,28 @@ def test_document_section_that_is_not_a_list_exits_two(doc, tmp_path, capsys):
     if "edges" in doc:
         path.write_text(json.dumps(_ONE_PAIR), encoding="utf-8")
         assert main(["check", "--model", str(path), "--at", "sig", "--formula", "true"]) == 0
+
+
+_BETA = {"id": "b", "names": ["beta"], "budget": 1, "valuation": 1}
+_FIVE = {"names": ["five"], "budget": 1, "valuation": 1}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"sellers": [{"id": None, "names": ["sigma"], "budget": 1}],
+         "buyers": [_BETA], "edges": [["None", "b"]]},
+        {"sellers": [{"id": "sig", "names": ["sigma"], "budget": 1}],
+         "buyers": [{"id": 5, **_FIVE}, _BETA], "edges": [["sig", "b"], ["5", "b"]]},
+        {"sellers": [{"id": "None", "names": ["sigma"], "budget": 1}],
+         "buyers": [{"id": "5", **_FIVE}, _BETA], "edges": [["None", 5], ["None", "b"]]},
+    ],
+    ids=["seller-id-null", "buyer-id-number", "edge-endpoint-number"],
+)
+def test_agent_id_that_is_not_a_string_exits_two(doc, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["check", "--model", str(path), "--at", "b", "--formula", "true"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "string" in captured.err

@@ -4,23 +4,31 @@ mechanism file format."""
 import json
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from damcheck import (
     AgentId,
+    CheckQuery,
+    DamError,
     MarketNetwork,
     Mechanism,
+    check,
     load_mechanism,
     save_mechanism,
     validate_mechanism,
 )
+from damcheck.errors import MechanismError
+from damcheck.formula import TRUE
 from damcheck.mechjson import mechanism_to_dict
 from damcheck.model import buyer, seller
 
-from helpers import random_rational_market
+from helpers import random_rational_market, referral_chain
 from reference import reference_validate
 
 
@@ -126,6 +134,25 @@ def test_validate_agrees_with_reference_on_faulty_networks():
     assert len(kinds) == 20, sorted(kinds)
 
 
+def test_money_that_is_not_rational_is_a_violation_and_a_dam_error():
+    chain = referral_chain()
+    net = chain.network
+    sig, alpha = net.sellers[0], net.buyers[0]
+    cases = [
+        (replace(net, budget={**net.budget, sig: 2.5}),
+         "budget of agent 's' is not rational: 2.5"),
+        (replace(net, valuation={**net.valuation, alpha: 0.5}),
+         "valuation of buyer 'a' is not rational: 0.5"),
+        (replace(net, incentive={**net.incentive, (alpha, sig): True}),
+         "incentive for ('a', 's') is not rational: True"),
+    ]
+    for network, violation in cases:
+        bad = Mechanism(network, chain.rule)
+        assert validate_mechanism(bad) == [violation]
+        with pytest.raises(DamError, match="money must be an int or a Fraction"):
+            check(CheckQuery(bad, sig, TRUE))
+
+
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
@@ -145,3 +172,91 @@ def test_saved_file_is_the_indented_dict_and_reloads_equal(tmp_path):
         expected = json.dumps(mechanism_to_dict(mech), indent=2) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
         assert load_mechanism(path) == mech
+
+
+def _saves_as_json_dumps(mech: Mechanism, path: Path) -> None:
+    save_mechanism(mech, path)
+    expected = json.dumps(mechanism_to_dict(mech), indent=2) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+# st.text draws quotes, backslashes, control, non-ASCII and astral characters
+_TEXT = st.text(max_size=5)
+_AMOUNT = st.one_of(
+    st.integers(-(10**40), 10**40),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**12)),
+).map(Fraction)
+
+
+@st.composite
+def _markets(draw) -> Mechanism:
+    """Hand-built networks, valid or not: save does not validate."""
+    ids = draw(st.lists(_TEXT, unique=True, max_size=7))
+    cut = draw(st.integers(0, len(ids)))
+    sellers = [seller(i) for i in ids[:cut]]
+    buyers = [buyer(i) for i in ids[cut:]]
+    agents = sellers + buyers
+    friends = {a: set() for a in agents}
+    if agents:
+        pairs = st.tuples(st.sampled_from(agents), st.sampled_from(agents))
+        for a, b in draw(st.lists(pairs, max_size=10)):
+            friends[a].add(b)
+            friends[b].add(a)
+    names = draw(st.dictionaries(_TEXT, st.sampled_from(agents), max_size=8)) if agents else {}
+    incentive = {
+        (b, s): draw(_AMOUNT | st.just(Fraction(0)))
+        for b in buyers
+        for s in sellers
+        if draw(st.booleans())
+    }
+    network = MarketNetwork(
+        sellers=tuple(sellers),
+        buyers=tuple(buyers),
+        friends={a: frozenset(nbrs) for a, nbrs in friends.items()},
+        budget={a: draw(_AMOUNT) for a in agents},
+        valuation={b: draw(_AMOUNT) for b in buyers},
+        incentive=incentive,
+        names=names,
+    )
+    return Mechanism(network, draw(_TEXT))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_markets())
+def test_saved_bytes_equal_json_dumps_on_random_networks(tmp_path, mech):
+    _saves_as_json_dumps(mech, tmp_path / "m.json")
+
+
+def test_saved_bytes_equal_json_dumps_on_awkward_networks(tmp_path):
+    quote, ctl = seller('q"uo\\te'), seller("ctl\x00\x1f\x7f\u2028\ud800")
+    naive, astral, plain = buyer("na\u00efve"), buyer("\U0001d11e clef"), buyer("plain")
+    net = MarketNetwork(
+        sellers=(quote, ctl),
+        buyers=(naive, astral, plain),
+        friends={quote: frozenset({naive}), naive: frozenset({quote, plain}),
+                 plain: frozenset({naive})},
+        budget={quote: Fraction(10**40 + 1, 7), ctl: Fraction(-(10**60)),
+                naive: Fraction(0), astral: Fraction(3, 2), plain: Fraction(1)},
+        valuation={naive: Fraction(0), astral: Fraction(-1, 3), plain: Fraction(10**25)},
+        incentive={(naive, quote): Fraction(5, 2), (naive, ctl): Fraction(0),
+                   (astral, ctl): Fraction(10**30)},
+        names={"sigma": quote, "\u00e9t\u00e9": naive, "a\tb": naive, "z": naive},
+    )  # names: none for ctl, astral and plain, one for quote, three for naive
+    _saves_as_json_dumps(Mechanism(net, "smf"), tmp_path / "awkward.json")
+    no_buyers = replace(net, buyers=(), friends={}, valuation={}, incentive={},
+                        names={"sigma": quote})
+    _saves_as_json_dumps(Mechanism(no_buyers, "smf"), tmp_path / "sellers.json")
+    assert mechanism_to_dict(Mechanism(no_buyers, "smf"))["buyers"] == []
+    # what the loader refuses as an id or a rule (null; a number as an
+    # incentive key) is not written
+    nameless, five = seller(None), seller(5)
+    unnamed = replace(no_buyers, sellers=(nameless,), budget={nameless: Fraction(1)}, names={})
+    numbered = MarketNetwork(
+        sellers=(five,), buyers=(plain,), friends={}, budget={five: 1, plain: 1},
+        valuation={plain: 1}, incentive={(plain, five): 1}, names={},
+    )
+    for refused in (Mechanism(unnamed, "smf"), Mechanism(no_buyers, None),
+                    Mechanism(numbered, "smf")):
+        with pytest.raises(MechanismError, match="must be strings"):
+            save_mechanism(refused, tmp_path / "refused.json")
