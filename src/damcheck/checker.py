@@ -7,7 +7,9 @@ here, and the strategy search and the equilibrium test in `analysis`.
   Agents are numbered, friendship rows are integer bitmasks, and money is
   held as integers scaled by the least common denominator of the network's
   budgets and incentives, so money comparisons stay exact. An arena is
-  built once per network and cached on the immutable `MarketNetwork`.
+  built once per network and cached on the immutable `MarketNetwork`. An
+  action that moves nothing returns its input, and its successor is the
+  state itself.
 * `_Arena.compile` turns a formula into its evaluator in one walk, the
   only one a query makes over its formula (global model checking for
   hybrid logics, Franceschet & de Rijke 2006). Formulas are core, so it
@@ -15,11 +17,13 @@ here, and the strategy search and the equilibrium test in `analysis`.
   `strategy_exists` it refuses coalition boxes in that same walk.
   The walk hash-conses as it goes (Filliatre & Conchon 2006): a node's key
   is its operator and its operands' serials, so hashing a key costs the
-  same at any depth, and equal subformulas share one serial. Each distinct
-  node gets one closure `fn(engine, state, need)`, made when its key is
-  first seen; a closure calls its children's closures directly, so there
-  is no dispatch on the operator at evaluation time (Feeley & Lapalme,
-  "Using closures for code generation", 1987).
+  same at any depth, and equal subformulas share one serial. `!!f` is
+  compiled as f, so a chain of diamonds `<><>x` runs as `!B B !x`, with
+  one negation at each end. Each distinct node gets one closure
+  `fn(engine, state, need)`, made when its key is first seen; a closure
+  calls its children's closures directly, so there is no dispatch on the
+  operator at evaluation time (Feeley & Lapalme, "Using closures for code
+  generation", 1987).
 * `_Engine` is one query: a table of the states it built, keyed by
   (friendship rows, budgets), and the labelling of compiled formulas over
   them (Clarke, Emerson & Sistla, ACM TOPLAS 1986). `_Engine.label(node,
@@ -158,7 +162,9 @@ class _Arena:
 
     def apply(self, adj, budgets, action):
         """Rows and budgets after a feasible action (see
-        model.apply_joint_action). An all-SKIP action returns its input."""
+        model.apply_joint_action). The rows are copied only when some row
+        gains a friend, and the budgets only when money moves, so an action
+        that moves nothing returns its input objects."""
         price = self.price
         winner: dict[int, int] = {}  # target -> the seller who wins her
         for s, target in enumerate(action):
@@ -167,26 +173,32 @@ class _Arena:
                 # only a strictly higher bid wins: ties go to the least seller id
                 if best is None or price[s][target] > price[best][target]:
                     winner[target] = s
-        if not winner:
-            return adj, budgets
-        new_adj = list(adj)
-        new_bud = None  # copy only when money actually moves
+        new_adj = new_bud = None
         for target, s in winner.items():
-            gained = adj[target] & self.buyer_mask & ~new_adj[s]
-            bit = 1 << s
-            rest = gained
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                new_adj[low.bit_length() - 1] |= bit
-            new_adj[s] |= gained
+            # a seller wins at most one target, and a gain sets only a seller
+            # bit in buyer rows, so adj[s] and the buyer bits of adj[target]
+            # are still current
+            gained = adj[target] & self.buyer_mask & ~adj[s]
+            if gained:
+                if new_adj is None:
+                    new_adj = list(adj)
+                bit = 1 << s
+                rest = gained
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    new_adj[low.bit_length() - 1] |= bit
+                new_adj[s] |= gained
             paid = price[s][target]
             if paid:
                 if new_bud is None:
                     new_bud = list(budgets)
                 new_bud[s] -= paid
                 new_bud[target] += paid
-        return tuple(new_adj), (budgets if new_bud is None else tuple(new_bud))
+        return (
+            adj if new_adj is None else tuple(new_adj),
+            budgets if new_bud is None else tuple(new_bud),
+        )
 
     def materialize(self, adj, budgets) -> Mechanism:
         """The state as a Mechanism value. Rows only ever gain bits, so only
@@ -254,14 +266,20 @@ class _Arena:
         operand serials and data), so equal subformulas share one serial and
         one closure, made only for a key not seen before. The op is the
         closure's maker, called as `op(arena, made, serial, *operands)`,
-        where made[serial] is the closure of each earlier key."""
+        where made[serial] is the closure of each earlier key. A double
+        negation `!!f` gets f's serial: every closure answers within `need`,
+        so `!!f` and f answer alike."""
         serials: dict[tuple, int] = {}
         made: list = []
+        keys: list[tuple] = []
 
         def go(n) -> int:
             kind = type(n)
             if kind is Not:
-                key = (_not, go(n.child))
+                child = go(n.child)
+                if keys[child][0] is _not:
+                    return keys[child][1]
+                key = (_not, child)
             elif kind is And:
                 key = (_and, go(n.left), go(n.right))
             elif kind is Nominal:
@@ -301,6 +319,7 @@ class _Arena:
             if serial is None:
                 serial = serials[key] = len(made)
                 made.append(key[0](self, made, serial, *key[1:]))
+                keys.append(key)
             return serial
 
         return made[go(node)]
@@ -534,9 +553,13 @@ class _Engine:
 
 def cached_update(engine: _Engine, state: _State, action) -> _State:
     """The state after a feasible action: the engine's one successor lookup.
-    A successor already in the query's table comes back with its memo and
+    An action that moves nothing returns `state` itself, with no key built;
+    a successor already in the query's table comes back with its memo and
     allocation."""
-    return engine.state(engine.arena.apply(state.adj, state.budgets, action))
+    adj, budgets = engine.arena.apply(state.adj, state.budgets, action)
+    if adj is state.adj and budgets is state.budgets:
+        return state
+    return engine.state((adj, budgets))
 
 
 def _check(query: CheckQuery, stats: CheckStats | None, strategic: bool) -> bool:

@@ -168,37 +168,55 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
 
 
 def mechanism_to_dict(mechanism: Mechanism) -> dict:
+    """The schema dictionary of a mechanism. It checks only what it must
+    read, and raises MechanismError on a network no file can hold: an agent
+    id that is not a string, a nominal of an agent outside `sellers` and
+    `buyers`, or an agent with no budget or valuation."""
     net = mechanism.network
-    names_of: dict[AgentId, list[str]] = {a: [] for a in net.agents()}
+    names_of: dict[AgentId, list[str]] = {}
+    for agent in net.agents():
+        if type(agent.id) is not str:
+            raise _unsavable(agent.id)
+        names_of[agent] = []
     for nom, agent in net.names.items():
-        names_of[agent].append(nom)
+        noms = names_of.get(agent)
+        if noms is None:
+            raise MechanismError(
+                f"cannot save nominal {nom!r}: it names no agent of the network"
+            )
+        noms.append(nom)
     for noms in names_of.values():
         noms.sort()
 
-    sellers = [
-        {
-            "id": s.id,
-            "names": names_of[s],
-            "budget": format_rational(net.budget[s]),
-        }
-        for s in net.sellers
-    ]
-    buyers = []
-    for b in net.buyers:
-        incentives = {  # each amount read once; absent or zero is left out
-            s.id: format_rational(amount)
-            for s in net.sellers
-            if (amount := net.incentive.get((b, s)))
-        }
-        buyers.append(
+    try:
+        sellers = [
             {
-                "id": b.id,
-                "names": names_of[b],
-                "budget": format_rational(net.budget[b]),
-                "valuation": format_rational(net.valuation[b]),
-                "incentives": incentives,
+                "id": s.id,
+                "names": names_of[s],
+                "budget": format_rational(net.budget[s]),
             }
-        )
+            for s in net.sellers
+        ]
+        buyers = []
+        for b in net.buyers:
+            incentives = {  # each amount read once; absent or zero is left out
+                s.id: format_rational(amount)
+                for s in net.sellers
+                if (amount := net.incentive.get((b, s)))
+            }
+            buyers.append(
+                {
+                    "id": b.id,
+                    "names": names_of[b],
+                    "budget": format_rational(net.budget[b]),
+                    "valuation": format_rational(net.valuation[b]),
+                    "incentives": incentives,
+                }
+            )
+    except KeyError as exc:
+        raise MechanismError(
+            f"cannot save agent {exc.args[0].id!r}: it has no budget or no valuation"
+        ) from None
     # friendship is symmetric: each edge once, from its lesser id
     edges = sorted(
         [a.id, b.id] for a, nbrs in net.friends.items() for b in nbrs if a.id <= b.id
@@ -264,6 +282,7 @@ def _unsavable(value: Any) -> MechanismError:
 
 def save_mechanism(mechanism: Mechanism, path: str | Path) -> None:
     """Write the file `json.dumps(mechanism_to_dict(mechanism), indent=2)`
-    plus a newline, byte for byte."""
+    plus a newline, byte for byte. A network no file can hold raises
+    MechanismError and writes nothing."""
     text = _render(mechanism_to_dict(mechanism), "\n") + "\n"
     Path(path).write_text(text, encoding="utf-8")

@@ -193,6 +193,8 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
 
     seen_ids: set[str] = set()
     for agent in net.agents():
+        if type(agent.id) is not str:
+            out.append(f"agent id {agent.id!r} is not a string")
         if agent.id in seen_ids:
             out.append(f"duplicate agent id {agent.id!r}")
         seen_ids.add(agent.id)
@@ -248,7 +250,11 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
         if val.numerator < 0:
             out.append(f"negative valuation for buyer {b.id!r}")
         bdg = net.budget.get(b)
-        if type(bdg) in MONEY_TYPES and val > bdg:
+        # val > bdg, cross-multiplied: Fraction's `>` runs in Python
+        if (
+            type(bdg) in MONEY_TYPES
+            and val.numerator * bdg.denominator > bdg.numerator * val.denominator
+        ):
             out.append(f"valuation exceeds budget for buyer {b.id!r}")
 
     for (buy, sell), amount in net.incentive.items():

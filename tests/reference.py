@@ -182,6 +182,8 @@ def reference_validate(mechanism: Mechanism) -> list[str]:
 
     seen_ids: set[str] = set()
     for agent in net.agents():
+        if type(agent.id) is not str:
+            out.append(f"agent id {agent.id!r} is not a string")
         if agent.id in seen_ids:
             out.append(f"duplicate agent id {agent.id!r}")
         seen_ids.add(agent.id)

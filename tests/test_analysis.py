@@ -17,7 +17,7 @@ from damcheck import (
     translate,
 )
 from damcheck.analysis import NeQuery, StrategyQuery
-from damcheck.checker import CheckQuery
+from damcheck.checker import CheckQuery, CheckStats
 from damcheck.errors import ArityError, CoalitionOperatorError, InfeasibleProfileError
 from damcheck.formula import (
     TRUE,
@@ -42,7 +42,7 @@ from damcheck.formula import (
     desugar,
     names_of,
 )
-from damcheck.gadgets import expressivity_pair
+from damcheck.gadgets import CnfInstance, expressivity_pair, gen_sat_gadget, sat_oracle
 from damcheck.model import action_precondition, apply_joint_action
 
 from helpers import (
@@ -601,3 +601,121 @@ def test_multi_seller_strategy_agrees_with_exhaustive_enumeration():
         searched += 1
         found += got.found
     assert 0 < found < searched
+
+
+# For each n = 1..4 and each answer, the first random 3-CNF of n + 1 clauses
+# over n variables drawn from random.Random(f"states:{n}:{satisfiable}") that
+# has that answer, kept as literals. Each row: n, the clauses, the witness's
+# targets (None when unsatisfiable) and the states the search builds.
+_PINNED_SEARCHES = [
+    (1, ((1, -1, 1), (-1, 1, 1)), ["beta1", "gamma1_1_1", "delta1", "epsilon1_1"], 9),
+    (1, ((-1, -1, -1), (1, 1, 1)), None, 11),
+    (2, ((2, 1, -1), (2, 1, -2), (-2, -2, 1)),
+     ["beta1", "gamma1_2_1", "delta1", "epsilon1_1"], 42),
+    (2, ((-2, 1, 1), (2, 2, 2), (-1, -1, -1)), None, 97),
+    (3, ((3, 3, -2), (1, 3, -2), (2, -1, 3), (2, -3, -2)),
+     ["beta1", "gamma1_1_3", "ngamma1_3_2", "delta2", "delta3", "epsilon2_1",
+      "epsilon3_1"], 645),
+    (3, ((1, 2, 1), (1, 1, 1), (-1, 2, -1), (-1, -1, -1)), None, 195),
+    (4, ((-3, -1, 2), (-2, -1, 1), (-2, -4, -2), (2, -2, 2), (-2, 2, 3)),
+     ["beta1", "ngamma1_1_3", "gamma1_3_2", "delta2", "delta3", "epsilon2_2",
+      "epsilon3_2"], 1266),
+    (4, ((1, -1, -3), (-3, -3, -3), (-3, 4, -3), (3, -4, 3), (3, 3, 3)), None, 1371),
+]
+
+
+@pytest.mark.parametrize("num_vars, clauses, witness, states", _PINNED_SEARCHES)
+def test_strategy_search_counts_on_sat_gadgets_are_pinned(num_vars, clauses, witness, states):
+    # state counts are exact and do not depend on the machine, so a change
+    # to the search or the update rule that alters the work fails here
+    instance = CnfInstance(num_vars, clauses)
+    mech, goal = gen_sat_gadget(instance)
+    stats = CheckStats()
+    outcome = strategy_exists(StrategyQuery(mech, goal), stats)
+    assert outcome.found == sat_oracle(instance) == (witness is not None)
+    if witness is not None:
+        assert [target for action in outcome.witness for _, target in action.entries] == witness
+    assert stats.states_explored == states
+
+
+# --- successors that move nothing --------------------------------------------------
+
+
+def _market(sellers, buyers, edges):
+    """A market from (id, budget) sellers and (id, {seller: incentive})
+    buyers; every buyer has budget and valuation 0, each agent one name."""
+    return mechanism_from_dict(
+        {
+            "sellers": [{"id": s, "names": [s], "budget": b} for s, b in sellers],
+            "buyers": [
+                {"id": b, "names": [b], "budget": 0, "valuation": 0, "incentives": inc}
+                for b, inc in buyers
+            ],
+            "edges": [list(edge) for edge in edges],
+            "rule": "smf",
+        }
+    )
+
+
+def _arena_agrees_with_model(mech, arena, targets, new):
+    joint = joint_action(mech.network, targets)
+    action = arena.action_of(joint)
+    assert arena.feasible(arena.adj0, arena.budget0, action)
+    assert arena.materialize(*new) == apply_joint_action(mech, joint)
+
+
+def test_action_that_moves_nothing_returns_its_input_and_state():
+    from damcheck.analysis import _Arena, _Engine, cached_update
+
+    # s already knows every friend of a, and a asks nothing
+    mech = _market([("s", 1)], [("a", {"s": 0}), ("b", {})], [("s", "a"), ("s", "b"), ("a", "b")])
+    arena = _Arena(mech)
+    action = arena.action_of(joint_action(mech.network, {"s": "a"}))
+    adj, budgets = arena.apply(arena.adj0, arena.budget0, action)
+    assert adj is arena.adj0 and budgets is arena.budget0
+    engine = _Engine(mech)
+    assert cached_update(engine, engine.root, action) is engine.root
+    assert cached_update(engine, engine.root, (-1,)) is engine.root
+    assert len(engine.table) == 1
+    _arena_agrees_with_model(mech, arena, {"s": "a"}, (adj, budgets))
+
+
+def test_action_that_pays_without_a_new_friend_moves_only_money():
+    from damcheck.analysis import _Arena, _Engine, cached_update
+
+    mech = _market([("s", 3)], [("a", {"s": 2}), ("b", {})], [("s", "a"), ("s", "b"), ("a", "b")])
+    arena = _Arena(mech)
+    action = arena.action_of(joint_action(mech.network, {"s": "a"}))
+    adj, budgets = arena.apply(arena.adj0, arena.budget0, action)
+    assert adj is arena.adj0 and budgets is not arena.budget0
+    s, a = arena.index[mech.network.names["s"]], arena.index[mech.network.names["a"]]
+    assert budgets[s] == arena.budget0[s] - 2 * arena.scale
+    assert budgets[a] == arena.budget0[a] + 2 * arena.scale
+    engine = _Engine(mech)
+    successor = cached_update(engine, engine.root, action)
+    assert successor is not engine.root and successor.adj is engine.root.adj
+    assert len(engine.table) == 2
+    _arena_agrees_with_model(mech, arena, {"s": "a"}, (adj, budgets))
+
+
+@pytest.mark.parametrize("first_gains", [True, False])
+def test_two_winners_where_only_one_gains_a_friend(first_gains):
+    from damcheck.analysis import _Arena
+
+    # s1 wins a, s2 wins c; c's only buyer-friend d is already s2's friend,
+    # while a brings b to s1. Sellers are numbered by id, so s1 is the first
+    # winner the update visits
+    edges = [("s1", "a"), ("a", "b"), ("s2", "c"), ("s2", "d"), ("c", "d")]
+    if not first_gains:  # swap the roles of s1 and s2
+        edges = [("s1", "c"), ("s1", "d"), ("c", "d"), ("s2", "a"), ("a", "b")]
+    mech = _market(
+        [("s1", 0), ("s2", 0)], [("a", {}), ("b", {}), ("c", {}), ("d", {})], edges
+    )
+    arena = _Arena(mech)
+    targets = {"s1": "a", "s2": "c"} if first_gains else {"s1": "c", "s2": "a"}
+    action = arena.action_of(joint_action(mech.network, targets))
+    adj, budgets = arena.apply(arena.adj0, arena.budget0, action)
+    assert adj is not arena.adj0 and budgets is arena.budget0
+    idle = arena.index[mech.network.names["s2" if first_gains else "s1"]]
+    assert adj[idle] == arena.adj0[idle]
+    _arena_agrees_with_model(mech, arena, targets, (adj, budgets))

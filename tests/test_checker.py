@@ -16,6 +16,7 @@ from damcheck.errors import (
 from damcheck.formula import (
     TRUE,
     And,
+    Box,
     CoalitionBox,
     CoalitionDiamond,
     Diffuse,
@@ -380,6 +381,44 @@ def test_check_strategic_matches_reference_evaluator():
             assert check_strategic(CheckQuery(mech, agent, form)) == reference_check(
                 mech, agent, form
             )
+
+
+def _stack_negations(rng, node):
+    """The formula with a stack of 0 to 4 negations put on each node."""
+    kind = type(node)
+    if kind is Not or kind is Box:
+        node = kind(_stack_negations(rng, node.child))
+    elif kind is And:
+        node = And(_stack_negations(rng, node.left), _stack_negations(rng, node.right))
+    elif kind is Diffuse:
+        node = Diffuse(node.bindings, _stack_negations(rng, node.child))
+    elif kind is CoalitionBox:
+        node = CoalitionBox(node.coalition, _stack_negations(rng, node.child))
+    for _ in range(rng.choice([0, 0, 1, 2, 3, 4])):
+        node = Not(node)
+    return node
+
+
+def test_stacked_negations_match_reference_evaluator():
+    # `!!f` compiles to f's closure: odd and even stacks of `!` on every
+    # kind of node, under friendship boxes, diffusions and coalitions
+    rng = random.Random(1313)
+    for _ in range(60):
+        mech = random_rational_market(rng, n_sellers=rng.randint(1, 3))
+        coalition = rng.random() < 0.5
+        form = _stack_negations(rng, random_formula(rng, mech, depth=2, coalition=coalition))
+        query = check_strategic if coalition else check
+        for agent in mech.network.agents():
+            assert query(CheckQuery(mech, agent, form)) == reference_check(mech, agent, form)
+    chain = referral_chain()
+    for text, holds in [
+        ("!!!! [] !! wins(@self) | !!! <sigma:alpha> !! wins(gamma)", False),
+        ("!! <> !!! <> !! delta", True),
+        ("!!! [sigma:alpha] !! ut[sigma] = 9", False),
+        ("!! <[sigma]> !!! ! [] !!!! ut[@self] >= 0", True),
+    ]:
+        form = parse_formula(text)
+        assert run_strategic(chain, "a", form) == reference_check(chain, at(chain, "a"), form) == holds
 
 
 def test_labelling_merges_partly_known_memos():

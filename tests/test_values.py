@@ -153,6 +153,38 @@ def test_money_that_is_not_rational_is_a_violation_and_a_dam_error():
             check(CheckQuery(bad, sig, TRUE))
 
 
+def test_network_no_file_holds_is_a_violation_and_a_mechanism_error(tmp_path):
+    chain = referral_chain()
+    net = chain.network
+    sig = net.sellers[0]
+    five = seller(5)
+
+    def renumbered(agent):
+        return five if agent == sig else agent
+
+    numbered = replace(
+        net,
+        sellers=(five,),
+        friends={renumbered(a): frozenset(map(renumbered, f)) for a, f in net.friends.items()},
+        budget={renumbered(a): v for a, v in net.budget.items()},
+        incentive={(b, renumbered(s)): v for (b, s), v in net.incentive.items()},
+        names={nom: renumbered(a) for nom, a in net.names.items()},
+    )
+    assert validate_mechanism(Mechanism(numbered, chain.rule)) == [
+        "agent id 5 is not a string"
+    ]
+    with pytest.raises(MechanismError, match="must be strings"):
+        save_mechanism(Mechanism(numbered, chain.rule), tmp_path / "numbered.json")
+    outsider = replace(net, names={**net.names, "zeta": buyer("zz")})
+    with pytest.raises(MechanismError, match="'zeta': it names no agent"):
+        save_mechanism(Mechanism(outsider, chain.rule), tmp_path / "outsider.json")
+    alpha = net.buyers[0]
+    unpriced = replace(net, valuation={b: v for b, v in net.valuation.items() if b != alpha})
+    with pytest.raises(MechanismError, match="'a': it has no budget or no valuation"):
+        save_mechanism(Mechanism(unpriced, chain.rule), tmp_path / "unpriced.json")
+    assert not (tmp_path / "numbered.json").exists()
+
+
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
