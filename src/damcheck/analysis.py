@@ -2,11 +2,11 @@
 coalition operators into the coalition-free fragment.
 
 The equilibrium test and the strategy search run on the checker's engine
-(`checker._Engine`): the same arena states, update rule, successor lookup
-and formula evaluator as `check`. `ne_formula` and `translate` only write
-formulas: they read the sellers and their choices off the plain network
-(`_choices`), never evaluate, and so also accept networks the arena cannot
-index."""
+(`checker._Engine`): the same arena states, update rule (`model._Arena`),
+successor lookup and formula evaluator as `check`, so a network the arena
+cannot index is a MechanismError here too. `ne_formula` and `translate`
+only write formulas: they read the sellers and their choices off the plain
+network (`_choices`), never evaluate, and so also accept such networks."""
 
 from __future__ import annotations
 
@@ -14,13 +14,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checker import (  # noqa: F401  _Arena is imported from here by tests
-    CheckStats,
-    _Arena,
-    _Engine,
-    _shallow,
-    cached_update,
-)
+from .checker import CheckStats, _Engine, _shallow, cached_update, compile
 from .errors import ActionError, ArityError, DamError, InfeasibleProfileError
 from .formula import (
     TRUE,
@@ -47,6 +41,7 @@ from .model import (
     JointAction,
     MarketNetwork,
     Mechanism,
+    _Arena,  # noqa: F401  imported from here by tests
     resolve_name,
 )
 
@@ -230,7 +225,7 @@ def strategy_exists(
         raise DamError(f"max_depth must be at least 0, got {depth_cap}")
     engine = _Engine(mech)
     arena = engine.arena
-    compiled = arena.compile(query.goal, coalition_free=True)
+    compiled = compile(arena, query.goal, coalition_free=True)
 
     sellers = (1 << len(arena.seller_ids)) - 1  # sellers are numbered first
 

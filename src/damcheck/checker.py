@@ -1,17 +1,15 @@
-"""Model checking on one engine: an indexed arena of network states.
+"""Model checking on one engine over the indexed arena of network states.
 
 Every query runs on the same three pieces: `check` and `check_strategic`
 here, and the strategy search and the equilibrium test in `analysis`.
 
-* `_Arena` is the static index of a network and the update rule over it.
-  Agents are numbered, friendship rows are integer bitmasks, and money is
-  held as integers scaled by the least common denominator of the network's
-  budgets and incentives, so money comparisons stay exact. An arena is
-  built once per network and cached on the immutable `MarketNetwork`. An
-  action that moves nothing returns its input, and its successor is the
-  state itself.
-* `_Arena.compile` turns a formula into its evaluator in one walk, the
-  only one a query makes over its formula (global model checking for
+* `model._Arena` is the static index of a network and the one update rule
+  over it: numbered agents, friendship rows as integer bitmasks, and money
+  as integers scaled by a common denominator. It is cached on the
+  immutable `MarketNetwork`. An action that moves nothing returns its
+  input, and its successor is the state itself.
+* `compile` turns a formula into its evaluator over an arena in one walk,
+  the only one a query makes over its formula (global model checking for
   hybrid logics, Franceschet & de Rijke 2006). Formulas are core, so it
   meets only the eight core node kinds, and for `check` and
   `strategy_exists` it refuses coalition boxes in that same walk.
@@ -37,27 +35,20 @@ here, and the strategy search and the equilibrium test in `analysis`.
   state memoises modal nodes by serial as a pair (agents decided, agents
   where it holds), so a later call computes only the agents not yet
   decided, and nested boxes cost time linear in their depth. Nothing
-  outlives the query.
-
-`model.apply_joint_action` stays the value-level update; tests hold the
-arena's update to it field for field."""
+  outlives the query."""
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
 from . import auction
 from .errors import (
     ActionError,
     CoalitionOperatorError,
     DamError,
-    MechanismError,
     UnknownAgentError,
-    UnknownNominalError,
 )
 from .formula import (
     SELF,
@@ -71,7 +62,7 @@ from .formula import (
     Nominal,
     Not,
 )
-from .model import MONEY_TYPES, SKIP, AgentId, JointAction, Mechanism, joint_action
+from .model import SKIP, AgentId, Mechanism, _Arena, _bits
 
 
 @dataclass
@@ -105,227 +96,75 @@ def _shallow(entry):
     return run
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
+def compile(arena: _Arena, node, coalition_free: bool = False):
+    """A formula -> its evaluator over the arena's states, a closure
+    `fn(engine, state, need)` that returns the agents of the bitmask `need`
+    at which it holds. With `coalition_free` a coalition box raises
+    CoalitionOperatorError; anything but a core node raises TypeError. A
+    node's key is (op, operand serials and data), so equal subformulas
+    share one serial and one closure, made only for a key not seen before.
+    The op is the closure's maker, called as `op(arena, made, serial,
+    *operands)`, where made[serial] is the closure of each earlier key. A
+    double negation `!!f` gets f's serial: every closure answers within
+    `need`, so `!!f` and f answer alike."""
+    serials: dict[tuple, int] = {}
+    made: list = []
+    keys: list[tuple] = []
 
-
-class _Arena:
-    """Indexed, bitmask view of a network and the concurrent update on it.
-
-    Agents are numbered sellers first, each group ascending by id, so a
-    seller's number is her position in an action and ties between sellers
-    go to the lower number. A state is a pair (rows, budgets): rows[i] is
-    the bitmask of agent i's friends, budgets[i] her money times `scale`.
-    An action is a tuple over sellers of a buyer number, or -1 for SKIP."""
-
-    def __init__(self, mechanism: Mechanism):
-        net = mechanism.network
-        self.net = net
-        self.rule = mechanism.rule
-        self.agents: list[AgentId] = sorted(net.sellers) + sorted(net.buyers)
-        self.index = {a: i for i, a in enumerate(self.agents)}
-        self.names = {nom: self.index[a] for nom, a in net.names.items()}
-        self.seller_ids = range(len(net.sellers))
-        self.buyer_ids = range(len(net.sellers), len(self.agents))
-        self.buyer_mask = (1 << len(self.agents)) - (1 << len(net.sellers))
-        self.adj0 = tuple(
-            sum(1 << self.index[f] for f in net.friends_of(a)) for a in self.agents
-        )
-        money = (*net.budget.values(), *net.incentive.values())
-        for amount in (*money, *net.valuation.values()):
-            if type(amount) not in MONEY_TYPES:
-                raise MechanismError(f"money must be an int or a Fraction, got {amount!r}")
-        self.scale = math.lcm(*(m.denominator for m in money))
-        self.budget0 = tuple(int(net.budget[a] * self.scale) for a in self.agents)
-        # price[s][b]: what buyer b demands from seller s, scaled
-        self.price = [[0] * len(self.agents) for _ in self.seller_ids]
-        for (b, s), amount in net.incentive.items():
-            self.price[self.index[s]][self.index[b]] = int(amount * self.scale)
-
-    def feasible(self, adj, budgets, action) -> bool:
-        for s, target in enumerate(action):
-            if target >= 0 and (
-                not (adj[s] >> target) & 1 or budgets[s] < self.price[s][target]
-            ):
-                return False
-        return True
-
-    def options(self, adj, budgets, s: int) -> list[int]:
-        """Seller s's feasible targets, ascending, then -1 (SKIP). A joint
-        action is feasible iff each seller's entry is one of hers."""
-        price, money = self.price[s], budgets[s]
-        row = adj[s] & self.buyer_mask
-        return [t for t in _bits(row) if price[t] <= money] + [-1]
-
-    def apply(self, adj, budgets, action):
-        """Rows and budgets after a feasible action (see
-        model.apply_joint_action). The rows are copied only when some row
-        gains a friend, and the budgets only when money moves, so an action
-        that moves nothing returns its input objects."""
-        price = self.price
-        winner: dict[int, int] = {}  # target -> the seller who wins her
-        for s, target in enumerate(action):
-            if target >= 0:
-                best = winner.get(target)
-                # only a strictly higher bid wins: ties go to the least seller id
-                if best is None or price[s][target] > price[best][target]:
-                    winner[target] = s
-        new_adj = new_bud = None
-        for target, s in winner.items():
-            # a seller wins at most one target, and a gain sets only a seller
-            # bit in buyer rows, so adj[s] and the buyer bits of adj[target]
-            # are still current
-            gained = adj[target] & self.buyer_mask & ~adj[s]
-            if gained:
-                if new_adj is None:
-                    new_adj = list(adj)
-                bit = 1 << s
-                rest = gained
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    new_adj[low.bit_length() - 1] |= bit
-                new_adj[s] |= gained
-            paid = price[s][target]
-            if paid:
-                if new_bud is None:
-                    new_bud = list(budgets)
-                new_bud[s] -= paid
-                new_bud[target] += paid
-        return (
-            adj if new_adj is None else tuple(new_adj),
-            budgets if new_bud is None else tuple(new_bud),
-        )
-
-    def materialize(self, adj, budgets) -> Mechanism:
-        """The state as a Mechanism value. Rows only ever gain bits, so only
-        the added friends and the changed budgets are patched in."""
-        net = self.net
-        friends = dict(net.friends)
-        for i, (row, row0) in enumerate(zip(adj, self.adj0)):
-            if row != row0:
-                agent = self.agents[i]
-                added = frozenset(self.agents[j] for j in _bits(row & ~row0))
-                friends[agent] = net.friends_of(agent) | added
-        budget = net.budget
-        if budgets is not self.budget0:
-            budget = dict(budget)
-            for i, (money, money0) in enumerate(zip(budgets, self.budget0)):
-                if money != money0:
-                    budget[self.agents[i]] = Fraction(money, self.scale)
-        return Mechanism(replace(net, friends=friends, budget=budget), self.rule)
-
-    def resolve(self, nominal: str) -> int:
-        try:
-            return self.names[nominal]
-        except KeyError:
-            raise UnknownNominalError(
-                f"nominal {nominal!r} names no agent of the mechanism"
-            ) from None
-
-    def seller(self, nominal: str) -> int:
-        s = self.resolve(nominal)
-        if s not in self.seller_ids:
-            raise ActionError(f"{nominal!r} does not name a seller")
-        return s
-
-    def buyer(self, nominal: str) -> int:
-        b = self.resolve(nominal)
-        if b not in self.buyer_ids:
-            raise ActionError(f"action target {nominal!r} names a non-buyer")
-        return b
-
-    def action_of(self, joint: JointAction) -> tuple:
-        """The arena action of a JointAction."""
-        action = [-1] * len(self.seller_ids)
-        for sell, target in joint.entries:
-            s = self.index.get(sell, -1)
-            if s not in self.seller_ids:
-                raise ActionError(f"{sell.id!r} is not a seller of the mechanism")
-            if target is not SKIP:
-                action[s] = self.buyer(target)
-        return tuple(action)
-
-    def action_to_joint(self, action) -> JointAction:
-        return joint_action(
-            self.net,
-            {
-                self.agents[s]: SKIP if t < 0 else self.net.canonical_name(self.agents[t])
-                for s, t in enumerate(action)
-            },
-        )
-
-    def compile(self, node, coalition_free: bool = False):
-        """A formula -> its evaluator, a closure `fn(engine, state, need)`
-        that returns the agents of the bitmask `need` at which it holds.
-        With `coalition_free` a coalition box raises CoalitionOperatorError;
-        anything but a core node raises TypeError. A node's key is (op,
-        operand serials and data), so equal subformulas share one serial and
-        one closure, made only for a key not seen before. The op is the
-        closure's maker, called as `op(arena, made, serial, *operands)`,
-        where made[serial] is the closure of each earlier key. A double
-        negation `!!f` gets f's serial: every closure answers within `need`,
-        so `!!f` and f answer alike."""
-        serials: dict[tuple, int] = {}
-        made: list = []
-        keys: list[tuple] = []
-
-        def go(n) -> int:
-            kind = type(n)
-            if kind is Not:
-                child = go(n.child)
-                if keys[child][0] is _not:
-                    return keys[child][1]
-                key = (_not, child)
-            elif kind is And:
-                key = (_and, go(n.left), go(n.right))
-            elif kind is Nominal:
-                key = (_nom, self.resolve(n.name))
-            elif kind is Box:
-                key = (_box, go(n.child))
-            elif kind is Heart:
-                key = (_heart, -1 if n.target is SELF else self.resolve(n.target))
-            elif kind is LinearGeq:
-                terms = tuple(
-                    (c, -1 if t.subject is SELF else self.resolve(t.subject))
-                    for c, t in n.terms
+    def go(n) -> int:
+        kind = type(n)
+        if kind is Not:
+            child = go(n.child)
+            if keys[child][0] is _not:
+                return keys[child][1]
+            key = (_not, child)
+        elif kind is And:
+            key = (_and, go(n.left), go(n.right))
+        elif kind is Nominal:
+            key = (_nom, arena.resolve(n.name))
+        elif kind is Box:
+            key = (_box, go(n.child))
+        elif kind is Heart:
+            key = (_heart, -1 if n.target is SELF else arena.resolve(n.target))
+        elif kind is LinearGeq:
+            terms = tuple(
+                (c, -1 if t.subject is SELF else arena.resolve(t.subject))
+                for c, t in n.terms
+            )
+            key = (_lin, terms, n.bound)
+        elif kind is Diffuse:
+            action = [-1] * len(arena.seller_ids)
+            bound: set[int] = set()
+            for nominal, target in n.bindings:
+                s = arena.seller(nominal)
+                if s in bound:
+                    raise ActionError(f"seller {nominal!r} bound twice in one action")
+                bound.add(s)
+                if target is not SKIP:
+                    action[s] = arena.buyer(target)
+            key = (_diff, tuple(action), go(n.child))
+        elif kind is CoalitionBox:
+            if coalition_free:
+                raise CoalitionOperatorError(
+                    f"the coalition {{{', '.join(sorted(n.coalition))}}} occurs"
+                    " in a formula that must be coalition-free"
                 )
-                key = (_lin, terms, n.bound)
-            elif kind is Diffuse:
-                action = [-1] * len(self.seller_ids)
-                bound: set[int] = set()
-                for nominal, target in n.bindings:
-                    s = self.seller(nominal)
-                    if s in bound:
-                        raise ActionError(f"seller {nominal!r} bound twice in one action")
-                    bound.add(s)
-                    if target is not SKIP:
-                        action[s] = self.buyer(target)
-                key = (_diff, tuple(action), go(n.child))
-            elif kind is CoalitionBox:
-                if coalition_free:
-                    raise CoalitionOperatorError(
-                        f"the coalition {{{', '.join(sorted(n.coalition))}}} occurs"
-                        " in a formula that must be coalition-free"
-                    )
-                members = tuple(sorted({self.seller(nom) for nom in n.coalition}))
-                key = (_coal, members, go(n.child))
-            else:
-                raise TypeError(f"not a formula node: {n!r}")
-            serial = serials.get(key)
-            if serial is None:
-                serial = serials[key] = len(made)
-                made.append(key[0](self, made, serial, *key[1:]))
-                keys.append(key)
-            return serial
+            members = tuple(sorted({arena.seller(nom) for nom in n.coalition}))
+            key = (_coal, members, go(n.child))
+        else:
+            raise TypeError(f"not a formula node: {n!r}")
+        serial = serials.get(key)
+        if serial is None:
+            serial = serials[key] = len(made)
+            made.append(key[0](arena, made, serial, *key[1:]))
+            keys.append(key)
+        return serial
 
-        return made[go(node)]
+    return made[go(node)]
 
 
-# --- the evaluators that _Arena.compile builds ---------------------------------
+
+# --- the evaluators that compile builds ----------------------------------------
 #
 # Each maker returns the closure of one compiled node. A closure calls its
 # children's closures directly, one Python frame per formula level, so a deep
@@ -512,12 +351,8 @@ class _Engine:
     the evaluator of compiled formulas over them."""
 
     def __init__(self, mechanism: Mechanism):
-        cache = mechanism.network.__dict__
-        arena = cache.get("_arena")
-        if arena is None or arena.rule != mechanism.rule:
-            arena = cache["_arena"] = _Arena(mechanism)
         self.mechanism = mechanism
-        self.arena = arena
+        self.arena = arena = _Arena.of(mechanism)
         self.width = len(arena.agents)
         self.table: dict[tuple, _State] = {}
         self.root = self.state((arena.adj0, arena.budget0))
@@ -564,7 +399,7 @@ def cached_update(engine: _Engine, state: _State, action) -> _State:
 
 def _check(query: CheckQuery, stats: CheckStats | None, strategic: bool) -> bool:
     engine = _Engine(query.mechanism)
-    compiled = engine.arena.compile(query.formula, coalition_free=not strategic)
+    compiled = compile(engine.arena, query.formula, coalition_free=not strategic)
     at = engine.arena.index.get(query.at)
     if at is None:
         raise UnknownAgentError(f"{query.at.id!r} is not an agent of the mechanism")

@@ -170,8 +170,8 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
 def mechanism_to_dict(mechanism: Mechanism) -> dict:
     """The schema dictionary of a mechanism. It checks only what it must
     read, and raises MechanismError on a network no file can hold: an agent
-    id that is not a string, a nominal of an agent outside `sellers` and
-    `buyers`, or an agent with no budget or valuation."""
+    id that is not a string, a nominal or a friendship of an agent outside
+    `sellers` and `buyers`, or an agent with no budget or valuation."""
     net = mechanism.network
     names_of: dict[AgentId, list[str]] = {}
     for agent in net.agents():
@@ -217,6 +217,13 @@ def mechanism_to_dict(mechanism: Mechanism) -> dict:
         raise MechanismError(
             f"cannot save agent {exc.args[0].id!r}: it has no budget or no valuation"
         ) from None
+    agents = frozenset(names_of)
+    for agent, nbrs in net.friends.items():
+        if agent not in agents or not agents.issuperset(nbrs):
+            stray = next(x for x in (agent, *nbrs) if x not in agents)
+            raise MechanismError(
+                f"cannot save a friendship of {stray.id!r}: it is no agent of the network"
+            )
     # friendship is symmetric: each edge once, from its lesser id
     edges = sorted(
         [a.id, b.id] for a, nbrs in net.friends.items() for b in nbrs if a.id <= b.id

@@ -1,7 +1,15 @@
-"""Market networks, mechanisms, joint actions, and the concurrent update."""
+"""Market networks, mechanisms, joint actions, and the concurrent update.
+
+`_Arena` is the static index of a network (agent numbering, friendship
+bitmasks, scaled money) and the one implementation of the update rule; it
+is cached on the immutable `MarketNetwork`. Every query steps through it,
+and `action_precondition` and `apply_joint_action` are views over it for
+callers that hold `Mechanism` values. The tests hold it to the value-level
+update in `tests/reference.py`."""
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -287,75 +295,193 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
     return out
 
 
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+class _Arena:
+    """Indexed, bitmask view of a network and the concurrent update on it:
+    the one implementation of the update rule.
+
+    Agents are numbered sellers first, each group ascending by id, so a
+    seller's number is her position in an action and ties between sellers
+    go to the lower number. A state is a pair (rows, budgets): rows[i] is
+    the bitmask of agent i's friends, budgets[i] her money times `scale`,
+    the least common denominator of the network's budgets and incentives,
+    so money comparisons stay exact. An action is a tuple over sellers of a
+    buyer number, or -1 for SKIP. A network it cannot index raises
+    MechanismError with the violations `validate_mechanism` reports."""
+
+    def __init__(self, mechanism: Mechanism):
+        net = mechanism.network
+        self.net = net
+        self.rule = mechanism.rule
+        self.agents: list[AgentId] = sorted(net.sellers) + sorted(net.buyers)
+        self.index = {a: i for i, a in enumerate(self.agents)}
+        self.seller_ids = range(len(net.sellers))
+        self.buyer_ids = range(len(net.sellers), len(self.agents))
+        self.buyer_mask = (1 << len(self.agents)) - (1 << len(net.sellers))
+        money = (*net.budget.values(), *net.incentive.values())
+        for amount in (*money, *net.valuation.values()):
+            if type(amount) not in MONEY_TYPES:
+                raise MechanismError(f"money must be an int or a Fraction, got {amount!r}")
+        self.scale = math.lcm(*(m.denominator for m in money))
+        try:
+            self.names = {nom: self.index[a] for nom, a in net.names.items()}
+            self.adj0 = tuple(
+                sum(1 << self.index[f] for f in net.friends_of(a)) for a in self.agents
+            )
+            self.budget0 = tuple(int(net.budget[a] * self.scale) for a in self.agents)
+            # price[s][b]: what buyer b demands from seller s, scaled
+            self.price = [[0] * len(self.agents) for _ in self.seller_ids]
+            for (b, s), amount in net.incentive.items():
+                self.price[self.index[s]][self.index[b]] = int(amount * self.scale)
+        except (KeyError, IndexError):
+            raise MechanismError(
+                "invalid mechanism: " + "; ".join(validate_mechanism(mechanism))
+            ) from None
+
+    @classmethod
+    def of(cls, mechanism: Mechanism) -> _Arena:
+        """The arena of the mechanism's network, built once and cached on the
+        immutable network, for as long as the rule stays the same."""
+        cache = mechanism.network.__dict__
+        arena = cache.get("_arena")
+        if arena is None or arena.rule != mechanism.rule:
+            arena = cache["_arena"] = cls(mechanism)
+        return arena
+
+    def feasible(self, adj, budgets, action) -> bool:
+        for s, target in enumerate(action):
+            if target >= 0 and (
+                not (adj[s] >> target) & 1 or budgets[s] < self.price[s][target]
+            ):
+                return False
+        return True
+
+    def options(self, adj, budgets, s: int) -> list[int]:
+        """Seller s's feasible targets, ascending, then -1 (SKIP). A joint
+        action is feasible iff each seller's entry is one of hers."""
+        price, money = self.price[s], budgets[s]
+        row = adj[s] & self.buyer_mask
+        return [t for t in _bits(row) if price[t] <= money] + [-1]
+
+    def apply(self, adj, budgets, action):
+        """Rows and budgets after a feasible action. For each targeted buyer
+        the highest bid wins, the winner gains edges to all the buyer's
+        buyer-friends and pays her the incentive; losers pay and gain
+        nothing. The rows are copied only when some row gains a friend, and
+        the budgets only when money moves, so an action that moves nothing
+        returns its input objects."""
+        price = self.price
+        winner: dict[int, int] = {}  # target -> the seller who wins her
+        for s, target in enumerate(action):
+            if target >= 0:
+                best = winner.get(target)
+                # only a strictly higher bid wins: ties go to the least seller id
+                if best is None or price[s][target] > price[best][target]:
+                    winner[target] = s
+        new_adj = new_bud = None
+        for target, s in winner.items():
+            # a seller wins at most one target, and a gain sets only a seller
+            # bit in buyer rows, so adj[s] and the buyer bits of adj[target]
+            # are still current
+            gained = adj[target] & self.buyer_mask & ~adj[s]
+            if gained:
+                if new_adj is None:
+                    new_adj = list(adj)
+                bit = 1 << s
+                rest = gained
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    new_adj[low.bit_length() - 1] |= bit
+                new_adj[s] |= gained
+            paid = price[s][target]
+            if paid:
+                if new_bud is None:
+                    new_bud = list(budgets)
+                new_bud[s] -= paid
+                new_bud[target] += paid
+        return (
+            adj if new_adj is None else tuple(new_adj),
+            budgets if new_bud is None else tuple(new_bud),
+        )
+
+    def materialize(self, adj, budgets) -> Mechanism:
+        """The state as a Mechanism value. Rows only ever gain bits, so only
+        the added friends and the changed budgets are patched in."""
+        net = self.net
+        friends = dict(net.friends)
+        for i, (row, row0) in enumerate(zip(adj, self.adj0)):
+            if row != row0:
+                agent = self.agents[i]
+                added = frozenset(self.agents[j] for j in _bits(row & ~row0))
+                friends[agent] = net.friends_of(agent) | added
+        budget = net.budget
+        if budgets is not self.budget0:
+            budget = dict(budget)
+            for i, (money, money0) in enumerate(zip(budgets, self.budget0)):
+                if money != money0:
+                    budget[self.agents[i]] = Fraction(money, self.scale)
+        return Mechanism(replace(net, friends=friends, budget=budget), self.rule)
+
+    def resolve(self, nominal: str) -> int:
+        try:
+            return self.names[nominal]
+        except KeyError:
+            raise UnknownNominalError(
+                f"nominal {nominal!r} names no agent of the mechanism"
+            ) from None
+
+    def seller(self, nominal: str) -> int:
+        s = self.resolve(nominal)
+        if s not in self.seller_ids:
+            raise ActionError(f"{nominal!r} does not name a seller")
+        return s
+
+    def buyer(self, nominal: str) -> int:
+        b = self.resolve(nominal)
+        if b not in self.buyer_ids:
+            raise ActionError(f"action target {nominal!r} names a non-buyer")
+        return b
+
+    def action_of(self, joint: JointAction) -> tuple:
+        """The arena action of a JointAction."""
+        action = [-1] * len(self.seller_ids)
+        for sell, target in joint.entries:
+            s = self.index.get(sell, -1)
+            if s not in self.seller_ids:
+                raise ActionError(f"{sell.id!r} is not a seller of the mechanism")
+            if target is not SKIP:
+                action[s] = self.buyer(target)
+        return tuple(action)
+
+    def action_to_joint(self, action) -> JointAction:
+        return joint_action(
+            self.net,
+            {
+                self.agents[s]: SKIP if t < 0 else self.net.canonical_name(self.agents[t])
+                for s, t in enumerate(action)
+            },
+        )
+
+
 def action_precondition(mechanism: Mechanism, action: JointAction) -> bool:
     """True iff every non-SKIP seller targets a current friend she can afford."""
-    net = mechanism.network
-    for sell, target in action.entries:
-        if target is SKIP:
-            continue
-        who = resolve_name(mechanism, target)
-        if who.kind != BUYER:
-            raise ActionError(f"action target {target!r} names a non-buyer")
-        if who not in net.friends_of(sell):
-            return False
-        if net.budget[sell] < net.incentive_for(who, sell):
-            return False
-    return True
-
-
-def _winners(
-    mechanism: Mechanism, action: JointAction
-) -> list[tuple[AgentId, AgentId]]:
-    """Per targeted buyer, the unique winning seller: maximal incentive among
-    the sellers targeting her in this action, ties to the least seller id."""
-    net = mechanism.network
-    targeted: dict[AgentId, list[AgentId]] = {}
-    for sell, target in action.entries:
-        if target is SKIP:
-            continue
-        who = resolve_name(mechanism, target)
-        targeted.setdefault(who, []).append(sell)
-    result = []
-    for buy, candidates in targeted.items():
-        best = min(
-            candidates, key=lambda s: (-net.incentive_for(buy, s), s.id)
-        )
-        result.append((best, buy))
-    return result
+    arena = _Arena.of(mechanism)
+    return arena.feasible(arena.adj0, arena.budget0, arena.action_of(action))
 
 
 def apply_joint_action(mechanism: Mechanism, action: JointAction) -> Mechanism:
-    """The mechanism after one concurrent incentivisation round.
-
-    For each buyer targeted by at least one seller, the winning seller gains
-    edges to all the buyer's buyer-friends, pays the buyer her incentive, and
-    the buyer's budget grows by it. Losers pay and gain nothing. Everything
-    is computed from the pre-update state; the input is not mutated."""
-    if not action_precondition(mechanism, action):
+    """The mechanism after one concurrent incentivisation round (see
+    `_Arena.apply`); PreconditionError if the round is infeasible. The input
+    is not mutated."""
+    arena = _Arena.of(mechanism)
+    step = arena.action_of(action)
+    if not arena.feasible(arena.adj0, arena.budget0, step):
         raise PreconditionError("joint action precondition does not hold")
-    net = mechanism.network
-    pairs = _winners(mechanism, action)
-
-    additions: list[tuple[AgentId, frozenset[AgentId]]] = []
-    for winner, buy in pairs:
-        gained = frozenset(x for x in net.friends_of(buy) if x.kind == BUYER)
-        additions.append((winner, gained))
-
-    new_friends = dict(net.friends)
-    for winner, gained in additions:
-        fresh = gained - new_friends.get(winner, frozenset())
-        if fresh:
-            new_friends[winner] = new_friends.get(winner, frozenset()) | fresh
-            for x in fresh:
-                new_friends[x] = new_friends.get(x, frozenset()) | {winner}
-
-    new_budget = dict(net.budget)
-    for winner, buy in pairs:
-        paid = net.incentive_for(buy, winner)
-        new_budget[winner] = new_budget[winner] - paid
-        new_budget[buy] = new_budget[buy] + paid
-
-    return Mechanism(
-        network=replace(net, friends=new_friends, budget=new_budget),
-        rule=mechanism.rule,
-    )
+    return arena.materialize(*arena.apply(arena.adj0, arena.budget0, step))

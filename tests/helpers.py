@@ -27,14 +27,9 @@ from damcheck.formula import (
     UtilityTerm,
     big_and,
 )
-from damcheck.model import (
-    SKIP,
-    action_precondition,
-    apply_joint_action,
-    joint_action,
-)
+from damcheck.model import SKIP, joint_action
 
-from reference import reference_check
+from reference import reference_apply, reference_check, reference_precondition
 
 
 def equal_valuation_pair() -> Mechanism:
@@ -340,9 +335,9 @@ def exhaustive_strategy(mechanism: Mechanism, goal, depth: int) -> bool:
         for state in frontier:
             for combo in itertools.product(options, repeat=len(sellers)):
                 action = joint_action(net, dict(zip(sellers, combo)))
-                if not action_precondition(state, action):
+                if not reference_precondition(state, action):
                     continue
-                successor = apply_joint_action(state, action)
+                successor = reference_apply(state, action)
                 if holds(successor):
                     return True
                 upcoming.append(successor)

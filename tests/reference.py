@@ -1,19 +1,24 @@
 """Reference semantics over Mechanism values, kept apart from the engine.
 
-`reference_check` evaluates a formula by direct recursion, materialising each
-successor through `model.apply_joint_action`; `reference_ne` is the
-equilibrium test as a loop over whole deviated profiles. Neither memoises
-anything, so both are exponential and meant for small instances only: they
-are the oracles the engine's answers are compared against. `reference_validate`
+`reference_precondition` and `reference_apply` are the concurrent update
+written over `frozenset` friendships and `Fraction` budgets, with no network
+index: the oracle that `model._Arena` and its views `action_precondition`
+and `apply_joint_action` are held to. `reference_check` evaluates a formula
+by direct recursion, materialising each successor through `reference_apply`;
+`reference_ne` is the equilibrium test as a loop over whole deviated
+profiles. Neither memoises anything, so both are exponential and meant for
+small instances only: they are the oracles the engine's answers are
+compared against. `reference_validate`
 is the invariant check as it stood before `AgentId` became a named tuple: one
 generic `==` or lookup per friendship entry, money compared as Fractions."""
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 from damcheck import auction
-from damcheck.errors import ActionError
+from damcheck.errors import ActionError, PreconditionError
 from damcheck.formula import (
     SELF,
     And,
@@ -35,11 +40,83 @@ from damcheck.model import (
     AgentId,
     JointAction,
     Mechanism,
-    action_precondition,
-    apply_joint_action,
     joint_action,
     resolve_name,
 )
+
+
+def reference_precondition(mechanism: Mechanism, action: JointAction) -> bool:
+    """True iff every non-SKIP seller targets a current friend she can afford."""
+    net = mechanism.network
+    for sell, target in action.entries:
+        if target is SKIP:
+            continue
+        who = resolve_name(mechanism, target)
+        if who.kind != BUYER:
+            raise ActionError(f"action target {target!r} names a non-buyer")
+        if who not in net.friends_of(sell):
+            return False
+        if net.budget[sell] < net.incentive_for(who, sell):
+            return False
+    return True
+
+
+def _winners(
+    mechanism: Mechanism, action: JointAction
+) -> list[tuple[AgentId, AgentId]]:
+    """Per targeted buyer, the unique winning seller: maximal incentive among
+    the sellers targeting her in this action, ties to the least seller id."""
+    net = mechanism.network
+    targeted: dict[AgentId, list[AgentId]] = {}
+    for sell, target in action.entries:
+        if target is SKIP:
+            continue
+        who = resolve_name(mechanism, target)
+        targeted.setdefault(who, []).append(sell)
+    result = []
+    for buy, candidates in targeted.items():
+        best = min(
+            candidates, key=lambda s: (-net.incentive_for(buy, s), s.id)
+        )
+        result.append((best, buy))
+    return result
+
+
+def reference_apply(mechanism: Mechanism, action: JointAction) -> Mechanism:
+    """The mechanism after one concurrent incentivisation round.
+
+    For each buyer targeted by at least one seller, the winning seller gains
+    edges to all the buyer's buyer-friends, pays the buyer her incentive, and
+    the buyer's budget grows by it. Losers pay and gain nothing. Everything
+    is computed from the pre-update state; the input is not mutated."""
+    if not reference_precondition(mechanism, action):
+        raise PreconditionError("joint action precondition does not hold")
+    net = mechanism.network
+    pairs = _winners(mechanism, action)
+
+    additions: list[tuple[AgentId, frozenset[AgentId]]] = []
+    for winner, buy in pairs:
+        gained = frozenset(x for x in net.friends_of(buy) if x.kind == BUYER)
+        additions.append((winner, gained))
+
+    new_friends = dict(net.friends)
+    for winner, gained in additions:
+        fresh = gained - new_friends.get(winner, frozenset())
+        if fresh:
+            new_friends[winner] = new_friends.get(winner, frozenset()) | fresh
+            for x in fresh:
+                new_friends[x] = new_friends.get(x, frozenset()) | {winner}
+
+    new_budget = dict(net.budget)
+    for winner, buy in pairs:
+        paid = net.incentive_for(buy, winner)
+        new_budget[winner] = new_budget[winner] - paid
+        new_budget[buy] = new_budget[buy] + paid
+
+    return Mechanism(
+        network=replace(net, friends=new_friends, budget=new_budget),
+        rule=mechanism.rule,
+    )
 
 
 def reference_check(mechanism: Mechanism, at: AgentId, formula) -> bool:
@@ -83,9 +160,9 @@ def _eval(m: Mechanism, at: AgentId, node) -> bool:
         return total >= node.bound
     if kind is Diffuse:
         action = action_from_bindings(m, node.bindings)
-        if not action_precondition(m, action):
+        if not reference_precondition(m, action):
             return True
-        return _eval(apply_joint_action(m, action), at, node.child)
+        return _eval(reference_apply(m, action), at, node.child)
     if kind is CoalitionBox:
         return _eval_coalition(m, at, node)
     raise TypeError(f"cannot evaluate node {node!r}")
@@ -108,16 +185,16 @@ def _eval_coalition(m: Mechanism, at: AgentId, node) -> bool:
 
     for picked in itertools.product(choices, repeat=len(coalition)):
         c_action = joint_action(net, dict(zip(coalition, picked)))
-        if not action_precondition(m, c_action):
+        if not reference_precondition(m, c_action):
             continue  # infeasible coalition choice: the implication is vacuous
         answered = False
         for counter in itertools.product(choices, repeat=len(others)):
             assignment = dict(zip(coalition, picked))
             assignment.update(zip(others, counter))
             full = joint_action(net, assignment)
-            if not action_precondition(m, full):
+            if not reference_precondition(m, full):
                 continue
-            if _eval(apply_joint_action(m, full), at, node.child):
+            if _eval(reference_apply(m, full), at, node.child):
                 answered = True
                 break
         if not answered:
@@ -128,9 +205,9 @@ def _eval_coalition(m: Mechanism, at: AgentId, node) -> bool:
 def _final_state(mechanism: Mechanism, profile) -> Mechanism | None:
     current = mechanism
     for action in profile:
-        if not action_precondition(current, action):
+        if not reference_precondition(current, action):
             return None
-        current = apply_joint_action(current, action)
+        current = reference_apply(current, action)
     return current
 
 

@@ -49,13 +49,12 @@ from helpers import (
     exhaustive_strategy,
     referral_chain,
     two_seller_market,
-    random_action,
     random_formula,
     random_feasible_action,
     random_mechanism,
     random_rational_market,
 )
-from reference import reference_ne
+from reference import reference_apply, reference_ne
 
 
 def tiny_one_buyer():
@@ -362,72 +361,6 @@ def test_strategy_agrees_with_exhaustive_enumeration():
 # --- coalition elimination ----------------------------------------------------------
 
 
-def test_arena_update_matches_model_update():
-    # the search's bitmask transition is a second implementation of the
-    # concurrent update; it must agree with the reference field-for-field
-    from damcheck.analysis import _Arena
-
-    rng = random.Random(424242)
-    compared = 0
-    for _ in range(150):
-        mech = random_mechanism(rng)
-        arena = _Arena(mech)
-        action = random_action(rng, mech)
-        arena_action = tuple(
-            -1 if action.target_of(arena.agents[i]) is SKIP
-            else arena.index[mech.network.names[action.target_of(arena.agents[i])]]
-            for i in arena.seller_ids
-        )
-        feasible_model = action_precondition(mech, action)
-        feasible_arena = arena.feasible(arena.adj0, arena.budget0, arena_action)
-        assert feasible_model == feasible_arena
-        if not feasible_model:
-            continue
-        compared += 1
-        adj2, bud2 = arena.apply(arena.adj0, arena.budget0, arena_action)
-        rebuilt = arena.materialize(adj2, bud2)
-        assert rebuilt == apply_joint_action(mech, action)
-    assert compared > 40
-
-
-def test_arena_update_matches_model_update_along_trajectories():
-    # the update again, now at reachable states: 2-3 step trajectories on
-    # rational markets, where the arena and the model each advance their own
-    # state; actions prefer two sellers bidding the same incentive for one
-    # buyer, so the tie-break to the least seller id is exercised
-    import itertools
-
-    from damcheck.analysis import _Arena
-
-    rng = random.Random(515)
-    compared = equal_bids = 0
-    for _ in range(120):
-        mech = random_rational_market(rng, n_sellers=rng.randint(2, 3), n_buyers=4)
-        arena = _Arena(mech)
-        adj, budgets = arena.adj0, arena.budget0
-        for _ in range(rng.randint(2, 3)):
-            options = [arena.options(adj, budgets, s) for s in arena.seller_ids]
-            actions = list(itertools.product(*options))
-
-            def equal_bid(action):
-                return any(
-                    t >= 0 and t == u and arena.price[s][t] == arena.price[r][u]
-                    for (s, t), (r, u) in itertools.combinations(enumerate(action), 2)
-                )
-
-            tied = [a for a in actions if equal_bid(a)]
-            action = rng.choice(tied if tied and rng.random() < 0.8 else actions)
-            joint = arena.action_to_joint(action)
-            assert action_precondition(mech, joint)
-            adj, budgets = arena.apply(adj, budgets, action)
-            mech = apply_joint_action(mech, joint)
-            assert arena.materialize(adj, budgets) == mech
-            compared += 1
-            equal_bids += equal_bid(action)
-    assert compared > 250
-    assert equal_bids >= 30
-
-
 def test_coalition_clause_matches_handwritten_loop():
     # third route for the coalition box, written with bare model operations
     import itertools
@@ -657,11 +590,11 @@ def _market(sellers, buyers, edges):
     )
 
 
-def _arena_agrees_with_model(mech, arena, targets, new):
+def _arena_agrees_with_reference(mech, arena, targets, new):
     joint = joint_action(mech.network, targets)
     action = arena.action_of(joint)
     assert arena.feasible(arena.adj0, arena.budget0, action)
-    assert arena.materialize(*new) == apply_joint_action(mech, joint)
+    assert arena.materialize(*new) == reference_apply(mech, joint)
 
 
 def test_action_that_moves_nothing_returns_its_input_and_state():
@@ -677,7 +610,7 @@ def test_action_that_moves_nothing_returns_its_input_and_state():
     assert cached_update(engine, engine.root, action) is engine.root
     assert cached_update(engine, engine.root, (-1,)) is engine.root
     assert len(engine.table) == 1
-    _arena_agrees_with_model(mech, arena, {"s": "a"}, (adj, budgets))
+    _arena_agrees_with_reference(mech, arena, {"s": "a"}, (adj, budgets))
 
 
 def test_action_that_pays_without_a_new_friend_moves_only_money():
@@ -695,7 +628,7 @@ def test_action_that_pays_without_a_new_friend_moves_only_money():
     successor = cached_update(engine, engine.root, action)
     assert successor is not engine.root and successor.adj is engine.root.adj
     assert len(engine.table) == 2
-    _arena_agrees_with_model(mech, arena, {"s": "a"}, (adj, budgets))
+    _arena_agrees_with_reference(mech, arena, {"s": "a"}, (adj, budgets))
 
 
 @pytest.mark.parametrize("first_gains", [True, False])
@@ -718,4 +651,4 @@ def test_two_winners_where_only_one_gains_a_friend(first_gains):
     assert adj is not arena.adj0 and budgets is arena.budget0
     idle = arena.index[mech.network.names["s2" if first_gains else "s1"]]
     assert adj[idle] == arena.adj0[idle]
-    _arena_agrees_with_model(mech, arena, targets, (adj, budgets))
+    _arena_agrees_with_reference(mech, arena, targets, (adj, budgets))

@@ -426,7 +426,7 @@ def test_labelling_merges_partly_known_memos():
     # reuses memo entries that decide only some agents; every answer must
     # hold the bits of a fresh engine per agent, which `check_strategic`
     # gives and the reference confirms
-    from damcheck.checker import _Engine
+    from damcheck.checker import _Engine, compile
 
     rng = random.Random(8086)
     for _ in range(150):
@@ -438,7 +438,7 @@ def test_labelling_merges_partly_known_memos():
             holds = check_strategic(CheckQuery(mech, agent, form))
             assert holds == reference_check(mech, agent, form)
             want |= holds << shared.arena.index[agent]
-        compiled = shared.arena.compile(form)
+        compiled = compile(shared.arena, form)
         everyone = (1 << shared.width) - 1
         asks = [1 << i for i in range(shared.width)]
         rng.shuffle(asks)

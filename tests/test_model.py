@@ -1,5 +1,6 @@
 """Core model: validation, naming, action preconditions, and the update."""
 
+import itertools
 import random
 import time
 from dataclasses import replace
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from damcheck import (
+    BUYER,
     SKIP,
     Mechanism,
     action_precondition,
@@ -15,6 +17,7 @@ from damcheck import (
     joint_action,
     mechanism_from_dict,
     resolve_name,
+    save_mechanism,
     validate_mechanism,
 )
 from damcheck.errors import (
@@ -24,8 +27,16 @@ from damcheck.errors import (
     UnknownNominalError,
 )
 from damcheck.mechjson import mechanism_to_dict, parse_rational
+from damcheck.model import _Arena
 
-from helpers import referral_chain, two_seller_market, random_feasible_action, random_mechanism
+from helpers import (
+    random_feasible_action,
+    random_mechanism,
+    random_rational_market,
+    referral_chain,
+    two_seller_market,
+)
+from reference import reference_apply, reference_precondition
 
 
 def test_referral_chain_is_valid():
@@ -219,6 +230,82 @@ def test_update_properties_random():
             delta = anet.budget[sell] - net.budget[sell]
             assert delta <= 0
         assert validate_mechanism(after) == []
+
+
+def _tied(mech, action) -> bool:
+    """Two sellers target one buyer with the same incentive."""
+    net = mech.network
+    bids = [
+        (resolve_name(mech, t), net.incentive_for(resolve_name(mech, t), s))
+        for s, t in action.entries
+        if t is not SKIP
+    ]
+    return len(bids) != len(set(bids))
+
+
+def test_update_views_match_reference_along_trajectories(tmp_path):
+    # the views run on the arena; the reference is the update over frozensets
+    # and Fractions. Along 2-3 step trajectories every joint action gets the
+    # same feasibility, and the chosen step's successor is equal and saves to
+    # the same bytes (the view writes back Fractions where the reference
+    # keeps ints). The first market's arena also advances its own state, so
+    # its feasibility and update are compared at reachable states, not only
+    # at its root.
+    # Steps prefer tied bids, so the tie-break to the least seller id is
+    # exercised, and sellers with no buyer friend occur
+    rng = random.Random(515)
+    steps = ties = lonely = 0
+    for trial in range(120):
+        if trial % 4:
+            mech = random_rational_market(rng, n_sellers=rng.randint(2, 3), n_buyers=4)
+        else:
+            mech = random_mechanism(rng)
+        arena = _Arena.of(mech)
+        state = (arena.adj0, arena.budget0)
+        for _ in range(rng.randint(2, 3)):
+            net = mech.network
+            sellers = sorted(net.sellers)
+            options = [net.canonical_name(b) for b in sorted(net.buyers)] + [SKIP]
+            feasible = []
+            for combo in itertools.product(options, repeat=len(sellers)):
+                action = joint_action(net, dict(zip(sellers, combo)))
+                holds = reference_precondition(mech, action)
+                assert action_precondition(mech, action) == holds
+                assert arena.feasible(*state, arena.action_of(action)) == holds
+                if holds:
+                    feasible.append(action)
+            tied = [a for a in feasible if _tied(mech, a)]
+            action = rng.choice(tied if tied and rng.random() < 0.8 else feasible)
+            after = apply_joint_action(mech, action)
+            want = reference_apply(mech, action)
+            assert after == want
+            state = arena.apply(*state, arena.action_of(action))
+            assert arena.materialize(*state) == want
+            save_mechanism(after, tmp_path / "view.json")
+            save_mechanism(want, tmp_path / "reference.json")
+            assert (tmp_path / "view.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+            steps += 1
+            ties += _tied(mech, action)
+            lonely += any(
+                all(f.kind != BUYER for f in net.friends_of(s)) for s in sellers
+            )
+            mech = after
+    assert steps > 250
+    assert ties >= 30
+    assert lonely >= 15
+
+
+def test_precondition_view_resolves_every_target_before_judging():
+    # s1's target is not her friend, and s2 targets a seller. The reference
+    # stops at s1 and answers False; the view resolves the whole action
+    # first and refuses the seller target
+    mech = two_seller_market()
+    action = joint_action(mech.network, {"s1": "gamma", "s2": "sigma1"})
+    assert reference_precondition(mech, action) is False
+    with pytest.raises(ActionError, match="action target 'sigma1' names a non-buyer"):
+        action_precondition(mech, action)
+    with pytest.raises(ActionError, match="action target 'sigma1' names a non-buyer"):
+        apply_joint_action(mech, action)
 
 
 # --- mechanism files -----------------------------------------------------------

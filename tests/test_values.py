@@ -18,9 +18,16 @@ from damcheck import (
     DamError,
     MarketNetwork,
     Mechanism,
+    NeQuery,
+    StrategyQuery,
+    action_precondition,
+    apply_joint_action,
     check,
+    check_ne_direct,
+    joint_action,
     load_mechanism,
     save_mechanism,
+    strategy_exists,
     validate_mechanism,
 )
 from damcheck.errors import MechanismError
@@ -183,6 +190,54 @@ def test_network_no_file_holds_is_a_violation_and_a_mechanism_error(tmp_path):
     with pytest.raises(MechanismError, match="'a': it has no budget or no valuation"):
         save_mechanism(Mechanism(unpriced, chain.rule), tmp_path / "unpriced.json")
     assert not (tmp_path / "numbered.json").exists()
+
+
+def _unindexable_networks():
+    """Hand-built referral chains that no query can index, each with the
+    violations `validate_mechanism` reports on it."""
+    net = referral_chain().network
+    sig, alpha = net.sellers[0], net.buyers[0]
+    return [
+        (replace(net, friends={**net.friends, alpha: net.friends[alpha] | {buyer("zz")}}),
+         "friendship of 'a' mentions unknown agent 'zz'"),
+        (replace(net, names={**net.names, "zeta": buyer("zz")}),
+         "nominal 'zeta' names unknown agent 'zz'"),
+        (replace(net, budget={a: v for a, v in net.budget.items() if a != alpha}),
+         "no budget for agent 'a'"),
+        (replace(net, incentive={**net.incentive, (sig, alpha): Fraction(1)}),
+         "incentive keyed by non-buyer 's'; incentive keyed by non-seller 'a'"),
+    ]
+
+
+@pytest.mark.parametrize("network, violations", _unindexable_networks())
+def test_network_the_arena_cannot_index_is_a_mechanism_error(network, violations):
+    mech = Mechanism(network, "smf")
+    assert "; ".join(validate_mechanism(mech)) == violations
+    skip = joint_action(network, {})
+    queries = [
+        lambda: check(CheckQuery(mech, network.sellers[0], TRUE)),
+        lambda: strategy_exists(StrategyQuery(mech, TRUE)),
+        lambda: check_ne_direct(NeQuery(mech, (skip,))),
+        lambda: action_precondition(mech, skip),
+        lambda: apply_joint_action(mech, skip),
+    ]
+    for query in queries:
+        with pytest.raises(MechanismError, match=re.escape("invalid mechanism: " + violations)):
+            query()
+
+
+@pytest.mark.parametrize("stray", [buyer("zz"), buyer(7)])
+def test_friendship_outside_the_agents_cannot_be_saved(stray, tmp_path):
+    net = referral_chain().network
+    alpha = net.buyers[0]
+    for friends in (
+        {**net.friends, alpha: net.friends[alpha] | {stray}},
+        {**net.friends, stray: frozenset({alpha})},
+    ):
+        mech = Mechanism(replace(net, friends=friends), "smf")
+        with pytest.raises(MechanismError, match=f"friendship of {stray.id!r}: it is no agent"):
+            save_mechanism(mech, tmp_path / "stray.json")
+    assert not (tmp_path / "stray.json").exists()
 
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
