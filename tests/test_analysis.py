@@ -50,11 +50,12 @@ from helpers import (
     referral_chain,
     two_seller_market,
     random_formula,
+    random_action,
     random_feasible_action,
     random_mechanism,
     random_rational_market,
 )
-from reference import reference_apply, reference_ne
+from reference import reference_apply, reference_ne, reference_precondition
 
 
 def tiny_one_buyer():
@@ -359,6 +360,72 @@ def test_strategy_agrees_with_exhaustive_enumeration():
 
 
 # --- coalition elimination ----------------------------------------------------------
+
+
+def test_arena_update_matches_model_update():
+    # the arena's bitmask transition must agree field-for-field with the
+    # value-level update in tests/reference.py, and the model's views with both
+    from damcheck.model import _Arena
+
+    rng = random.Random(424242)
+    compared = 0
+    for _ in range(150):
+        mech = random_mechanism(rng)
+        arena = _Arena.of(mech)
+        action = random_action(rng, mech)
+        arena_action = arena.action_of(action)
+        feasible = reference_precondition(mech, action)
+        assert arena.feasible(arena.adj0, arena.budget0, arena_action) == feasible
+        assert action_precondition(mech, action) == feasible
+        if not feasible:
+            continue
+        compared += 1
+        adj2, bud2 = arena.apply(arena.adj0, arena.budget0, arena_action)
+        want = reference_apply(mech, action)
+        assert arena.materialize(adj2, bud2) == want
+        assert apply_joint_action(mech, action) == want
+    assert compared > 40
+
+
+def test_arena_update_matches_model_update_along_trajectories():
+    # the update again, now at reachable states: 2-3 step trajectories on
+    # rational markets, where the arena and the reference each advance their
+    # own state; actions come from the arena's own options and prefer two
+    # sellers bidding the same incentive for one buyer, so the tie-break to
+    # the least seller id is exercised
+    import itertools
+
+    from damcheck.model import _Arena
+
+    rng = random.Random(515)
+    compared = equal_bids = 0
+    for _ in range(120):
+        mech = random_rational_market(rng, n_sellers=rng.randint(2, 3), n_buyers=4)
+        arena = _Arena.of(mech)
+        adj, budgets = arena.adj0, arena.budget0
+        for _ in range(rng.randint(2, 3)):
+            options = [arena.options(adj, budgets, s) for s in arena.seller_ids]
+            actions = list(itertools.product(*options))
+
+            def equal_bid(action):
+                return any(
+                    t >= 0 and t == u and arena.price[s][t] == arena.price[r][u]
+                    for (s, t), (r, u) in itertools.combinations(enumerate(action), 2)
+                )
+
+            tied = [a for a in actions if equal_bid(a)]
+            action = rng.choice(tied if tied and rng.random() < 0.8 else actions)
+            joint = arena.action_to_joint(action)
+            assert reference_precondition(mech, joint)
+            adj, budgets = arena.apply(adj, budgets, action)
+            want = reference_apply(mech, joint)
+            assert arena.materialize(adj, budgets) == want
+            assert apply_joint_action(mech, joint) == want
+            mech = want
+            compared += 1
+            equal_bids += equal_bid(action)
+    assert compared > 250
+    assert equal_bids >= 30
 
 
 def test_coalition_clause_matches_handwritten_loop():
