@@ -13,9 +13,14 @@ here, and the strategy search and the equilibrium test in `analysis`.
   hybrid logics, Franceschet & de Rijke 2006). Formulas are core, so it
   meets only the eight core node kinds, and for `check` and
   `strategy_exists` it refuses coalition boxes in that same walk.
-  The walk hash-conses as it goes (Filliatre & Conchon 2006): a node's key
-  is its operator and its operands' serials, so hashing a key costs the
-  same at any depth, and equal subformulas share one serial. `!!f` is
+  The walk visits each distinct node object once: a node it meets again,
+  as the parser and the derived-operator constructors share subformulas,
+  is looked up by identity, so a formula that is a small DAG but a large
+  tree (a `<->` chain, or a parsed `translate` output) compiles in time
+  linear in its distinct nodes. The walk also hash-conses as it goes
+  (Filliatre & Conchon 2006): a node's key is its operator and its
+  operands' serials, so hashing a key costs the same at any depth, and
+  equal subformulas share one serial. `!!f` is
   compiled as f, so a chain of diamonds `<><>x` runs as `!B B !x`, with
   one negation at each end. Each distinct node gets one closure
   `fn(engine, state, need)`, made when its key is first seen; a closure
@@ -34,7 +39,9 @@ here, and the strategy search and the equilibrium test in `analysis`.
   conjunction asks its right operand only where the left one holds. Each
   state memoises modal nodes by serial as a pair (agents decided, agents
   where it holds), so a later call computes only the agents not yet
-  decided, and nested boxes cost time linear in their depth. Nothing
+  decided, and nested boxes cost time linear in their depth. Non-modal
+  nodes are not memoised, so a node shared below a negation or a
+  conjunction is evaluated again on each path that asks for it. Nothing
   outlives the query."""
 
 from __future__ import annotations
@@ -106,18 +113,25 @@ def compile(arena: _Arena, node, coalition_free: bool = False):
     The op is the closure's maker, called as `op(arena, made, serial,
     *operands)`, where made[serial] is the closure of each earlier key. A
     double negation `!!f` gets f's serial: every closure answers within
-    `need`, so `!!f` and f answer alike."""
+    `need`, so `!!f` and f answer alike. Each distinct node object is
+    walked once, and a node met again (the parser and the constructors
+    share subformulas) is looked up by identity, so a DAG compiles in time
+    linear in its distinct nodes."""
     serials: dict[tuple, int] = {}
     made: list = []
     keys: list[tuple] = []
+    walked: dict[int, int] = {}  # id of a node walked -> its serial
 
     def go(n) -> int:
+        serial = walked.get(id(n))
+        if serial is not None:
+            return serial
         kind = type(n)
         if kind is Not:
             child = go(n.child)
-            if keys[child][0] is _not:
-                return keys[child][1]
-            key = (_not, child)
+            inner = keys[child]
+            # !!f is f: f's key is known, so it gives f's serial
+            key = keys[inner[1]] if inner[0] is _not else (_not, child)
         elif kind is And:
             key = (_and, go(n.left), go(n.right))
         elif kind is Nominal:
@@ -158,6 +172,7 @@ def compile(arena: _Arena, node, coalition_free: bool = False):
             serial = serials[key] = len(made)
             made.append(key[0](arena, made, serial, *key[1:]))
             keys.append(key)
+        walked[id(n)] = serial
         return serial
 
     return made[go(node)]

@@ -171,7 +171,8 @@ def mechanism_to_dict(mechanism: Mechanism) -> dict:
     """The schema dictionary of a mechanism. It checks only what it must
     read, and raises MechanismError on a network no file can hold: an agent
     id that is not a string, a nominal or a friendship of an agent outside
-    `sellers` and `buyers`, or an agent with no budget or valuation."""
+    `sellers` and `buyers`, an agent with no budget or valuation, or an
+    incentive not keyed (buyer, seller)."""
     net = mechanism.network
     names_of: dict[AgentId, list[str]] = {}
     for agent in net.agents():
@@ -198,12 +199,14 @@ def mechanism_to_dict(mechanism: Mechanism) -> dict:
             for s in net.sellers
         ]
         buyers = []
+        written = 0
         for b in net.buyers:
             incentives = {  # each amount read once; absent or zero is left out
                 s.id: format_rational(amount)
                 for s in net.sellers
                 if (amount := net.incentive.get((b, s)))
             }
+            written += len(incentives)
             buyers.append(
                 {
                     "id": b.id,
@@ -217,6 +220,15 @@ def mechanism_to_dict(mechanism: Mechanism) -> dict:
         raise MechanismError(
             f"cannot save agent {exc.args[0].id!r}: it has no budget or no valuation"
         ) from None
+    if written != len(net.incentive):
+        # an entry was not written: a zero amount, or a key no buyer reads
+        buyer_set, seller_set = frozenset(net.buyers), frozenset(net.sellers)
+        for b, s in net.incentive:
+            if b not in buyer_set or s not in seller_set:
+                raise MechanismError(
+                    f"cannot save the incentive keyed ({b.id!r}, {s.id!r}):"
+                    " it is not keyed (buyer, seller)"
+                )
     agents = frozenset(names_of)
     for agent, nbrs in net.friends.items():
         if agent not in agents or not agents.issuperset(nbrs):

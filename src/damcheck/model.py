@@ -339,6 +339,8 @@ class _Arena:
             self.price = [[0] * len(self.agents) for _ in self.seller_ids]
             for (b, s), amount in net.incentive.items():
                 self.price[self.index[s]][self.index[b]] = int(amount * self.scale)
+            for b in net.buyers:  # the auction reads each buyer's valuation
+                net.valuation[b]
         except (KeyError, IndexError):
             raise MechanismError(
                 "invalid mechanism: " + "; ".join(validate_mechanism(mechanism))

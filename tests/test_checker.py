@@ -22,6 +22,7 @@ from damcheck.formula import (
     Diffuse,
     DiffuseDiamond,
     Heart,
+    Iff,
     Implies,
     Nominal,
     Not,
@@ -356,6 +357,34 @@ def test_deep_formulas_are_still_answered():
     mech = referral_chain()
     assert run(mech, "a", "!" * 900 + "true")
     assert run(mech, "a", "<sigma:skip> " * 300 + "true")
+
+
+def test_compile_walks_a_shared_chain_once_per_node():
+    # Iff shares its operands, so 200 levels have a few distinct nodes each
+    # but 2**200 paths from the root: a walk as a tree would never end, and
+    # the timer turns that into a failure
+    import signal
+
+    from damcheck.checker import compile
+    from damcheck.model import _Arena
+
+    mech = referral_chain()
+    chain = Nominal("alpha")
+    for _ in range(200):
+        chain = Iff(chain, Nominal("beta"))
+
+    def expire(signum, frame):
+        raise TimeoutError("compile walked the shared chain as a tree")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        compile(_Arena.of(mech), chain)
+        # alpha holds at a and beta does not, so the chain alternates
+        assert check(CheckQuery(mech, at(mech, "a"), chain))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_too_deep_formula_is_a_dam_error():

@@ -477,6 +477,56 @@ def test_parser_agrees_with_reference_on_translate_outputs():
             _agree(_edited(text, edits))
 
 
+def _groups(text: str) -> dict[str, list[int]]:
+    """Each parenthesised group's text -> the offsets where it starts, in order."""
+    opened: list[int] = []
+    out: dict[str, list[int]] = {}
+    for at, char in enumerate(text):
+        if char == "(":
+            opened.append(at)
+        elif char == ")" and opened:
+            start = opened.pop()
+            out.setdefault(text[start : at + 1], []).append(start)
+    return out
+
+
+def test_repeated_groups_parse_to_one_node():
+    out = parse_formula("(a & b) & (a & b)")
+    assert out.left is out.right and out.left == And(Nominal("a"), Nominal("b"))
+    # the same text spaced differently is another group, parsed on its own
+    out = parse_formula("(a & b) & (a  &  b)")
+    assert out.left is not out.right and out.left == out.right
+    # translate prints a small DAG as a large tree; parsed, it is that DAG
+    text = _translate_outputs()[-1]
+    assert len(text) > 20000
+    assert _distinct_nodes(parse_formula(text)) < 1000
+
+
+def test_parser_agrees_with_reference_after_an_edit_to_the_last_copy_of_a_group():
+    # the first copies of a group are parsed and remembered; an edit to the
+    # last copy must not be answered with the node of the first ones
+    rng = random.Random(1515)
+    edited = 0
+    for text in _translate_outputs():
+        repeated = [(g, starts[-1]) for g, starts in _groups(text).items() if len(starts) > 1]
+        for group, last in rng.sample(repeated, min(4, len(repeated))):
+            at = last + rng.randrange(1, len(group) - 1)
+            for char in ("", rng.choice(_EDIT_CHARS), rng.choice("xyz09")):
+                _agree(text[:at] + char + text[at + 1 :])
+                edited += 1
+    assert edited > 60
+    # spacing inside a group can change its parse, so it tells groups apart
+    for text in (
+        "([<s>] p) & ([ <s>] p)",
+        "([ <s>] p) & ([<s>] p)",
+        "(<[s]> p) | (<[s] > p) | (<[s]> p)",
+        "(<s:a> p) & (< s:a> p) & (<s:a>p)",
+        "(ut[a]>2 | p) -> (ut[a] >2 | p) -> (ut[a]> 2 | p)",
+        "((a)) & ((a) ) & (( a))",
+    ):
+        _agree(text)
+
+
 def test_non_ascii_characters_are_reported_where_they_stand():
     for text, column in (("ut[a] >= ²", 10), ("ut[a] >= 1²", 11), ("a &\n ½", 2)):
         with pytest.raises(FormulaSyntaxError) as err:

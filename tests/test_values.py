@@ -31,7 +31,7 @@ from damcheck import (
     validate_mechanism,
 )
 from damcheck.errors import MechanismError
-from damcheck.formula import TRUE
+from damcheck.formula import TRUE, Heart
 from damcheck.mechjson import mechanism_to_dict
 from damcheck.model import buyer, seller
 
@@ -224,6 +224,37 @@ def test_network_the_arena_cannot_index_is_a_mechanism_error(network, violations
     for query in queries:
         with pytest.raises(MechanismError, match=re.escape("invalid mechanism: " + violations)):
             query()
+
+
+def test_buyer_without_a_valuation_is_a_mechanism_error():
+    # the arena reads no valuation, but the auction reads every buyer's
+    net = referral_chain().network
+    alpha = net.buyers[0]
+    unpriced = replace(net, valuation={b: v for b, v in net.valuation.items() if b != alpha})
+    mech = Mechanism(unpriced, "smf")
+    assert validate_mechanism(mech) == ["no valuation for buyer 'a'"]
+    queries = [
+        lambda: check(CheckQuery(mech, unpriced.sellers[0], Heart("alpha"))),
+        lambda: strategy_exists(StrategyQuery(mech, Heart("gamma"))),
+        lambda: check_ne_direct(NeQuery(mech, (joint_action(unpriced, {}),))),
+    ]
+    for query in queries:
+        with pytest.raises(MechanismError, match="invalid mechanism: no valuation for buyer 'a'"):
+            query()
+
+
+def test_incentive_not_keyed_buyer_then_seller_cannot_be_saved(tmp_path):
+    net = referral_chain().network
+    sig, alpha = net.sellers[0], net.buyers[0]
+    swapped = replace(net, incentive={**net.incentive, (sig, alpha): Fraction(1)})
+    assert len(validate_mechanism(Mechanism(swapped, "smf"))) == 2
+    with pytest.raises(MechanismError, match=r"incentive keyed \('s', 'a'\)"):
+        save_mechanism(Mechanism(swapped, "smf"), tmp_path / "swapped.json")
+    assert not (tmp_path / "swapped.json").exists()
+    # a zero amount is not written either, and is no error
+    zero = replace(net, incentive={**net.incentive, (alpha, sig): Fraction(0)})
+    save_mechanism(Mechanism(zero, "smf"), tmp_path / "zero.json")
+    assert load_mechanism(tmp_path / "zero.json").network.incentive_for(alpha, sig) == 0
 
 
 @pytest.mark.parametrize("stray", [buyer("zz"), buyer(7)])
