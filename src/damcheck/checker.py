@@ -13,11 +13,12 @@ here, and the strategy search and the equilibrium test in `analysis`.
   hybrid logics, Franceschet & de Rijke 2006). Formulas are core, so it
   meets only the eight core node kinds, and for `check` and
   `strategy_exists` it refuses coalition boxes in that same walk.
-  The walk visits each distinct node object once: a node it meets again,
-  as the parser and the derived-operator constructors share subformulas,
-  is looked up by identity, so a formula that is a small DAG but a large
-  tree (a `<->` chain, or a parsed `translate` output) compiles in time
-  linear in its distinct nodes. The walk also hash-conses as it goes
+  The walk visits each distinct conjunction once: a conjunction it meets
+  again, as the parser and the derived-operator constructors share
+  subformulas, is looked up by identity. The walk branches only at
+  conjunctions, so a formula that is a small DAG but a large tree (a `<->`
+  chain, or a parsed `translate` output) compiles in time near its number
+  of distinct nodes. The walk also hash-conses as it goes
   (Filliatre & Conchon 2006): a node's key is its operator and its
   operands' serials, so hashing a key costs the same at any depth, and
   equal subformulas share one serial. `!!f` is
@@ -113,26 +114,29 @@ def compile(arena: _Arena, node, coalition_free: bool = False):
     The op is the closure's maker, called as `op(arena, made, serial,
     *operands)`, where made[serial] is the closure of each earlier key. A
     double negation `!!f` gets f's serial: every closure answers within
-    `need`, so `!!f` and f answer alike. Each distinct node object is
-    walked once, and a node met again (the parser and the constructors
-    share subformulas) is looked up by identity, so a DAG compiles in time
-    linear in its distinct nodes."""
+    `need`, so `!!f` and f answer alike. A conjunction met again (the
+    parser and the constructors share subformulas) is looked up by
+    identity, so each distinct conjunction is walked once, and any other
+    node once per path to it from the nearest conjunction above. Only a
+    conjunction makes the walk branch, so this is enough to keep a DAG from
+    being walked as a tree; a lookup at every node would cost a formula
+    that shares nothing about 40% more time to compile."""
     serials: dict[tuple, int] = {}
     made: list = []
     keys: list[tuple] = []
-    walked: dict[int, int] = {}  # id of a node walked -> its serial
+    walked: dict[int, int] = {}  # id of a conjunction walked -> its serial
 
     def go(n) -> int:
-        serial = walked.get(id(n))
-        if serial is not None:
-            return serial
         kind = type(n)
         if kind is Not:
             child = go(n.child)
-            inner = keys[child]
-            # !!f is f: f's key is known, so it gives f's serial
-            key = keys[inner[1]] if inner[0] is _not else (_not, child)
+            if keys[child][0] is _not:
+                return keys[child][1]
+            key = (_not, child)
         elif kind is And:
+            serial = walked.get(id(n))
+            if serial is not None:
+                return serial
             key = (_and, go(n.left), go(n.right))
         elif kind is Nominal:
             key = (_nom, arena.resolve(n.name))
@@ -172,7 +176,8 @@ def compile(arena: _Arena, node, coalition_free: bool = False):
             serial = serials[key] = len(made)
             made.append(key[0](arena, made, serial, *key[1:]))
             keys.append(key)
-        walked[id(n)] = serial
+        if kind is And:
+            walked[id(n)] = serial
         return serial
 
     return made[go(node)]
