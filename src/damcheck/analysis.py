@@ -10,6 +10,7 @@ network (`_choices`), never evaluate, and so also accept such networks."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -280,36 +281,68 @@ def translate(mechanism: Mechanism, form: Formula) -> Formula:
     coalition box into a conjunction over the coalition's choices (buyers
     plus SKIP, one canonical name per buyer) of disjunctions over
     counter-choices, built from the `formula` constructors of the derived
-    operators, so the output is core too."""
-    return _tr(mechanism, form)
+    operators, so the output is core too.
+
+    The walk keeps a memo by identity: a subformula the input shares is
+    translated once and its output shared in turn, each distinct coalition
+    box is unfolded once, and a subformula with no coalition box comes back
+    as the same object. The output then has about as many distinct nodes as
+    the input plus the unfoldings, though its printed text can still be
+    exponentially longer than the input's."""
+    return _tr(_Translation(mechanism), form)
 
 
-def _tr(mechanism: Mechanism, node):
+class _Translation:
+    """One call of `translate`: the memo from id(input node) to its output,
+    and the sellers and their choices, read off the network at the first
+    coalition box."""
+
+    def __init__(self, mechanism: Mechanism):
+        self.mechanism = mechanism
+        self.memo: dict[int, Formula] = {}
+
+    @functools.cached_property
+    def choices(self):
+        return _choices(self.mechanism.network)
+
+
+def _tr(run: _Translation, node):
     kind = type(node)
     if kind in (Nominal, LinearGeq, Heart):
         return node
-    if kind is Not or kind is Box:
-        return kind(_tr(mechanism, node.child))
-    if kind is And:
-        return And(_tr(mechanism, node.left), _tr(mechanism, node.right))
-    if kind is Diffuse:
-        return Diffuse(node.bindings, _tr(mechanism, node.child))
-    if kind is CoalitionBox:
-        return _expand_coalition(mechanism, node)
-    raise TypeError(f"not a formula node: {node!r}")
+    out = run.memo.get(id(node))
+    if out is not None:
+        return out
+    if kind is Not or kind is Box or kind is Diffuse:
+        child = _tr(run, node.child)
+        if child is node.child:
+            out = node
+        elif kind is Diffuse:
+            out = Diffuse(node.bindings, child)
+        else:
+            out = kind(child)
+    elif kind is And:
+        left, right = _tr(run, node.left), _tr(run, node.right)
+        out = node if left is node.left and right is node.right else And(left, right)
+    elif kind is CoalitionBox:
+        out = _expand_coalition(run, node)
+    else:
+        raise TypeError(f"not a formula node: {node!r}")
+    run.memo[id(node)] = out
+    return out
 
 
-def _expand_coalition(mechanism: Mechanism, node) -> Formula:
-    sellers, seller_nom, options = _choices(mechanism.network)
+def _expand_coalition(run: _Translation, node) -> Formula:
+    sellers, seller_nom, options = run.choices
     members: set[AgentId] = set()
     for nominal in node.coalition:
-        agent = resolve_name(mechanism, nominal)
+        agent = resolve_name(run.mechanism, nominal)
         if agent.kind != SELLER:
             raise ActionError(f"coalition member {nominal!r} does not name a seller")
         members.add(agent)
     coalition = sorted(members)
     others = [seller_nom[s] for s in sellers if s not in members]
-    inner = _tr(mechanism, node.child)
+    inner = _tr(run, node.child)
 
     conjuncts = []
     for picked in itertools.product(options, repeat=len(coalition)):

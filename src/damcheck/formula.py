@@ -203,8 +203,10 @@ def desugar(node: Formula) -> Formula:
 
 def names_of(node: Formula) -> set[str]:
     """Every nominal occurring in the formula; SELF is not a nominal. The
-    walk keeps its own stack, so it answers at any depth."""
+    walk keeps its own stack, so it answers at any depth, and visits a
+    shared subformula once."""
     out: set[str] = set()
+    seen = {id(node)}
     todo = [node]
     while todo:
         node = todo.pop()
@@ -219,26 +221,28 @@ def names_of(node: Formula) -> set[str]:
                 if isinstance(term.subject, str):
                     out.add(term.subject)
         elif kind is Not or kind is Box:
-            todo.append(node.child)
+            _visit(node.child, seen, todo)
         elif kind is And:
-            todo.append(node.right)
-            todo.append(node.left)
+            _visit(node.right, seen, todo)
+            _visit(node.left, seen, todo)
         elif kind is Diffuse:
             for sell, target in node.bindings:
                 out.add(sell)
                 if isinstance(target, str):
                     out.add(target)
-            todo.append(node.child)
+            _visit(node.child, seen, todo)
         elif kind is CoalitionBox:
             out.update(node.coalition)
-            todo.append(node.child)
+            _visit(node.child, seen, todo)
         else:
             raise TypeError(f"not a formula node: {node!r}")
     return out
 
 
 def contains_coalition(node: Formula) -> bool:
-    """Whether a coalition operator occurs in the formula, at any depth."""
+    """Whether a coalition operator occurs in the formula, at any depth; a
+    shared subformula is visited once."""
+    seen = {id(node)}
     todo = [node]
     while todo:
         node = todo.pop()
@@ -246,11 +250,18 @@ def contains_coalition(node: Formula) -> bool:
         if kind is CoalitionBox:
             return True
         if kind in (Not, Box, Diffuse):
-            todo.append(node.child)
+            _visit(node.child, seen, todo)
         elif kind is And:
-            todo.append(node.right)
-            todo.append(node.left)
+            _visit(node.right, seen, todo)
+            _visit(node.left, seen, todo)
     return False
+
+
+def _visit(child, seen: set[int], todo: list) -> None:
+    """Push the child unless an earlier parent already pushed it."""
+    if id(child) not in seen:
+        seen.add(id(child))
+        todo.append(child)
 
 
 # --- printing ----------------------------------------------------------------
@@ -262,25 +273,75 @@ def format_formula(node: Formula) -> str:
     """Concrete syntax; parsing the output reproduces the formula. A number
     with more digits than Python will convert to text is a DamError.
 
-    The printer works from an explicit stack and joins the pieces once, so
-    it prints a formula of any depth in time linear in the output."""
+    The printer works from an explicit stack, so it prints a formula of any
+    depth, in time linear in the output. It keeps a memo by identity: a node
+    reached from two or more parents has its text joined once, at its first
+    use, and every later use appends that text again, in parentheses where
+    the use asks for them. A DAG that prints as a large tree then costs its
+    distinct nodes plus the copying of text."""
+    shared = _shared_nodes(node)
+    texts: dict[int, tuple[str, int]] = {}  # id(shared node) -> its text, level
     out: list[str] = []
     todo: list = [(node, _AND)]
     while todo:
         item = todo.pop()
-        if type(item) is str:
+        kind = type(item)
+        if kind is str:
             out.append(item)
             continue
+        if kind is list:  # a shared node's text ends here: [id, start, level]
+            key, start, level = item
+            text = "".join(out[start:])
+            del out[start:]
+            out.append(text)
+            texts[key] = (text, level)
+            continue
         node, min_level = item
+        key = id(node)
+        known = texts.get(key)
+        if known is not None:
+            text, level = known
+            if level < min_level:
+                out.extend(("(", text, ")"))
+            else:
+                out.append(text)
+            continue
         pieces, level = _layout(node)
         if level < min_level:
             out.append("(")
             todo.append(")")
+        if key in shared:
+            todo.append([key, len(out), level])
         if type(pieces) is str:
             out.append(pieces)
         else:
             todo.extend(pieces)
     return "".join(out)
+
+
+def _shared_nodes(node) -> set[int]:
+    """The ids of the nodes reached from two or more parents, or twice from
+    one; each distinct node is visited once."""
+    seen = {id(node)}
+    shared: set[int] = set()
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is And:
+            children = (node.left, node.right)
+        elif kind in (Not, Box, Diffuse, CoalitionBox):
+            children = (node.child,)
+        else:
+            continue
+        for child in children:
+            key = id(child)
+            if key in seen:
+                shared.add(key)
+            else:
+                seen.add(key)
+                todo.append(child)
+    return shared
 
 
 def _layout(node):

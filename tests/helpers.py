@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import signal
 from fractions import Fraction
 
 from damcheck import Mechanism, mechanism_from_dict
@@ -30,6 +32,37 @@ from damcheck.formula import (
 from damcheck.model import SKIP, joint_action
 
 from reference import reference_apply, reference_check, reference_precondition
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float, message: str):
+    """Raise TimeoutError(message) in the block once `seconds` of real time
+    have passed, so that a walk that blows up fails its test instead of
+    hanging it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def distinct_nodes(node) -> int:
+    """The number of distinct node objects in a formula, by identity."""
+    seen: set[int] = set()
+    todo = [node]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            parts = ("child", "left", "right")
+            todo.extend(getattr(node, part) for part in parts if hasattr(node, part))
+    return len(seen)
 
 
 def equal_valuation_pair() -> Mechanism:

@@ -8,7 +8,8 @@ by direct recursion, materialising each successor through `reference_apply`;
 `reference_ne` is the equilibrium test as a loop over whole deviated
 profiles. Neither memoises anything, so both are exponential and meant for
 small instances only: they are the oracles the engine's answers are
-compared against. `reference_validate`
+compared against. `reference_format` is the printer that walks a formula
+as a tree, the oracle for `format_formula`'s bytes. `reference_validate`
 is the invariant check as it stood before `AgentId` became a named tuple: one
 generic `==` or lookup per friendship entry, money compared as Fractions."""
 
@@ -18,7 +19,7 @@ import itertools
 from dataclasses import replace
 
 from damcheck import auction
-from damcheck.errors import ActionError, PreconditionError
+from damcheck.errors import ActionError, DamError, PreconditionError
 from damcheck.formula import (
     SELF,
     And,
@@ -200,6 +201,97 @@ def _eval_coalition(m: Mechanism, at: AgentId, node) -> bool:
         if not answered:
             return False
     return True
+
+
+# --- the tree printer ----------------------------------------------------------
+# `formula.format_formula` as it stood before it reused the text of shared
+# nodes: it walks every formula as a tree. The new printer must write the
+# same bytes.
+
+_AND, _UNARY, _ATOM = 1, 2, 3
+
+
+def reference_format(node) -> str:
+    """Concrete syntax; parsing the output reproduces the formula. A number
+    with more digits than Python will convert to text is a DamError.
+
+    The printer works from an explicit stack and joins the pieces once, so
+    it prints a formula of any depth in time linear in the output."""
+    out: list[str] = []
+    todo: list = [(node, _AND)]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        node, min_level = item
+        pieces, level = _layout(node)
+        if level < min_level:
+            out.append("(")
+            todo.append(")")
+        if type(pieces) is str:
+            out.append(pieces)
+        else:
+            todo.extend(pieces)
+    return "".join(out)
+
+
+def _layout(node):
+    """The node's printed form and its precedence level. The form of an atom
+    is its text; any other node's is its pieces, last first, each text or a
+    (child, the least level the child may print at without parentheses)."""
+    kind = type(node)
+    if kind is Not:
+        return ((node.child, _UNARY), "!"), _UNARY
+    if kind is And:
+        return ((node.right, _UNARY), " & ", (node.left, _AND)), _AND
+    if kind is Nominal:
+        return node.name, _ATOM
+    if kind is Diffuse:
+        return ((node.child, _UNARY), f"[{_bindings_str(node.bindings)}] "), _UNARY
+    if kind is LinearGeq:
+        return _linear_str(node), _ATOM
+    if kind is Box:
+        return ((node.child, _UNARY), "[] "), _UNARY
+    if kind is Heart:
+        return f"wins({_subject(node.target)})", _ATOM
+    if kind is CoalitionBox:
+        inside = ", ".join(sorted(node.coalition)) or " "
+        return ((node.child, _UNARY), f"[<{inside}>] "), _UNARY
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+def _subject(target) -> str:
+    return "@self" if not isinstance(target, str) else target
+
+
+def _bindings_str(bindings) -> str:
+    return ", ".join(
+        f"{sell}:{'skip' if not isinstance(target, str) else target}"
+        for sell, target in bindings
+    )
+
+
+def _linear_str(node: LinearGeq) -> str:
+    try:
+        return f"{_sum_str(node.terms)} >= {node.bound}"
+    except ValueError:  # str() refuses integers past sys.get_int_max_str_digits()
+        raise DamError("a number in the formula has too many digits to print") from None
+
+
+def _sum_str(terms) -> str:
+    if not terms:
+        return "0"
+    parts: list[str] = []
+    for index, (coeff, term) in enumerate(terms):
+        ut = f"ut[{_subject(term.subject)}]"
+        magnitude = abs(coeff)
+        body = ut if magnitude == 1 else f"{magnitude}*{ut}"
+        if index == 0:
+            parts.append(f"-{body}" if coeff < 0 else body)
+        else:
+            parts.append(f"- {body}" if coeff < 0 else f"+ {body}")
+    return " ".join(parts)
 
 
 def _final_state(mechanism: Mechanism, profile) -> Mechanism | None:

@@ -13,6 +13,7 @@ from damcheck import (
     joint_action,
     mechanism_from_dict,
     ne_formula,
+    parse_formula,
     strategy_exists,
     translate,
 )
@@ -46,6 +47,7 @@ from damcheck.gadgets import CnfInstance, expressivity_pair, gen_sat_gadget, sat
 from damcheck.model import action_precondition, apply_joint_action
 
 from helpers import (
+    distinct_nodes,
     exhaustive_strategy,
     referral_chain,
     two_seller_market,
@@ -54,6 +56,7 @@ from helpers import (
     random_feasible_action,
     random_mechanism,
     random_rational_market,
+    time_limit,
 )
 from reference import reference_apply, reference_ne, reference_precondition
 
@@ -554,6 +557,47 @@ def test_translate_agreement_random():
                 CheckQuery(mech, agent, flat)
             )
 
+
+
+_SHARED_BOX = "(<[sigma]> wins(gamma))"
+
+
+def test_translate_builds_each_distinct_node_once():
+    # a parsed <-> chain uses each level twice, so 40 levels have 2**40
+    # paths to the coalition box at the bottom: a copy of the tree would
+    # never end, and the timer turns that into a failure
+    mech = referral_chain()
+    counts = {}
+    with time_limit(5, "translate copied the shared chain as a tree"):
+        for chain in (" <-> beta", " <-> " + _SHARED_BOX):
+            counts[chain] = [
+                distinct_nodes(translate(mech, parse_formula(_SHARED_BOX + chain * levels)))
+                for levels in (0, 10, 20, 40)
+            ]
+        coalition_free = parse_formula("alpha" + " <-> beta" * 40)
+        assert translate(mech, coalition_free) is coalition_free
+    for base, ten, twenty, forty in counts.values():
+        # the same few new nodes per level, on top of one unfolded box
+        assert twenty - ten == ten - base < 10 * 10
+        assert forty - twenty == 2 * (twenty - ten)
+
+
+def test_translate_of_shared_coalition_chains_agrees_with_check_strategic():
+    mech = referral_chain()
+    operands = [_SHARED_BOX, "beta", "(<[sigma]> wins(delta))", "alpha"]
+    verdicts = set()
+    for levels in range(1, 11):
+        for text in (
+            _SHARED_BOX + f" <-> {_SHARED_BOX}" * levels,
+            _SHARED_BOX + "".join(f" <-> {operands[i % 4]}" for i in range(levels)),
+        ):
+            form = parse_formula(text)
+            flat = translate(mech, form)
+            for agent in mech.network.agents():
+                verdict = check_strategic(CheckQuery(mech, agent, form))
+                assert check(CheckQuery(mech, agent, flat)) == verdict
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 def test_check_ne_direct_matches_reference_loop():
     rng = random.Random(31337)

@@ -40,6 +40,7 @@ from damcheck.formula import (
 from damcheck.gadgets import (
     EXISTS,
     FORALL,
+    PAnd,
     PIff,
     PNot,
     POr,
@@ -48,7 +49,8 @@ from damcheck.gadgets import (
     gen_qbf_gadget,
 )
 
-from helpers import random_formula, random_mechanism
+from helpers import distinct_nodes, random_formula, random_mechanism, time_limit
+from reference import reference_format
 from reference_parser import parse_formula as reference_parse
 
 
@@ -347,21 +349,9 @@ def test_iff_chains_desugar_in_linear_time():
     for _ in range(40):
         chain = Iff(chain, Nominal("b"))
     # compared by value these would be walked as trees of 2**40 nodes
-    assert _distinct_nodes(desugar(chain)) < 10 * 40
-    assert _distinct_nodes(parse_formula("a" + " <-> b" * 40)) < 10 * 40
+    assert distinct_nodes(desugar(chain)) < 10 * 40
+    assert distinct_nodes(parse_formula("a" + " <-> b" * 40)) < 10 * 40
     assert time.perf_counter() - began < 5
-
-
-def _distinct_nodes(node) -> int:
-    seen: set[int] = set()
-    todo = [node]
-    while todo:
-        node = todo.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
-            parts = ("child", "left", "right")
-            todo.extend(getattr(node, part) for part in parts if hasattr(node, part))
-    return len(seen)
 
 
 # --- the one-pass parser against the parser it replaced ----------------------------
@@ -499,7 +489,7 @@ def test_repeated_groups_parse_to_one_node():
     # translate prints a small DAG as a large tree; parsed, it is that DAG
     text = _translate_outputs()[-1]
     assert len(text) > 20000
-    assert _distinct_nodes(parse_formula(text)) < 1000
+    assert distinct_nodes(parse_formula(text)) < 1000
 
 
 def test_parser_agrees_with_reference_after_an_edit_to_the_last_copy_of_a_group():
@@ -553,3 +543,96 @@ def test_names_and_coalition_scan_answer_at_any_depth():
     assert names_of(deep) == {"a"}
     assert contains_coalition(deep) is False
     assert contains_coalition(parse_formula("a -> " * 1500 + "<[s]> a")) is True
+
+
+def test_names_and_coalition_scan_visit_a_shared_chain_once_per_node():
+    # each level of a parsed <-> chain uses the level below twice, so 40
+    # levels have 2**40 paths: a walk as a tree would never end, and the
+    # timer turns that into a failure
+    chain = parse_formula("alpha" + " <-> beta" * 40)
+    last = parse_formula("alpha" + " <-> beta" * 40 + " <-> <[sigma]> wins(gamma)")
+    with time_limit(5, "a scan walked the shared chain as a tree"):
+        assert names_of(chain) == {"alpha", "beta"}
+        assert contains_coalition(chain) is False
+        assert names_of(last) == {"alpha", "beta", "sigma", "gamma"}
+        assert contains_coalition(last) is True
+
+
+# --- the printer against the tree printer it replaced --------------------------
+
+
+@st.composite
+def _shared_dags(draw):
+    """Formulas built bottom-up from a pool, each new node taking its
+    children from the whole pool, so that a node is often reached from
+    several parents, at different precedence levels."""
+    pool = draw(st.lists(_core_atoms, min_size=1, max_size=4))
+    for _ in range(draw(st.integers(1, 10))):
+        pick = st.sampled_from(tuple(pool))
+        pool.append(
+            draw(
+                st.one_of(
+                    st.builds(Not, pick),
+                    st.builds(And, pick, pick),
+                    st.builds(Box, pick),
+                    st.builds(Diffuse, _bindings, pick),
+                    st.builds(CoalitionBox, _coalitions, pick),
+                )
+            )
+        )
+    return pool[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_core_formulas, _sugar_formulas, _shared_dags()))
+def test_format_prints_the_bytes_of_the_tree_printer(f):
+    assert format_formula(f) == reference_format(f)
+
+
+def test_format_parenthesises_each_use_of_a_shared_node_on_its_own():
+    shared = And(Nominal("a"), Not(Nominal("b")))
+    for form, text in (
+        # first met as the left operand of &, then under !
+        (And(shared, Not(shared)), "a & !b & !(a & !b)"),
+        # first met under !, then as the left operand of &
+        (And(Not(shared), And(shared, Nominal("c"))), "!(a & !b) & (a & !b & c)"),
+        (And(shared, shared), "a & !b & (a & !b)"),
+        (Box(And(Not(shared), Diffuse((("s", SKIP),), shared))), "[] (!(a & !b) & [s:skip] (a & !b))"),
+        # a shared node inside a shared node
+        (And(Not(And(shared, shared)), And(shared, shared)), "!(a & !b & (a & !b)) & (a & !b & (a & !b))"),
+        (And(Not(Nominal("a")), Not(Nominal("a"))), "!a & !a"),
+    ):
+        assert format_formula(form) == reference_format(form) == text
+        assert parse_formula(text) == form
+
+
+def _qbf_gadget_outputs():
+    """translate's output on a 2- and a 3-variable QBF gadget."""
+    two = QbfInstance((FORALL, EXISTS), PIff(PVar(1), POr(PVar(2), PNot(PVar(1)))))
+    three = QbfInstance(
+        (EXISTS, FORALL, EXISTS),
+        PAnd(POr(PVar(1), PVar(3)), PIff(PVar(2), POr(PVar(3), PNot(PVar(1))))),
+    )
+    return [translate(*gen_qbf_gadget(instance)) for instance in (two, three)]
+
+
+def test_format_prints_the_bytes_of_the_tree_printer_on_translate_outputs():
+    from pathlib import Path
+
+    from damcheck import load_mechanism
+
+    samples = Path(__file__).resolve().parent.parent / "samples"
+    chain = load_mechanism(samples / "referral-chain.json")
+    pair = load_mechanism(samples / "two-sellers.json")
+    flats = _qbf_gadget_outputs()
+    for mech, text in (
+        (chain, "(<[sigma]> (wins(gamma) | ut[sigma] <= 8)) & (alpha -> <> beta) & <sigma:alpha> ut[sigma] > 7"),
+        (chain, "(<[sigma]> wins(delta)) | false"),
+        (chain, "(<[sigma]> wins(gamma))" + " <-> (<[sigma]> wins(gamma))" * 6),
+        (pair, "<[sigma1]> (wins(beta) <-> <[sigma2]> ut[sigma1] >= 1)"),
+        (pair, "[< >] <[sigma1, sigma2]> !wins(alpha)"),
+    ):
+        flats.append(translate(mech, parse_formula(text)))
+    assert len(format_formula(flats[1])) > 900_000
+    for flat in flats:
+        assert format_formula(flat) == reference_format(flat)
