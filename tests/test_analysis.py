@@ -558,7 +558,6 @@ def test_translate_agreement_random():
             )
 
 
-
 _SHARED_BOX = "(<[sigma]> wins(gamma))"
 
 
@@ -598,6 +597,7 @@ def test_translate_of_shared_coalition_chains_agrees_with_check_strategic():
                 assert check(CheckQuery(mech, agent, flat)) == verdict
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
 
 def test_check_ne_direct_matches_reference_loop():
     rng = random.Random(31337)

@@ -606,25 +606,21 @@ def test_format_parenthesises_each_use_of_a_shared_node_on_its_own():
         assert parse_formula(text) == form
 
 
-def _qbf_gadget_outputs():
-    """translate's output on a 2- and a 3-variable QBF gadget."""
-    two = QbfInstance((FORALL, EXISTS), PIff(PVar(1), POr(PVar(2), PNot(PVar(1)))))
-    three = QbfInstance(
-        (EXISTS, FORALL, EXISTS),
-        PAnd(POr(PVar(1), PVar(3)), PIff(PVar(2), POr(PVar(3), PNot(PVar(1))))),
-    )
-    return [translate(*gen_qbf_gadget(instance)) for instance in (two, three)]
-
-
 def test_format_prints_the_bytes_of_the_tree_printer_on_translate_outputs():
     from pathlib import Path
 
     from damcheck import load_mechanism
 
+    # QBF gadgets with 2 and 3 variables, then formulas on both samples
+    two = QbfInstance((FORALL, EXISTS), PIff(PVar(1), POr(PVar(2), PNot(PVar(1)))))
+    three = QbfInstance(
+        (EXISTS, FORALL, EXISTS),
+        PAnd(POr(PVar(1), PVar(3)), PIff(PVar(2), POr(PVar(3), PNot(PVar(1))))),
+    )
+    flats = [translate(*gen_qbf_gadget(instance)) for instance in (two, three)]
     samples = Path(__file__).resolve().parent.parent / "samples"
     chain = load_mechanism(samples / "referral-chain.json")
     pair = load_mechanism(samples / "two-sellers.json")
-    flats = _qbf_gadget_outputs()
     for mech, text in (
         (chain, "(<[sigma]> (wins(gamma) | ut[sigma] <= 8)) & (alpha -> <> beta) & <sigma:alpha> ut[sigma] > 7"),
         (chain, "(<[sigma]> wins(delta)) | false"),
