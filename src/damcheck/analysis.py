@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .checker import CheckStats, _Engine, _shallow, cached_update, compile
+from .checker import CheckStats, _Engine, _shallow, cached_update
 from .errors import ActionError, ArityError, DamError, InfeasibleProfileError
 from .formula import (
     TRUE,
@@ -226,12 +226,12 @@ def strategy_exists(
         raise DamError(f"max_depth must be at least 0, got {depth_cap}")
     engine = _Engine(mech)
     arena = engine.arena
-    compiled = compile(arena, query.goal, coalition_free=True)
+    compiled = engine.compile(query.goal, coalition_free=True)
 
     sellers = (1 << len(arena.seller_ids)) - 1  # sellers are numbered first
 
     def satisfied(state) -> bool:
-        found = engine.label(compiled, state, sellers) == sellers
+        found = compiled(state, sellers) == sellers
         # the search may hold thousands of states: keep none of their memos
         state.memo.clear()
         state.alloc = None

@@ -8,11 +8,18 @@ here, and the strategy search and the equilibrium test in `analysis`.
   as integers scaled by a common denominator. It is cached on the
   immutable `MarketNetwork`. An action that moves nothing returns its
   input, and its successor is the state itself.
-* `compile` turns a formula into its evaluator over an arena in one walk,
-  the only one a query makes over its formula (global model checking for
-  hybrid logics, Franceschet & de Rijke 2006). Formulas are core, so it
-  meets only the eight core node kinds, and for `check` and
-  `strategy_exists` it refuses coalition boxes in that same walk.
+* `_Engine` is one query: a table of the states it built, keyed by
+  (friendship rows, budgets), the formulas compiled for it, and their
+  labelling over those states (Clarke, Emerson & Sistla, ACM TOPLAS 1986).
+  Each state's allocation, the root's included, is `auction.evaluate` of
+  the state as the arena materialises it, so a query reads no allocation
+  that a caller's `Mechanism` has cached (`auction.evaluate` still caches
+  per instance).
+* `_Engine.compile` turns a formula into its evaluator over the engine's
+  states in one walk, the only one a query makes over its formula (global
+  model checking for hybrid logics, Franceschet & de Rijke 2006). Formulas
+  are core, so it meets only the eight core node kinds, and for `check`
+  and `strategy_exists` it refuses coalition boxes in that same walk.
   The walk visits each distinct conjunction once: a conjunction it meets
   again, as the parser and the derived-operator constructors share
   subformulas, is looked up by identity. The walk branches only at
@@ -21,29 +28,27 @@ here, and the strategy search and the equilibrium test in `analysis`.
   of distinct nodes. The walk also hash-conses as it goes
   (Filliatre & Conchon 2006): a node's key is its operator and its
   operands' serials, so hashing a key costs the same at any depth, and
-  equal subformulas share one serial. `!!f` is
+  equal subformulas share one serial. The serial table belongs to the
+  engine, so every formula compiled on one engine shares one numbering,
+  and the states' memos, keyed by serial, serve them all. `!!f` is
   compiled as f, so a chain of diamonds `<><>x` runs as `!B B !x`, with
   one negation at each end. Each distinct node gets one closure
-  `fn(engine, state, need)`, made when its key is first seen; a closure
-  calls its children's closures directly, so there is no dispatch on the
-  operator at evaluation time (Feeley & Lapalme, "Using closures for code
-  generation", 1987).
-* `_Engine` is one query: a table of the states it built, keyed by
-  (friendship rows, budgets), and the labelling of compiled formulas over
-  them (Clarke, Emerson & Sistla, ACM TOPLAS 1986). `_Engine.label(node,
-  state, need)` calls a node's closure, which answers the node at a whole
-  set of agents at once: `need` and the result are bitmasks over agent
-  numbers. A friendship box labels its child once, at the union of the
-  asked agents' friends; a diffusion box builds its one successor once for
-  all of them; a coalition box narrows the set as choices fail and asks
-  each counter-choice only about the agents no earlier one answered; a
-  conjunction asks its right operand only where the left one holds. Each
-  state memoises modal nodes by serial as a pair (agents decided, agents
-  where it holds), so a later call computes only the agents not yet
-  decided, and nested boxes cost time linear in their depth. Non-modal
-  nodes are not memoised, so a node shared below a negation or a
-  conjunction is evaluated again on each path that asks for it. Nothing
-  outlives the query."""
+  `fn(state, need)`, bound to the engine and made when its key is first
+  seen; a closure calls its children's closures directly, so there is no
+  dispatch on the operator at evaluation time (Feeley & Lapalme, "Using
+  closures for code generation", 1987).
+* A closure answers its node at a whole set of agents at once: `need` and
+  the result are bitmasks over agent numbers. A friendship box labels its
+  child once, at the union of the asked agents' friends; a diffusion box
+  builds its one successor once for all of them; a coalition box narrows
+  the set as choices fail and asks each counter-choice only about the
+  agents no earlier one answered; a conjunction asks its right operand
+  only where the left one holds. Each state memoises modal nodes by serial
+  as a pair (agents decided, agents where it holds), so a later call
+  computes only the agents not yet decided, and nested boxes cost time
+  linear in their depth. Non-modal nodes are not memoised, so a node
+  shared below a negation or a conjunction is evaluated again on each path
+  that asks for it. Nothing outlives the query."""
 
 from __future__ import annotations
 
@@ -92,96 +97,17 @@ class CheckQuery:
 
 
 def _shallow(entry):
-    """Report a formula too deeply nested for Python's stack as a DamError."""
+    """Report a formula too deeply nested for Python's stack as a DamError
+    that names the entry point."""
 
     @functools.wraps(entry)
     def run(*args, **kwargs):
         try:
             return entry(*args, **kwargs)
         except RecursionError:
-            raise DamError("formula nests too deeply to evaluate") from None
+            raise DamError(f"formula nests too deeply for {entry.__name__}") from None
 
     return run
-
-
-def compile(arena: _Arena, node, coalition_free: bool = False):
-    """A formula -> its evaluator over the arena's states, a closure
-    `fn(engine, state, need)` that returns the agents of the bitmask `need`
-    at which it holds. With `coalition_free` a coalition box raises
-    CoalitionOperatorError; anything but a core node raises TypeError. A
-    node's key is (op, operand serials and data), so equal subformulas
-    share one serial and one closure, made only for a key not seen before.
-    The op is the closure's maker, called as `op(arena, made, serial,
-    *operands)`, where made[serial] is the closure of each earlier key. A
-    double negation `!!f` gets f's serial: every closure answers within
-    `need`, so `!!f` and f answer alike. A conjunction met again (the
-    parser and the constructors share subformulas) is looked up by
-    identity, so each distinct conjunction is walked once, and any other
-    node once per path to it from the nearest conjunction above. Only a
-    conjunction makes the walk branch, so this is enough to keep a DAG from
-    being walked as a tree; a lookup at every node would cost a formula
-    that shares nothing about 40% more time to compile."""
-    serials: dict[tuple, int] = {}
-    made: list = []
-    keys: list[tuple] = []
-    walked: dict[int, int] = {}  # id of a conjunction walked -> its serial
-
-    def go(n) -> int:
-        kind = type(n)
-        if kind is Not:
-            child = go(n.child)
-            if keys[child][0] is _not:
-                return keys[child][1]
-            key = (_not, child)
-        elif kind is And:
-            serial = walked.get(id(n))
-            if serial is not None:
-                return serial
-            key = (_and, go(n.left), go(n.right))
-        elif kind is Nominal:
-            key = (_nom, arena.resolve(n.name))
-        elif kind is Box:
-            key = (_box, go(n.child))
-        elif kind is Heart:
-            key = (_heart, -1 if n.target is SELF else arena.resolve(n.target))
-        elif kind is LinearGeq:
-            terms = tuple(
-                (c, -1 if t.subject is SELF else arena.resolve(t.subject))
-                for c, t in n.terms
-            )
-            key = (_lin, terms, n.bound)
-        elif kind is Diffuse:
-            action = [-1] * len(arena.seller_ids)
-            bound: set[int] = set()
-            for nominal, target in n.bindings:
-                s = arena.seller(nominal)
-                if s in bound:
-                    raise ActionError(f"seller {nominal!r} bound twice in one action")
-                bound.add(s)
-                if target is not SKIP:
-                    action[s] = arena.buyer(target)
-            key = (_diff, tuple(action), go(n.child))
-        elif kind is CoalitionBox:
-            if coalition_free:
-                raise CoalitionOperatorError(
-                    f"the coalition {{{', '.join(sorted(n.coalition))}}} occurs"
-                    " in a formula that must be coalition-free"
-                )
-            members = tuple(sorted({arena.seller(nom) for nom in n.coalition}))
-            key = (_coal, members, go(n.child))
-        else:
-            raise TypeError(f"not a formula node: {n!r}")
-        serial = serials.get(key)
-        if serial is None:
-            serial = serials[key] = len(made)
-            made.append(key[0](arena, made, serial, *key[1:]))
-            keys.append(key)
-        if kind is And:
-            walked[id(n)] = serial
-        return serial
-
-    return made[go(node)]
-
 
 
 # --- the evaluators that compile builds ----------------------------------------
@@ -195,62 +121,64 @@ def compile(arena: _Arena, node, coalition_free: bool = False):
 _UNDECIDED = (0, 0)
 
 
-def _nom(arena, made, serial, agent):
+def _nom(engine, serial, agent):
     bit = 1 << agent
 
-    def nom(engine, state, need):
+    def nom(state, need):
         return need & bit
 
     return nom
 
 
-def _not(arena, made, serial, child):
-    child = made[child]
+def _not(engine, serial, child):
+    child = engine.made[child]
 
-    def neg(engine, state, need):
-        return need & ~child(engine, state, need)
+    def neg(state, need):
+        return need & ~child(state, need)
 
     return neg
 
 
-def _and(arena, made, serial, left, right):
-    left, right = made[left], made[right]
+def _and(engine, serial, left, right):
+    left, right = engine.made[left], engine.made[right]
 
-    def conj(engine, state, need):
+    def conj(state, need):
         # the right operand only where the left one holds
-        got = left(engine, state, need)
-        return right(engine, state, got) if got else 0
+        got = left(state, need)
+        return right(state, got) if got else 0
 
     return conj
 
 
-def _heart(arena, made, serial, target):
-    agents = arena.agents
+def _heart(engine, serial, target):
+    agents = engine.arena.agents
+    allocation = engine.allocation
     if target >= 0:
         who = agents[target]
 
-        def heart(engine, state, need):
-            return need if engine.allocation(state).placement[who] == 1 else 0
+        def heart(state, need):
+            return need if allocation(state).placement[who] == 1 else 0
 
     else:
 
-        def heart(engine, state, need):
-            placement = engine.allocation(state).placement
+        def heart(state, need):
+            placement = allocation(state).placement
             return sum(1 << i for i in _bits(need) if placement[agents[i]] == 1)
 
     return heart
 
 
-def _lin(arena, made, serial, terms, bound):
+def _lin(engine, serial, terms, bound):
     if not terms:  # `true` and `false` read no utility, so they run no auction
         holds = -1 if bound <= 0 else 0
-        return lambda engine, state, need: need & holds
-    agents = arena.agents
+        return lambda state, need: need & holds
+    agents = engine.arena.agents
+    allocation = engine.allocation
     named = [(c, agents[who]) for c, who in terms if who >= 0]
     per_self = sum(c for c, who in terms if who < 0)
 
-    def lin(engine, state, need):
-        utility = engine.allocation(state).utility
+    def lin(state, need):
+        utility = allocation(state).utility
         gap = bound  # the bound, less the terms that name an agent
         for coeff, who in named:
             gap -= coeff * utility[who]
@@ -261,10 +189,10 @@ def _lin(arena, made, serial, terms, bound):
     return lin
 
 
-def _box(arena, made, serial, child):
-    child = made[child]
+def _box(engine, serial, child):
+    child = engine.made[child]
 
-    def box(engine, state, need):
+    def box(state, need):
         known, value = state.memo.get(serial, _UNDECIDED)
         todo = need & ~known
         if not todo:
@@ -278,7 +206,7 @@ def _box(arena, made, serial, child):
             low = rest & -rest
             rest ^= low
             around |= adj[low.bit_length() - 1]
-        failed = around & ~child(engine, state, around)
+        failed = around & ~child(state, around)
         got = todo
         rest = todo if failed else 0
         while rest:
@@ -293,18 +221,18 @@ def _box(arena, made, serial, child):
     return box
 
 
-def _diff(arena, made, serial, action, child):
-    child = made[child]
-    feasible = arena.feasible
+def _diff(engine, serial, action, child):
+    child = engine.made[child]
+    feasible = engine.arena.feasible
 
-    def diff(engine, state, need):
+    def diff(state, need):
         known, value = state.memo.get(serial, _UNDECIDED)
         todo = need & ~known
         if not todo:
             return value & need
         # the action does not depend on the agent: one successor for all
         if feasible(state.adj, state.budgets, action):
-            got = child(engine, cached_update(engine, state, action), todo)
+            got = child(cached_update(engine, state, action), todo)
         else:
             got = todo
         value |= got
@@ -314,13 +242,14 @@ def _diff(arena, made, serial, action, child):
     return diff
 
 
-def _coal(arena, made, serial, members, child):
-    child = made[child]
+def _coal(engine, serial, members, child):
+    child = engine.made[child]
+    arena = engine.arena
     others = [s for s in arena.seller_ids if s not in members]
     options_of = arena.options
     sellers = arena.seller_ids
 
-    def coal(engine, state, need):
+    def coal(state, need):
         known, value = state.memo.get(serial, _UNDECIDED)
         todo = need & ~known
         if not todo:
@@ -337,9 +266,7 @@ def _coal(arena, made, serial, members, child):
             for counter in itertools.product(*(options[s] for s in others)):
                 for s, t in zip(others, counter):
                     action[s] = t
-                some |= child(
-                    engine, cached_update(engine, state, tuple(action)), got & ~some
-                )
+                some |= child(cached_update(engine, state, tuple(action)), got & ~some)
                 if some == got:
                     break
             got = some
@@ -367,15 +294,93 @@ class _State:
 
 
 class _Engine:
-    """One query on a mechanism: its arena, the table of states it built and
-    the evaluator of compiled formulas over them."""
+    """One query on a mechanism: its arena, the table of states it built,
+    and the table of the formulas compiled for it, which the states' memos
+    are keyed by."""
 
     def __init__(self, mechanism: Mechanism):
-        self.mechanism = mechanism
         self.arena = arena = _Arena.of(mechanism)
         self.width = len(arena.agents)
         self.table: dict[tuple, _State] = {}
+        # every formula compiled on this engine numbers its nodes here, so
+        # equal subformulas of any two of them share one serial and memo
+        self.serials: dict[tuple, int] = {}  # key -> serial
+        self.made: list = []  # serial -> closure
+        self.keys: list[tuple] = []  # serial -> key
         self.root = self.state((arena.adj0, arena.budget0))
+
+    def compile(self, node, coalition_free: bool = False):
+        """A formula -> its evaluator over this engine's states, a closure
+        `fn(state, need)` that returns the agents of the bitmask `need` at
+        which it holds. With `coalition_free` a coalition box raises
+        CoalitionOperatorError; anything but a core node raises TypeError.
+        A node's key is (op, operand serials and data); the op is the
+        closure's maker, called as `op(engine, serial, *operands)` for a key
+        not seen before, where engine.made[serial] is the closure of each
+        earlier key. `!!f` gets f's serial: every closure answers within
+        `need`, so `!!f` and f answer alike. Only a conjunction met again is
+        looked up by identity: only a conjunction makes the walk branch, and
+        a lookup at every node would cost a formula that shares nothing
+        about 40% more time to compile."""
+        arena = self.arena
+        serials, made, keys = self.serials, self.made, self.keys
+        walked: dict[int, int] = {}  # id of a conjunction walked -> its serial
+
+        def go(n) -> int:
+            kind = type(n)
+            if kind is Not:
+                child = go(n.child)
+                if keys[child][0] is _not:
+                    return keys[child][1]
+                key = (_not, child)
+            elif kind is And:
+                serial = walked.get(id(n))
+                if serial is not None:
+                    return serial
+                key = (_and, go(n.left), go(n.right))
+            elif kind is Nominal:
+                key = (_nom, arena.resolve(n.name))
+            elif kind is Box:
+                key = (_box, go(n.child))
+            elif kind is Heart:
+                key = (_heart, -1 if n.target is SELF else arena.resolve(n.target))
+            elif kind is LinearGeq:
+                terms = tuple(
+                    (c, -1 if t.subject is SELF else arena.resolve(t.subject))
+                    for c, t in n.terms
+                )
+                key = (_lin, terms, n.bound)
+            elif kind is Diffuse:
+                action = [-1] * len(arena.seller_ids)
+                bound: set[int] = set()
+                for nominal, target in n.bindings:
+                    s = arena.seller(nominal)
+                    if s in bound:
+                        raise ActionError(f"seller {nominal!r} bound twice in one action")
+                    bound.add(s)
+                    if target is not SKIP:
+                        action[s] = arena.buyer(target)
+                key = (_diff, tuple(action), go(n.child))
+            elif kind is CoalitionBox:
+                if coalition_free:
+                    raise CoalitionOperatorError(
+                        f"the coalition {{{', '.join(sorted(n.coalition))}}} occurs"
+                        " in a formula that must be coalition-free"
+                    )
+                members = tuple(sorted({arena.seller(nom) for nom in n.coalition}))
+                key = (_coal, members, go(n.child))
+            else:
+                raise TypeError(f"not a formula node: {n!r}")
+            serial = serials.get(key)
+            if serial is None:
+                serial = serials[key] = len(made)
+                made.append(key[0](self, serial, *key[1:]))
+                keys.append(key)
+            if kind is And:
+                walked[id(n)] = serial
+            return serial
+
+        return made[go(node)]
 
     def state(self, key) -> _State:
         """The query's state for key (rows, budgets), built on first use."""
@@ -386,12 +391,7 @@ class _Engine:
 
     def allocation(self, state: _State) -> auction.AllocationResult:
         if state.alloc is None:
-            mech = (
-                self.mechanism
-                if state is self.root
-                else self.arena.materialize(state.adj, state.budgets)
-            )
-            state.alloc = auction.evaluate(mech)
+            state.alloc = auction.evaluate(self.arena.materialize(state.adj, state.budgets))
         return state.alloc
 
     def report(self, stats: CheckStats | None) -> None:
@@ -399,11 +399,6 @@ class _Engine:
         if stats is not None:
             stats.agents = self.width
             stats.states_explored = len(self.table)
-
-    def label(self, node, state: _State, need: int) -> int:
-        """The agents of the bitmask `need` at which the compiled node holds,
-        as a bitmask."""
-        return node(self, state, need)
 
 
 def cached_update(engine: _Engine, state: _State, action) -> _State:
@@ -419,11 +414,11 @@ def cached_update(engine: _Engine, state: _State, action) -> _State:
 
 def _check(query: CheckQuery, stats: CheckStats | None, strategic: bool) -> bool:
     engine = _Engine(query.mechanism)
-    compiled = compile(engine.arena, query.formula, coalition_free=not strategic)
+    compiled = engine.compile(query.formula, coalition_free=not strategic)
     at = engine.arena.index.get(query.at)
     if at is None:
         raise UnknownAgentError(f"{query.at.id!r} is not an agent of the mechanism")
-    result = engine.label(compiled, engine.root, 1 << at) != 0
+    result = compiled(engine.root, 1 << at) != 0
     engine.report(stats)
     return result
 

@@ -206,10 +206,7 @@ def names_of(node: Formula) -> set[str]:
     walk keeps its own stack, so it answers at any depth, and visits a
     shared subformula once."""
     out: set[str] = set()
-    seen = {id(node)}
-    todo = [node]
-    while todo:
-        node = todo.pop()
+    for node in _distinct(node):
         kind = type(node)
         if kind is Nominal:
             out.add(node.name)
@@ -220,48 +217,46 @@ def names_of(node: Formula) -> set[str]:
             for _, term in node.terms:
                 if isinstance(term.subject, str):
                     out.add(term.subject)
-        elif kind is Not or kind is Box:
-            _visit(node.child, seen, todo)
-        elif kind is And:
-            _visit(node.right, seen, todo)
-            _visit(node.left, seen, todo)
         elif kind is Diffuse:
             for sell, target in node.bindings:
                 out.add(sell)
                 if isinstance(target, str):
                     out.add(target)
-            _visit(node.child, seen, todo)
         elif kind is CoalitionBox:
             out.update(node.coalition)
-            _visit(node.child, seen, todo)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
     return out
 
 
 def contains_coalition(node: Formula) -> bool:
     """Whether a coalition operator occurs in the formula, at any depth; a
     shared subformula is visited once."""
+    return any(type(n) is CoalitionBox for n in _distinct(node))
+
+
+def _children(node) -> tuple:
+    """The node's operands; TypeError if it is not a formula node."""
+    kind = type(node)
+    if kind is And:
+        return (node.left, node.right)
+    if kind in (Not, Box, Diffuse, CoalitionBox):
+        return (node.child,)
+    if kind in (Nominal, LinearGeq, Heart):
+        return ()
+    raise TypeError(f"not a formula node: {node!r}")
+
+
+def _distinct(node):
+    """Each distinct node of the formula once, by identity, from an explicit
+    stack, so a formula of any depth is walked."""
     seen = {id(node)}
     todo = [node]
     while todo:
         node = todo.pop()
-        kind = type(node)
-        if kind is CoalitionBox:
-            return True
-        if kind in (Not, Box, Diffuse):
-            _visit(node.child, seen, todo)
-        elif kind is And:
-            _visit(node.right, seen, todo)
-            _visit(node.left, seen, todo)
-    return False
-
-
-def _visit(child, seen: set[int], todo: list) -> None:
-    """Push the child unless an earlier parent already pushed it."""
-    if id(child) not in seen:
-        seen.add(id(child))
-        todo.append(child)
+        yield node
+        for child in _children(node):
+            if id(child) not in seen:
+                seen.add(id(child))
+                todo.append(child)
 
 
 # --- printing ----------------------------------------------------------------
@@ -322,25 +317,15 @@ def format_formula(node: Formula) -> str:
 def _shared_nodes(node) -> set[int]:
     """The ids of the nodes reached from two or more parents, or twice from
     one; each distinct node is visited once."""
-    seen = {id(node)}
+    reached: set[int] = set()
     shared: set[int] = set()
-    todo = [node]
-    while todo:
-        node = todo.pop()
-        kind = type(node)
-        if kind is And:
-            children = (node.left, node.right)
-        elif kind in (Not, Box, Diffuse, CoalitionBox):
-            children = (node.child,)
-        else:
-            continue
-        for child in children:
+    for parent in _distinct(node):
+        for child in _children(parent):
             key = id(child)
-            if key in seen:
+            if key in reached:
                 shared.add(key)
             else:
-                seen.add(key)
-                todo.append(child)
+                reached.add(key)
     return shared
 
 

@@ -415,8 +415,11 @@ class _Arena:
 
     def materialize(self, adj, budgets) -> Mechanism:
         """The state as a Mechanism value. Rows only ever gain bits, so only
-        the added friends and the changed budgets are patched in."""
+        the added friends and the changed budgets are patched in; the
+        arena's initial objects give the network itself, uncopied."""
         net = self.net
+        if adj is self.adj0 and budgets is self.budget0:
+            return Mechanism(net, self.rule)
         friends = dict(net.friends)
         for i, (row, row0) in enumerate(zip(adj, self.adj0)):
             if row != row0:

@@ -365,8 +365,7 @@ def test_compile_walks_a_shared_chain_once_per_node():
     # the timer turns that into a failure
     import signal
 
-    from damcheck.checker import compile
-    from damcheck.model import _Arena
+    from damcheck.checker import _Engine
 
     mech = referral_chain()
     chain = Nominal("alpha")
@@ -379,7 +378,7 @@ def test_compile_walks_a_shared_chain_once_per_node():
     previous = signal.signal(signal.SIGALRM, expire)
     signal.setitimer(signal.ITIMER_REAL, 5)
     try:
-        compile(_Arena.of(mech), chain)
+        _Engine(mech).compile(chain)
         # alpha holds at a and beta does not, so the chain alternates
         assert check(CheckQuery(mech, at(mech, "a"), chain))
     finally:
@@ -455,7 +454,7 @@ def test_labelling_merges_partly_known_memos():
     # reuses memo entries that decide only some agents; every answer must
     # hold the bits of a fresh engine per agent, which `check_strategic`
     # gives and the reference confirms
-    from damcheck.checker import _Engine, compile
+    from damcheck.checker import _Engine
 
     rng = random.Random(8086)
     for _ in range(150):
@@ -467,13 +466,35 @@ def test_labelling_merges_partly_known_memos():
             holds = check_strategic(CheckQuery(mech, agent, form))
             assert holds == reference_check(mech, agent, form)
             want |= holds << shared.arena.index[agent]
-        compiled = compile(shared.arena, form)
+        compiled = shared.compile(form)
         everyone = (1 << shared.width) - 1
         asks = [1 << i for i in range(shared.width)]
         rng.shuffle(asks)
         asks += [rng.randrange(everyone + 1) for _ in range(4)] + [everyone]
         for need in asks:
-            assert shared.label(compiled, shared.root, need) == want & need
+            assert compiled(shared.root, need) == want & need
+
+
+def test_formulas_compiled_on_one_engine_share_its_memos_safely():
+    # three formulas compiled on one engine share its serial numbering, so
+    # a memo one of them leaves in a state is never read by another under a
+    # colliding serial; every answer, asked in shuffled order, must be the
+    # reference's
+    from damcheck.checker import _Engine
+
+    rng = random.Random(12)
+    for _ in range(60):
+        mech = random_rational_market(rng, n_sellers=rng.randint(2, 3))
+        forms = [random_formula(rng, mech, depth=2, coalition=True) for _ in range(3)]
+        engine = _Engine(mech)
+        compiled = [engine.compile(form) for form in forms]
+        asks = [
+            (k, agent) for k in range(len(forms)) for agent in mech.network.agents()
+        ]
+        rng.shuffle(asks)
+        for k, agent in asks:
+            got = compiled[k](engine.root, 1 << engine.arena.index[agent]) != 0
+            assert got == reference_check(mech, agent, forms[k])
 
 
 def _odd_degree_rule(net):

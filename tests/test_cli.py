@@ -240,6 +240,15 @@ def test_translate_of_a_formula_too_deep_to_translate_exits_two(chain_path, caps
     assert captured.err.startswith("error:")
 
 
+def test_formula_too_deep_to_translate_names_translate(chain_path, capsys):
+    # translate evaluates nothing, so its message must not say it does
+    text = "alpha -> " * 1500 + "alpha"
+    assert main(["translate", "--model", chain_path, "--formula", text]) == 2
+    err = capsys.readouterr().err
+    assert "translate" in err
+    assert "evaluate" not in err
+
+
 @pytest.mark.parametrize(
     "content, argv",
     [

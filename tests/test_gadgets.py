@@ -19,7 +19,7 @@ from damcheck import (
     strategy_exists,
 )
 from damcheck.analysis import StrategyQuery
-from damcheck.checker import CheckQuery
+from damcheck.checker import CheckQuery, CheckStats
 from damcheck.cli import main
 from damcheck.errors import MechanismError, OracleLimitError
 from damcheck.formula import And, Nominal
@@ -194,6 +194,28 @@ def test_qbf_gadget_oracle_equivalence_random():
 
 
 # --- the expressivity pair ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n, states, holds",
+    [(1, 3, True), (2, 8, True), (3, 19, True), (4, 37, False), (5, 70, False)],
+)
+def test_qbf_gadget_states_are_pinned(n, states, holds):
+    # the prefix exists-forall-exists-forall-exists cut to n variables, and
+    # the matrix x1 or, for n > 1, the conjunction over i < n of
+    # (x_i | !x_{i+1}); the states the coalition path builds are exact, so
+    # a change to its work fails here with no timing
+    prefix = (EXISTS, FORALL, EXISTS, FORALL, EXISTS)[:n]
+    matrix = PVar(1)
+    for i in range(1, n):
+        clause = POr(PVar(i), PNot(PVar(i + 1)))
+        matrix = clause if i == 1 else PAnd(matrix, clause)
+    instance = QbfInstance(prefix, matrix)
+    mech, form = gen_qbf_gadget(instance)
+    stats = CheckStats()
+    got = check_strategic(CheckQuery(mech, seller_of(mech), form), stats)
+    assert got == qbf_oracle(instance) == holds
+    assert stats.states_explored == states
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
