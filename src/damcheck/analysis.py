@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import auction
 from .checker import CheckStats, _Engine, _shallow, cached_update
 from .errors import ActionError, ArityError, DamError, InfeasibleProfileError
 from .formula import (
@@ -79,7 +81,13 @@ def check_ne_direct(query: NeQuery, stats: CheckStats | None = None) -> NeResult
     """Game-theoretic equilibrium test: no seller may improve her final
     utility by swapping a single step's target for another buyer or SKIP.
     Deviations whose trajectory becomes infeasible are not available and are
-    skipped. `stats` gets the agent count and the states built, as in `check`."""
+    skipped. `stats` gets the agent count and the states built, as in `check`.
+
+    Under `smf` a deviation that leaves the seller too little money to beat
+    her baseline, even when she sells to the buyer with the highest
+    valuation, is still played but runs no auction. The answer, the
+    violation found first and the states built are the same as when every
+    deviation runs one."""
     profile = tuple(query.profile)
     if not profile:
         raise ArityError("profile must contain at least one joint action")
@@ -102,6 +110,14 @@ def _first_violation(engine: _Engine, trajectory, steps, baseline):
     """The first feasible unilateral deviation, by position, seller and then
     target (buyers ascending, then SKIP), that beats the baseline, or None."""
     arena = engine.arena
+    cap = auction.seller_gain_cap(arena.rule, arena.net)
+    # seller s cannot beat her baseline from a scaled budget of at most
+    # floor[s], so such an outcome needs no auction
+    floor = (
+        None
+        if cap is None
+        else [math.floor((money - cap) * arena.scale) for money in baseline]
+    )
     for position, action in enumerate(steps):
         for s in arena.seller_ids:
             for candidate in [*arena.buyer_ids, -1]:
@@ -111,7 +127,9 @@ def _first_violation(engine: _Engine, trajectory, steps, baseline):
                 outcome = _play(
                     engine, trajectory[position], (deviated, *steps[position + 1 :])
                 )
-                if outcome is None:
+                if outcome is None or (
+                    floor is not None and outcome.budgets[s] <= floor[s]
+                ):
                     continue
                 achieved = engine.allocation(outcome).utility[arena.agents[s]]
                 if achieved > baseline[s]:

@@ -5,9 +5,10 @@ registry keyed by rule name, so mechanisms can plug in other evaluators."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .errors import NotASellerError, UnknownRuleError
 from .model import BUYER, SELLER, AgentId, MarketNetwork, Mechanism
@@ -22,6 +23,9 @@ class AllocationResult:
     utility: Mapping[AgentId, Fraction]
 
 
+# collections.abc's alias, not typing's: typing keeps the aliases it makes
+# in a cache of its own, which would keep this module's classes, and with
+# them the whole package, alive after the package is imported again
 RuleFn = Callable[[MarketNetwork], AllocationResult]
 
 _RULES: dict[str, RuleFn] = {}
@@ -82,6 +86,19 @@ def smf_evaluate(net: MarketNetwork) -> AllocationResult:
 
 
 register_rule("smf", smf_evaluate)
+
+
+def seller_gain_cap(rule: str, net: MarketNetwork) -> int | Fraction | None:
+    """The most by which a seller's utility under the rule registered as
+    `rule` can exceed her budget, or None when that is not known. Under
+    `smf_evaluate` it is the highest valuation, as she gains the valuation
+    of the buyer she sells to and nothing when she keeps her item; at least
+    0, as a hand-built network may hold negative valuations. The answer
+    reads the registered function, so another rule registered as "smf"
+    gets None."""
+    if get_rule(rule) is not smf_evaluate:
+        return None
+    return max((0, *(net.valuation[b] for b in net.buyers)))
 
 
 def evaluate(mechanism: Mechanism) -> AllocationResult:

@@ -8,7 +8,7 @@ import random
 import signal
 from fractions import Fraction
 
-from damcheck import Mechanism, mechanism_from_dict
+from damcheck import AllocationResult, Mechanism, mechanism_from_dict
 from damcheck.formula import (
     SELF,
     And,
@@ -158,6 +158,16 @@ def cooperative_goal():
     return big_and(
         Implies(Nominal(nom), Or(Heart(SELF), Diamond(Heart(SELF))))
         for nom in nominals
+    )
+
+
+def odd_degree_rule(net):
+    """A rule unlike smf: an agent holds an item when she has an odd number
+    of friends, and her utility is her budget plus her friend count."""
+    return AllocationResult(
+        placement={a: len(net.friends_of(a)) % 2 for a in net.agents()},
+        payment={b: Fraction(0) for b in net.buyers},
+        utility={a: net.budget[a] + len(net.friends_of(a)) for a in net.agents()},
     )
 
 

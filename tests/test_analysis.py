@@ -1,5 +1,6 @@
 """Equilibrium analysis, strategy search, and coalition elimination."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -49,6 +50,7 @@ from damcheck.model import action_precondition, apply_joint_action
 from helpers import (
     distinct_nodes,
     exhaustive_strategy,
+    odd_degree_rule,
     referral_chain,
     two_seller_market,
     random_formula,
@@ -599,18 +601,140 @@ def test_translate_of_shared_coalition_chains_agrees_with_check_strategic():
     assert verdicts == {True, False}
 
 
-def test_check_ne_direct_matches_reference_loop():
-    rng = random.Random(31337)
-    for index in range(80):
-        if index % 2:
-            mech = random_rational_market(rng, n_sellers=rng.randint(1, 3))
-        else:
-            mech = random_mechanism(rng, max_sellers=3, max_buyers=4)
+def _costly_market(rng, rational: bool):
+    """Two or three sellers and four buyers, where every buyer asks every
+    seller more than any buyer's valuation, as in the benchmark's NE sweeps.
+    With `rational`, money comes in halves and valuations in thirds."""
+
+    def money(lo: int, hi: int):
+        if rational:
+            return str(Fraction(rng.randint(2 * lo, 2 * hi), 2))
+        return rng.randint(lo, hi)
+
+    sellers = [f"s{i}" for i in range(1, rng.randint(2, 3) + 1)]
+    buyers = []
+    for j in range(1, 5):
+        valuation = Fraction(rng.randint(0, 11), 3) if rational else rng.randint(0, 3)
+        buyers.append(
+            {
+                "id": f"b{j}",
+                "names": [f"bet{j}"],
+                "budget": str(valuation + 1),
+                "valuation": str(valuation),
+                "incentives": {s: money(4, 6) for s in sellers},
+            }
+        )
+    pairs = [(s, b["id"]) for s in sellers for b in buyers]
+    pairs += list(itertools.combinations([b["id"] for b in buyers], 2))
+    return mechanism_from_dict(
+        {
+            "sellers": [
+                {"id": s, "names": [f"sig{s[1:]}"], "budget": money(5, 9)} for s in sellers
+            ],
+            "buyers": buyers,
+            "edges": [list(pair) for pair in pairs if rng.random() < 0.5],
+            "rule": "smf",
+        }
+    )
+
+
+def _negative_valuation_market():
+    """A hand-built market that validation would refuse: the one buyer's
+    valuation is -1, and s3 has no buyer-friend. Under the profile s2:a, s2
+    pays 1 and s1 sells to a, so s2 keeps her item for utility 1; skipping
+    would leave her 2. A sale can add nothing to a seller who keeps her
+    item, so the bound must take the most a sale adds as 0, not -1."""
+    from dataclasses import replace
+
+    from damcheck import Mechanism
+
+    mech = mechanism_from_dict(
+        {
+            "sellers": [
+                {"id": "s1", "names": ["s1"], "budget": 0},
+                {"id": "s2", "names": ["s2"], "budget": 2},
+                {"id": "s3", "names": ["s3"], "budget": 1},
+            ],
+            "buyers": [
+                {"id": "a", "names": ["a"], "budget": 0, "valuation": 0,
+                 "incentives": {"s2": 1}},
+            ],
+            "edges": [["s1", "a"], ["s2", "a"]],
+            "rule": "smf",
+        }
+    )
+    net = mech.network
+    net = replace(net, valuation={b: Fraction(-1) for b in net.buyers})
+    return Mechanism(net, mech.rule), [joint_action(net, {"s2": "a"})]
+
+
+def _rounding_market():
+    """Money in halves and valuations in thirds. Skipping, seller s sells to
+    a for 1 + 1/3; paying b 1/2 brings her c, whom she sells to for
+    1/2 + 1 = 3/2. The highest valuation is 1, so a deviation can pay only
+    when it leaves her more than 1/3, which is 2/3 in the arena's halves:
+    the bound must round that down to 0, as the deviation leaves her 1."""
+    return mechanism_from_dict(
+        {
+            "sellers": [{"id": "s", "names": ["s"], "budget": 1}],
+            "buyers": [
+                {"id": "a", "names": ["a"], "budget": 1, "valuation": "1/3"},
+                {"id": "b", "names": ["b"], "budget": 1, "valuation": 0,
+                 "incentives": {"s": "1/2"}},
+                {"id": "c", "names": ["c"], "budget": 1, "valuation": 1},
+            ],
+            "edges": [["s", "a"], ["s", "b"], ["b", "c"]],
+            "rule": "smf",
+        }
+    )
+
+
+def _ne_cases(rng):
+    """(mechanism, profile) pairs: 80 random markets with random feasible
+    profiles; 20 costly markets (half with rational money) with all-skip
+    profiles, where no deviation can pay; 20 more with random profiles,
+    where some can; the rounding and negative-valuation markets; and 20
+    rational markets under the odd-degree rule, whose sellers gain from
+    friends rather than sales, so that no bound on smf may apply to it."""
+    from damcheck import Mechanism
+
+    def random_profile(mech):
         state, profile = mech, []
         for _ in range(rng.randint(1, 3)):
             action = random_feasible_action(rng, state)
             profile.append(action)
             state = apply_joint_action(state, action)
+        return profile
+
+    for index in range(80):
+        if index % 2:
+            mech = random_rational_market(rng, n_sellers=rng.randint(1, 3))
+        else:
+            mech = random_mechanism(rng, max_sellers=3, max_buyers=4)
+        yield mech, random_profile(mech)
+    for index in range(40):
+        mech = _costly_market(rng, rational=index % 2 == 1)
+        if index < 20:
+            skip_all = joint_action(mech.network, {s: SKIP for s in mech.network.sellers})
+            yield mech, [skip_all] * rng.randint(1, 3)
+        else:
+            yield mech, random_profile(mech)
+    rounding = _rounding_market()
+    yield rounding, [joint_action(rounding.network, {"s": SKIP})]
+    yield _negative_valuation_market()
+    for _ in range(20):
+        plain = random_rational_market(rng, n_sellers=rng.randint(1, 3))
+        mech = Mechanism(plain.network, "odd-degree")
+        yield mech, random_profile(mech)
+
+
+def test_check_ne_direct_matches_reference_loop(monkeypatch):
+    from damcheck import auction
+
+    monkeypatch.setitem(auction._RULES, "odd-degree", odd_degree_rule)
+    rng = random.Random(31337)
+    verdicts = set()
+    for mech, profile in _ne_cases(rng):
         got = check_ne_direct(NeQuery(mech, tuple(profile)))
         is_ne, violation, utilities = reference_ne(mech, profile)
         assert got.is_ne == is_ne
@@ -618,6 +742,39 @@ def test_check_ne_direct_matches_reference_loop():
         if violation is not None:
             v = got.violation
             assert (v.seller, v.position, v.target, v.baseline, v.achieved) == violation
+        verdicts.add((mech.rule, is_ne))
+    # both answers under both rules
+    assert verdicts == {(rule, ne) for rule in ("smf", "odd-degree") for ne in (True, False)}
+
+
+def test_deviations_that_cannot_pay_run_no_auction(monkeypatch):
+    # every incentive exceeds every valuation, so under the all-skip profile
+    # any deviation costs a seller more than a sale could bring her: the
+    # baseline is the one allocation, though every deviation is still played
+    from damcheck import auction
+
+    calls = []
+    evaluate = auction.evaluate
+
+    def counting(mechanism):
+        calls.append(mechanism)
+        return evaluate(mechanism)
+
+    monkeypatch.setattr(auction, "evaluate", counting)
+    rng = random.Random(4242)
+    explored = []
+    for index in range(10):
+        mech = _costly_market(rng, rational=index % 2 == 1)
+        net = mech.network
+        profile = (joint_action(net, {s: SKIP for s in net.sellers}),) * 2
+        calls.clear()
+        stats = CheckStats()
+        result = check_ne_direct(NeQuery(mech, profile), stats)
+        assert result.is_ne and len(calls) == 1
+        explored.append(stats.states_explored)
+    # the root plus the distinct outcomes of the feasible deviations, each
+    # of which would otherwise have run an auction
+    assert explored == [6, 9, 3, 5, 1, 5, 9, 4, 6, 6]
 
 
 def test_multi_seller_strategy_agrees_with_exhaustive_enumeration():

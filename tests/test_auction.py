@@ -155,3 +155,41 @@ def test_rule_registry():
     register_rule("trivial", trivial)
     alloc = evaluate(Mechanism(referral_chain().network, rule="trivial"))
     assert set(alloc.placement.values()) == {0}
+
+
+_REIMPORT = """
+import gc, sys, weakref
+sys.path.insert(0, sys.argv[1])
+import damcheck.cli
+refs = {
+    f"{name}.{attr}": weakref.ref(value)
+    for name, module in list(sys.modules.items())
+    if name.startswith("damcheck")
+    for attr, value in vars(module).items()
+    if isinstance(value, type) and value.__module__ == name
+}
+for name in [name for name in sys.modules if name.startswith("damcheck")]:
+    del sys.modules[name]
+del damcheck
+import damcheck.cli
+gc.collect()
+print(len(refs), *sorted(name for name, ref in refs.items() if ref() is not None))
+"""
+
+
+def test_reimporting_the_package_frees_the_first_copy():
+    # a fresh interpreter imports every module, drops them all and imports
+    # them again: nothing may keep a class of the first copy alive, as a
+    # cached typing alias of a damcheck class once did
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import damcheck
+
+    src = str(Path(damcheck.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", _REIMPORT, src], capture_output=True, text=True, check=True
+    )
+    count, *alive = done.stdout.split()
+    assert int(count) > 40 and alive == []

@@ -36,6 +36,7 @@ from helpers import (
     referral_chain,
     two_seller_market,
     cooperative_goal,
+    odd_degree_rule,
     random_action,
     random_formula,
     random_mechanism,
@@ -497,24 +498,10 @@ def test_formulas_compiled_on_one_engine_share_its_memos_safely():
             assert got == reference_check(mech, agent, forms[k])
 
 
-def _odd_degree_rule(net):
-    # a rule unlike smf: an agent holds an item when she has an odd number
-    # of friends, and her utility is her budget plus her friend count
-    from fractions import Fraction
-
-    from damcheck.auction import AllocationResult
-
-    return AllocationResult(
-        placement={a: len(net.friends_of(a)) % 2 for a in net.agents()},
-        payment={b: Fraction(0) for b in net.buyers},
-        utility={a: net.budget[a] + len(net.friends_of(a)) for a in net.agents()},
-    )
-
-
 def test_registered_rule_drives_wins_and_utility_atoms():
     from damcheck import Mechanism, auction
 
-    auction.register_rule("odd-degree", _odd_degree_rule)
+    auction.register_rule("odd-degree", odd_degree_rule)
     try:
         rng = random.Random(1729)
         fixed = parse_formula(
