@@ -44,7 +44,6 @@ from .model import (
     JointAction,
     MarketNetwork,
     Mechanism,
-    _Arena,  # noqa: F401  imported from here by tests
     resolve_name,
 )
 
@@ -119,14 +118,15 @@ def _first_violation(engine: _Engine, trajectory, steps, baseline):
         else [math.floor((money - cap) * arena.scale) for money in baseline]
     )
     for position, action in enumerate(steps):
+        state = trajectory[position]
         for s in arena.seller_ids:
-            for candidate in [*arena.buyer_ids, -1]:
+            # the others' targets are feasible here, so each of s's options
+            # gives a feasible joint action
+            for candidate in arena.options(state.adj, state.budgets, s):
                 if candidate == action[s]:
                     continue
                 deviated = (*action[:s], candidate, *action[s + 1 :])
-                outcome = _play(
-                    engine, trajectory[position], (deviated, *steps[position + 1 :])
-                )
+                outcome = _play(engine, state, (deviated, *steps[position + 1 :]))
                 if outcome is None or (
                     floor is not None and outcome.budgets[s] <= floor[s]
                 ):

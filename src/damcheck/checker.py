@@ -33,8 +33,8 @@ here, and the strategy search and the equilibrium test in `analysis`.
   and the states' memos, keyed by serial, serve them all. `!!f` is
   compiled as f, so a chain of diamonds `<><>x` runs as `!B B !x`, with
   one negation at each end. Each distinct node gets one closure
-  `fn(state, need)`, bound to the engine and made when its key is first
-  seen; a closure calls its children's closures directly, so there is no
+  `fn(state, need)`, bound to the engine and made after the walk, children
+  first; a closure calls its children's closures directly, so there is no
   dispatch on the operator at evaluation time (Feeley & Lapalme, "Using
   closures for code generation", 1987).
 * A closure answers its node at a whole set of agents at once: `need` and
@@ -43,12 +43,13 @@ here, and the strategy search and the equilibrium test in `analysis`.
   builds its one successor once for all of them; a coalition box narrows
   the set as choices fail and asks each counter-choice only about the
   agents no earlier one answered; a conjunction asks its right operand
-  only where the left one holds. Each state memoises modal nodes by serial
-  as a pair (agents decided, agents where it holds), so a later call
-  computes only the agents not yet decided, and nested boxes cost time
-  linear in their depth. Non-modal nodes are not memoised, so a node
-  shared below a negation or a conjunction is evaluated again on each path
-  that asks for it. Nothing outlives the query."""
+  only where the left one holds. Each state memoises by serial, as a pair
+  (agents decided, agents where it holds), the modal nodes and the
+  conjunctions the formula shares as objects, so a later call computes
+  only the agents not yet decided. Nested boxes then cost time linear in
+  their depth, and a formula whose subformulas are shared objects, such
+  as a `<->` chain, is evaluated once per state and node, in time linear
+  in its distinct nodes. Nothing outlives the query."""
 
 from __future__ import annotations
 
@@ -112,16 +113,32 @@ def _shallow(entry):
 
 # --- the evaluators that compile builds ----------------------------------------
 #
-# Each maker returns the closure of one compiled node. A closure calls its
-# children's closures directly, one Python frame per formula level, so a deep
-# formula needs as many frames as it has levels. Modal closures keep their
-# answers in the state's memo under their serial as (agents decided, agents
-# where it holds) and compute only the asked agents not yet decided.
+# Each maker returns the closure of one compiled node, `compute(state, need)`.
+# A closure calls its children's closures directly, one Python frame per
+# formula level, so a deep formula needs as many frames as it has levels.
+# Makers only compute: `compile` wraps the nodes that keep a per-state memo
+# in `_memo`.
 
 _UNDECIDED = (0, 0)
 
 
-def _nom(engine, serial, agent):
+def _memo(serial, compute):
+    """compute, memoised in each state under serial as (agents decided,
+    agents where it holds): a call computes only the asked agents not yet
+    decided."""
+
+    def memo(state, need):
+        known, value = state.memo.get(serial, _UNDECIDED)
+        todo = need & ~known
+        if todo:
+            value |= compute(state, todo)
+            state.memo[serial] = (known | todo, value)
+        return value & need
+
+    return memo
+
+
+def _nom(engine, agent):
     bit = 1 << agent
 
     def nom(state, need):
@@ -130,7 +147,7 @@ def _nom(engine, serial, agent):
     return nom
 
 
-def _not(engine, serial, child):
+def _not(engine, child):
     child = engine.made[child]
 
     def neg(state, need):
@@ -139,7 +156,7 @@ def _not(engine, serial, child):
     return neg
 
 
-def _and(engine, serial, left, right):
+def _and(engine, left, right):
     left, right = engine.made[left], engine.made[right]
 
     def conj(state, need):
@@ -150,7 +167,7 @@ def _and(engine, serial, left, right):
     return conj
 
 
-def _heart(engine, serial, target):
+def _heart(engine, target):
     agents = engine.arena.agents
     allocation = engine.allocation
     if target >= 0:
@@ -168,7 +185,7 @@ def _heart(engine, serial, target):
     return heart
 
 
-def _lin(engine, serial, terms, bound):
+def _lin(engine, terms, bound):
     if not terms:  # `true` and `false` read no utility, so they run no auction
         holds = -1 if bound <= 0 else 0
         return lambda state, need: need & holds
@@ -189,60 +206,46 @@ def _lin(engine, serial, terms, bound):
     return lin
 
 
-def _box(engine, serial, child):
+def _box(engine, child):
     child = engine.made[child]
 
     def box(state, need):
-        known, value = state.memo.get(serial, _UNDECIDED)
-        todo = need & ~known
-        if not todo:
-            return value & need
         # the child once, at every friend of every agent asked about; the
         # bit loops are inline because boxes are the hot path
         adj = state.adj
         around = 0
-        rest = todo
+        rest = need
         while rest:
             low = rest & -rest
             rest ^= low
             around |= adj[low.bit_length() - 1]
         failed = around & ~child(state, around)
-        got = todo
-        rest = todo if failed else 0
+        got = need
+        rest = need if failed else 0
         while rest:
             low = rest & -rest
             rest ^= low
             if adj[low.bit_length() - 1] & failed:
                 got ^= low
-        value |= got
-        state.memo[serial] = (known | todo, value)
-        return value & need
+        return got
 
     return box
 
 
-def _diff(engine, serial, action, child):
+def _diff(engine, action, child):
     child = engine.made[child]
     feasible = engine.arena.feasible
 
     def diff(state, need):
-        known, value = state.memo.get(serial, _UNDECIDED)
-        todo = need & ~known
-        if not todo:
-            return value & need
         # the action does not depend on the agent: one successor for all
         if feasible(state.adj, state.budgets, action):
-            got = child(cached_update(engine, state, action), todo)
-        else:
-            got = todo
-        value |= got
-        state.memo[serial] = (known | todo, value)
-        return value & need
+            return child(cached_update(engine, state, action), need)
+        return need
 
     return diff
 
 
-def _coal(engine, serial, members, child):
+def _coal(engine, members, child):
     child = engine.made[child]
     arena = engine.arena
     others = [s for s in arena.seller_ids if s not in members]
@@ -250,15 +253,11 @@ def _coal(engine, serial, members, child):
     sellers = arena.seller_ids
 
     def coal(state, need):
-        known, value = state.memo.get(serial, _UNDECIDED)
-        todo = need & ~known
-        if not todo:
-            return value & need
         # every feasible choice of the members has a counter-choice of the
         # others after which the body holds
         options = [options_of(state.adj, state.budgets, s) for s in sellers]
         action = [-1] * len(options)
-        got = todo
+        got = need
         for picked in itertools.product(*(options[s] for s in members)):
             for s, t in zip(members, picked):
                 action[s] = t
@@ -272,17 +271,18 @@ def _coal(engine, serial, members, child):
             got = some
             if not got:
                 break
-        value |= got
-        state.memo[serial] = (known | todo, value)
-        return value & need
+        return got
 
     return coal
 
 
+_MODAL = (_box, _diff, _coal)  # the makers whose nodes are always memoised
+
+
 class _State:
     """One (rows, budgets) state of a query, with its allocation and the
-    memo of modal nodes: serial -> (bitmask of the agents decided, bitmask
-    of those at which the node holds)."""
+    memo of modal nodes and shared conjunctions: serial -> (bitmask of the
+    agents decided, bitmask of those at which the node holds)."""
 
     __slots__ = ("adj", "budgets", "alloc", "memo")
 
@@ -315,16 +315,23 @@ class _Engine:
         which it holds. With `coalition_free` a coalition box raises
         CoalitionOperatorError; anything but a core node raises TypeError.
         A node's key is (op, operand serials and data); the op is the
-        closure's maker, called as `op(engine, serial, *operands)` for a key
-        not seen before, where engine.made[serial] is the closure of each
-        earlier key. `!!f` gets f's serial: every closure answers within
+        closure's maker. `!!f` gets f's serial: every closure answers within
         `need`, so `!!f` and f answer alike. Only a conjunction met again is
         looked up by identity: only a conjunction makes the walk branch, and
         a lookup at every node would cost a formula that shares nothing
-        about 40% more time to compile."""
+        about 40% more time to compile.
+
+        The walk builds only keys. The closures of the new keys are then
+        made in serial order, children first, as `op(engine, *operands)`,
+        where engine.made[serial] is the closure of each earlier key. Modal
+        nodes, and the conjunctions the walk met again by identity, are
+        wrapped in `_memo`: only object sharing gives a formula more paths
+        than nodes, and memoising conjunctions that are merely equal by key
+        costs the unshared SAT goals time."""
         arena = self.arena
         serials, made, keys = self.serials, self.made, self.keys
         walked: dict[int, int] = {}  # id of a conjunction walked -> its serial
+        shared: set[int] = set()  # serials of the conjunctions met again
 
         def go(n) -> int:
             kind = type(n)
@@ -336,6 +343,7 @@ class _Engine:
             elif kind is And:
                 serial = walked.get(id(n))
                 if serial is not None:
+                    shared.add(serial)
                     return serial
                 key = (_and, go(n.left), go(n.right))
             elif kind is Nominal:
@@ -373,14 +381,20 @@ class _Engine:
                 raise TypeError(f"not a formula node: {n!r}")
             serial = serials.get(key)
             if serial is None:
-                serial = serials[key] = len(made)
-                made.append(key[0](self, serial, *key[1:]))
+                serial = serials[key] = len(keys)
                 keys.append(key)
             if kind is And:
                 walked[id(n)] = serial
             return serial
 
-        return made[go(node)]
+        top = go(node)
+        for serial in range(len(made), len(keys)):
+            key = keys[serial]
+            compute = key[0](self, *key[1:])
+            if key[0] in _MODAL or serial in shared:
+                compute = _memo(serial, compute)
+            made.append(compute)
+        return made[top]
 
     def state(self, key) -> _State:
         """The query's state for key (rows, budgets), built on first use."""

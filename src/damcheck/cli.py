@@ -67,8 +67,6 @@ def _parse_profile(mechanism: Mechanism, text: str) -> tuple[JointAction, ...]:
                     raise DamError(f"unknown agent id {tid!r} in --profile")
                 targets[sid] = net.canonical_name(agent)
         steps.append(joint_action(net, targets))
-    if not steps:
-        raise DamError("--profile must contain at least one step")
     return tuple(steps)
 
 

@@ -866,7 +866,8 @@ def _arena_agrees_with_reference(mech, arena, targets, new):
 
 
 def test_action_that_moves_nothing_returns_its_input_and_state():
-    from damcheck.analysis import _Arena, _Engine, cached_update
+    from damcheck.analysis import _Engine, cached_update
+    from damcheck.model import _Arena
 
     # s already knows every friend of a, and a asks nothing
     mech = _market([("s", 1)], [("a", {"s": 0}), ("b", {})], [("s", "a"), ("s", "b"), ("a", "b")])
@@ -882,7 +883,8 @@ def test_action_that_moves_nothing_returns_its_input_and_state():
 
 
 def test_action_that_pays_without_a_new_friend_moves_only_money():
-    from damcheck.analysis import _Arena, _Engine, cached_update
+    from damcheck.analysis import _Engine, cached_update
+    from damcheck.model import _Arena
 
     mech = _market([("s", 3)], [("a", {"s": 2}), ("b", {})], [("s", "a"), ("s", "b"), ("a", "b")])
     arena = _Arena(mech)
@@ -901,7 +903,7 @@ def test_action_that_pays_without_a_new_friend_moves_only_money():
 
 @pytest.mark.parametrize("first_gains", [True, False])
 def test_two_winners_where_only_one_gains_a_friend(first_gains):
-    from damcheck.analysis import _Arena
+    from damcheck.model import _Arena
 
     # s1 wins a, s2 wins c; c's only buyer-friend d is already s2's friend,
     # while a brings b to s1. Sellers are numbered by id, so s1 is the first

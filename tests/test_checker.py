@@ -34,6 +34,7 @@ from damcheck.model import action_precondition, apply_joint_action, buyer
 
 from helpers import (
     referral_chain,
+    time_limit,
     two_seller_market,
     cooperative_goal,
     odd_degree_rule,
@@ -385,6 +386,100 @@ def test_compile_walks_a_shared_chain_once_per_node():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def _alpha_chain(levels):
+    # each level of a parsed <-> chain asks the level below twice, and alpha
+    # holds at a, so no conjunction cuts a path short
+    return parse_formula("alpha" + " <-> alpha" * levels)
+
+
+def test_shared_conjunctions_run_once_per_state(monkeypatch):
+    # a conjunction the chain shares as an object is memoised per state, so
+    # its closure runs a fixed number of times per level; evaluated once per
+    # path, 40 levels would never end, and the timer turns that into a failure
+    from damcheck import checker
+
+    mech = referral_chain()
+    real_and = checker._and
+    calls = 0
+
+    def counting_and(*args):
+        conj = real_and(*args)
+
+        def counted(state, need):
+            nonlocal calls
+            calls += 1
+            return conj(state, need)
+
+        return counted
+
+    monkeypatch.setattr(checker, "_and", counting_and)
+    counts = {}
+    with time_limit(5, "a shared conjunction ran once per path"):
+        for levels in (10, 20, 40):
+            calls = 0
+            assert check(CheckQuery(mech, at(mech, "a"), _alpha_chain(levels)))
+            counts[levels] = calls
+    assert counts[20] == 2 * counts[10] and counts[40] == 4 * counts[10]
+
+
+def test_a_200_level_chain_answers_within_a_second():
+    mech = referral_chain()
+    chain = _alpha_chain(200)
+    with time_limit(1, "check of a 200-level <-> chain took over a second"):
+        assert check(CheckQuery(mech, at(mech, "a"), chain))
+
+
+def _pool_dag(rng, mech):
+    """A core formula built bottom-up from a pool, each new node taking its
+    children from the whole pool, so that a node, conjunctions included,
+    is often reached from several parents."""
+    net = mech.network
+    sellers = sorted(net.canonical_name(s) for s in net.sellers)
+    buyers = sorted(net.canonical_name(b) for b in net.buyers)
+    pool = [desugar(random_formula(rng, mech, depth=0)) for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(3, 9)):
+        roll = rng.random()
+        if roll < 0.4:
+            node = And(rng.choice(pool), rng.choice(pool))
+        elif roll < 0.6:
+            node = Not(rng.choice(pool))
+        elif roll < 0.75:
+            node = Box(rng.choice(pool))
+        elif roll < 0.9:
+            bindings = tuple(
+                (s, rng.choice([*buyers, SKIP])) for s in sellers if rng.random() < 0.7
+            )
+            node = Diffuse(bindings or ((sellers[0], SKIP),), rng.choice(pool))
+        else:
+            members = frozenset(s for s in sellers if rng.random() < 0.6)
+            node = CoalitionBox(members, rng.choice(pool))
+        pool.append(node)
+    return pool[-1]
+
+
+def test_shared_dags_match_reference_at_partial_needs():
+    # one engine asked about random groups of agents and about each agent,
+    # shuffled together, then about everyone, so memoised conjunctions and
+    # boxes are often only partly decided when a later ask reaches them
+    from damcheck.checker import _Engine
+
+    rng = random.Random(4242)
+    for _ in range(120):
+        mech = random_rational_market(rng, n_sellers=rng.randint(1, 3))
+        form = _pool_dag(rng, mech)
+        engine = _Engine(mech)
+        want = 0
+        for agent in mech.network.agents():
+            want |= reference_check(mech, agent, form) << engine.arena.index[agent]
+        compiled = engine.compile(form)
+        everyone = (1 << engine.width) - 1
+        asks = [rng.randrange(everyone + 1) for _ in range(4)]
+        asks += [1 << i for i in range(engine.width)]
+        rng.shuffle(asks)
+        for need in [*asks, everyone]:
+            assert compiled(engine.root, need) == want & need
 
 
 def test_too_deep_formula_is_a_dam_error():

@@ -300,6 +300,63 @@ def test_bad_input_exits_two(content, argv, chain_path, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+_TWO_NAMES = {
+    "sellers": [{"id": "s", "names": ["sigma", "sig"], "budget": 5}],
+    "buyers": [{"id": "a", "names": ["alpha"], "budget": 1, "valuation": 1},
+               {"id": "b", "names": ["beta"], "budget": 1, "valuation": 1}],
+    "edges": [["s", "a"], ["s", "b"]],
+    "rule": "smf",
+}
+_ONE_ID_TWICE = {
+    "sellers": [{"id": "s", "names": ["sigma"], "budget": 5}],
+    "buyers": [{"id": "s", "names": ["alpha"], "budget": 1, "valuation": 1}],
+    "edges": [["s", "s"]],
+    "rule": "smf",
+}
+
+
+@pytest.mark.parametrize(
+    "doc, argv, message",
+    [
+        (None, ["translate", "--model", "{chain}", "--formula", "<[alpha]> true"],
+         "coalition member 'alpha' does not name a seller"),
+        (None, ["check", "--model", "{chain}", "--at", "a", "--strategic",
+                "--formula", "<[alpha]> true"],
+         "'alpha' does not name a seller"),
+        (_TWO_NAMES, ["check", "--model", "{doc}", "--at", "a",
+                      "--formula", "[sigma:alpha, sig:beta] true"],
+         "seller 'sig' bound twice in one action"),
+        (_ONE_ID_TWICE, ["check", "--model", "{doc}", "--at", "s", "--formula", "true"],
+         "duplicate agent ids"),
+        (None, ["ne", "--model", "{market}", "--profile", "s1"],
+         "profile entry 's1' is not sellerId:target"),
+        (None, ["ne", "--model", "{market}", "--profile", "s1:zz"],
+         "unknown agent id 'zz' in --profile"),
+        (None, ["ne", "--model", "{market}", "--profile", ""], "empty step in --profile"),
+    ],
+    ids=[
+        "translate-coalition-of-a-buyer",
+        "strategic-coalition-of-a-buyer",
+        "seller-bound-twice-by-two-names",
+        "duplicate-agent-ids",
+        "profile-entry-without-target",
+        "profile-unknown-target",
+        "profile-empty",
+    ],
+)
+def test_refusal_exits_two_and_names_its_cause(
+    doc, argv, message, chain_path, market_path, tmp_path, capsys
+):
+    path = tmp_path / "m.json"
+    if doc is not None:
+        path.write_text(json.dumps(doc), encoding="utf-8")
+    args = [a.format(chain=chain_path, market=market_path, doc=path) for a in argv]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_ne_formula_with_a_number_too_long_to_print_exits_two(tmp_path, capsys):
     # the seller's utility, budget plus price, has 4,301 digits
     amount = "9" * 4300
