@@ -80,7 +80,8 @@ def check_ne_direct(query: NeQuery, stats: CheckStats | None = None) -> NeResult
     """Game-theoretic equilibrium test: no seller may improve her final
     utility by swapping a single step's target for another buyer or SKIP.
     Deviations whose trajectory becomes infeasible are not available and are
-    skipped. `stats` gets the agent count and the states built, as in `check`.
+    skipped. `stats` gets the agent count, the states built and the elapsed
+    time, as in `check`.
 
     Under `smf` a deviation that leaves the seller too little money to beat
     her baseline, even when she sells to the buyer with the highest
@@ -251,8 +252,7 @@ def strategy_exists(
     def satisfied(state) -> bool:
         found = compiled(state, sellers) == sellers
         # the search may hold thousands of states: keep none of their memos
-        state.memo.clear()
-        state.alloc = None
+        engine.forget(state)
         return found
 
     parents = {engine.root: None}

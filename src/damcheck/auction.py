@@ -102,12 +102,8 @@ def seller_gain_cap(rule: str, net: MarketNetwork) -> int | Fraction | None:
 
 
 def evaluate(mechanism: Mechanism) -> AllocationResult:
-    """Allocation for the mechanism's current network, cached per instance.
+    """Allocation for the mechanism's current network under its rule.
 
-    Mechanisms are immutable values, so the cache never goes stale; updates
-    produce new instances with their own cache slot."""
-    cached = mechanism.__dict__.get("_allocation")
-    if cached is None:
-        cached = get_rule(mechanism.rule)(mechanism.network)
-        mechanism.__dict__["_allocation"] = cached
-    return cached
+    Computed on every call and stored nowhere: a query keeps the allocation
+    of each state it builds in its own table (`checker._Engine`)."""
+    return get_rule(mechanism.rule)(mechanism.network)

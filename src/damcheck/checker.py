@@ -12,9 +12,11 @@ here, and the strategy search and the equilibrium test in `analysis`.
   (friendship rows, budgets), the formulas compiled for it, and their
   labelling over those states (Clarke, Emerson & Sistla, ACM TOPLAS 1986).
   Each state's allocation, the root's included, is `auction.evaluate` of
-  the state as the arena materialises it, so a query reads no allocation
-  that a caller's `Mechanism` has cached (`auction.evaluate` still caches
-  per instance).
+  the state as the arena materialises it, computed once and kept in the
+  state. The engine alone holds what a query keeps: its states, their
+  memos and allocations, and its start time, which `report` turns into
+  `CheckStats.elapsed_ms`. `forget` drops a state's memo and allocation
+  for a caller that will not ask about that state again.
 * `_Engine.compile` turns a formula into its evaluator over the engine's
   states in one walk, the only one a query makes over its formula (global
   model checking for hybrid logics, Franceschet & de Rijke 2006). Formulas
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import time
 from dataclasses import dataclass
 
 from . import auction
@@ -83,7 +86,7 @@ from .model import SKIP, AgentId, Mechanism, _Arena, _bits
 class CheckStats:
     """Counters a query fills in: the mechanism's agent count, the number of
     distinct (friendship, budget) states the query built, root included, and
-    the elapsed time its caller measured."""
+    the milliseconds from the start of the query to its answer."""
 
     agents: int = 0
     states_explored: int = 0
@@ -299,6 +302,7 @@ class _Engine:
     are keyed by."""
 
     def __init__(self, mechanism: Mechanism):
+        self.began = time.perf_counter()
         self.arena = arena = _Arena.of(mechanism)
         self.width = len(arena.agents)
         self.table: dict[tuple, _State] = {}
@@ -408,11 +412,19 @@ class _Engine:
             state.alloc = auction.evaluate(self.arena.materialize(state.adj, state.budgets))
         return state.alloc
 
+    def forget(self, state: _State) -> None:
+        """Drop the state's memo and allocation; the state stays in the
+        table, and a later question about it computes them again."""
+        state.memo.clear()
+        state.alloc = None
+
     def report(self, stats: CheckStats | None) -> None:
-        """Write the agent count and the states built into stats, if given."""
+        """Write the agent count, the states built and the time since the
+        engine was made into stats, if given."""
         if stats is not None:
             stats.agents = self.width
             stats.states_explored = len(self.table)
+            stats.elapsed_ms = (time.perf_counter() - self.began) * 1000
 
 
 def cached_update(engine: _Engine, state: _State, action) -> _State:

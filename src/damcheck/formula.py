@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DamError
+from .errors import ActionError, DamError
 
 
 class _Self:
@@ -79,10 +79,10 @@ class Diffuse:
 
     def __post_init__(self):
         if not self.bindings:
-            raise ValueError("an action must bind at least one seller (use skip)")
+            raise ActionError("an action must bind at least one seller (use skip)")
         sellers = [s for s, _ in self.bindings]
         if len(set(sellers)) != len(sellers):
-            raise ValueError(f"seller bound twice in one action: {sellers}")
+            raise ActionError(f"seller bound twice in one action: {sellers}")
 
 
 @dataclass(frozen=True)

@@ -122,8 +122,9 @@ class MarketNetwork:
 class Mechanism:
     """A market network paired with the auction rule evaluated on it.
 
-    Placement, payments, and utilities are always recomputed from the current
-    network (see auction.evaluate); updates return fresh mechanisms."""
+    It holds no cache: placement, payments, and utilities are computed from
+    the network by auction.evaluate, and a query keeps those of the states
+    it builds in its own table; updates return fresh mechanisms."""
 
     network: MarketNetwork
     rule: str = "smf"

@@ -139,6 +139,12 @@ def test_ne_formula_arity_checks():
         ne_formula(mech, [], [Fraction(1), Fraction(1)])
 
 
+def test_check_ne_direct_refuses_an_empty_profile():
+    with pytest.raises(ArityError) as err:
+        check_ne_direct(NeQuery(two_seller_market(), ()))
+    assert str(err.value) == "profile must contain at least one joint action"
+
+
 def test_check_ne_direct_market_profile_not_ne():
     mech = two_seller_market()
     outcome = check_ne_direct(

@@ -141,6 +141,13 @@ def test_smf_invariants_random():
         assert sold + kept == len(net.sellers)
 
 
+def test_evaluate_stores_nothing_on_the_mechanism():
+    mech = referral_chain()
+    first, second = evaluate(mech), evaluate(mech)
+    assert first == second == smf_evaluate(mech.network)
+    assert set(mech.__dict__) == {"network", "rule"}
+
+
 def test_rule_registry():
     with pytest.raises(UnknownRuleError):
         evaluate(Mechanism(referral_chain().network, rule="vcg"))

@@ -355,6 +355,51 @@ def test_states_explored_counts_distinct_states():
     assert stats.states_explored == 1
 
 
+def _entry_points():
+    from damcheck import check_ne_direct, joint_action
+    from damcheck.analysis import NeQuery
+
+    market = two_seller_market()
+    net = market.network
+    d = net.agent_by_id("d")
+    boxes = parse_formula("[] <sigma1:alpha, sigma2:gamma> <sigma1:beta> ut[sigma1] >= 2")
+    coalitions = parse_formula("<[sigma1]> <[sigma2]> (wins(alpha) | wins(delta))")
+    profile = (joint_action(net, {"s1": "delta", "s2": "gamma"}), joint_action(net, {}))
+    return [
+        (check, CheckQuery(market, d, boxes), 2),
+        (check_strategic, CheckQuery(market, d, coalitions), 4),
+        (strategy_exists, StrategyQuery(market, parse_formula("wins(alpha) & wins(beta)")), 8),
+        (check_ne_direct, NeQuery(market, profile), 3),
+    ]
+
+
+@pytest.mark.parametrize("index", range(4), ids=["check", "strategic", "strategy", "ne"])
+def test_every_entry_point_reports_its_own_elapsed_time(index):
+    # the query times itself, so a library caller gets elapsed_ms too; the
+    # counts are those the queries reported before they timed themselves
+    entry, query, states = _entry_points()[index]
+    stats = CheckStats()
+    entry(query, stats)
+    assert (stats.agents, stats.states_explored) == (8, states)
+    assert stats.elapsed_ms > 0
+
+
+def test_forget_drops_a_states_memo_and_allocation():
+    from damcheck.checker import _Engine
+
+    mech = referral_chain()
+    engine = _Engine(mech)
+    compiled = engine.compile(parse_formula("wins(beta) & [] ut[@self] >= 0"))
+    a = 1 << engine.arena.index[at(mech, "a")]
+    root = engine.root
+    answer = compiled(root, a)
+    assert root.memo and root.alloc is not None
+    engine.forget(root)
+    assert root.memo == {} and root.alloc is None
+    assert engine.state((root.adj, root.budgets)) is root
+    assert compiled(root, a) == answer != 0
+
+
 def test_deep_formulas_are_still_answered():
     mech = referral_chain()
     assert run(mech, "a", "!" * 900 + "true")

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from damcheck import SKIP, desugar, format_formula, names_of, parse_formula, translate
-from damcheck.errors import FormulaSyntaxError
+from damcheck.errors import ActionError, FormulaSyntaxError
 from damcheck.formula import (
     FALSE,
     SELF,
@@ -172,6 +172,7 @@ def test_parser_reports_positions():
         ("wins(a) wins(b)", 1, 9, "unexpected trailing input 'wins'"),
         ("a & #", 1, 5, "unexpected character '#'"),
         ("ut[a] >= 1/0 & b", 1, 14, "zero denominator"),
+        ("ut[a] >= 1/x", 1, 12, "expected 'INT', found 'x'"),
         ("[s1:b1, s1:b2] true", 1, 9, "seller 's1' listed twice"),
         ("a &\n", 2, 1, "expected a formula, found 'end of input'"),
         ("ut[a] >= 2/" + "9" * 5000, 1, 10, "number too long"),
@@ -182,6 +183,21 @@ def test_syntax_errors_report_line_and_column(text, line, column, message):
         parse_formula(text)
     assert (err.value.line, err.value.column) == (line, column)
     assert str(err.value).startswith(f"line {line}, column {column}: {message}")
+
+
+@pytest.mark.parametrize(
+    "bindings, message",
+    [
+        ((), "an action must bind at least one seller (use skip)"),
+        ((("s1", "b1"), ("s1", SKIP)), "seller bound twice in one action: ['s1', 's1']"),
+    ],
+    ids=["no-binding", "seller-bound-twice"],
+)
+def test_hand_built_bad_action_is_an_action_error(bindings, message):
+    # with no binding the action would print as `[] x`, a friendship box
+    with pytest.raises(ActionError) as err:
+        Diffuse(bindings, TRUE)
+    assert str(err.value) == message
 
 
 def test_precedence_binds_as_documented():

@@ -330,6 +330,35 @@ def test_readers_hold_input_to_its_header(read, text):
         read(text)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: read_dimacs("p dnf 1 1\n1 0\n"), "bad DIMACS header 'p dnf 1 1'"),
+        (lambda: read_dimacs("p cnf 1 1\n0\n"), "empty clause in DIMACS input"),
+        (lambda: read_dimacs("p cnf 1 1\n1\n"), "unterminated clause in DIMACS input"),
+        (lambda: read_dimacs("p cnf 1 1\ne 1 0\n1 0\n"), "quantifier line in DIMACS input"),
+        (lambda: read_qdimacs("p cnf 1 1\ne 1 0\na 1 0\n1 0\n"), "variable 1 quantified twice"),
+        (lambda: CnfInstance(-1, ()), "negative variable count"),
+        (lambda: CnfInstance(2, ((1, 2),)), "clause (1, 2) does not have 3 literals"),
+        (lambda: QbfInstance(("some",), PVar(1)), "bad quantifier 'some'"),
+    ],
+    ids=[
+        "dimacs-header-not-cnf",
+        "dimacs-empty-clause",
+        "dimacs-unterminated-clause",
+        "dimacs-quantifier-line",
+        "qdimacs-variable-quantified-twice",
+        "cnf-negative-variable-count",
+        "cnf-two-literal-clause",
+        "qbf-bad-quantifier",
+    ],
+)
+def test_gadget_refusals_name_their_cause(make, message):
+    with pytest.raises(MechanismError) as err:
+        make()
+    assert str(err.value) == message
+
+
 def test_readers_accept_unused_declared_variables():
     assert read_dimacs("p cnf 5 1\n1 -3 0\n").num_vars == 5
     instance = read_qdimacs("p cnf 3 1\na 3 0\ne 1 0\n-3 1 0\n")

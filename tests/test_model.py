@@ -27,7 +27,7 @@ from damcheck.errors import (
     UnknownNominalError,
 )
 from damcheck.mechjson import mechanism_to_dict, parse_rational
-from damcheck.model import _Arena
+from damcheck.model import _Arena, buyer, seller
 
 from helpers import (
     random_feasible_action,
@@ -398,6 +398,62 @@ def test_malformed_documents_raise_mechanism_errors():
         )
     with pytest.raises(MechanismError):
         mechanism_from_dict("not an object")
+
+
+_S = [{"id": "s", "names": ["sigma"], "budget": 1}]
+_B = [{"id": "b", "names": ["beta"], "budget": 1, "valuation": 1}]
+_A = {"id": "a", "names": ["alpha"], "budget": 1, "valuation": 1}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"sellers": [{"id": "s", "names": "sigma"}], "buyers": _B},
+         "names of 's' must be a list of strings"),
+        ({"sellers": [{"id": "s", "names": ["alpha"]}], "buyers": [_A]},
+         "nominal 'alpha' names two agents"),
+        ({"sellers": _S, "buyers": [{**_A, "incentives": {"zz": 1}}]},
+         "incentives of 'a' mention unknown seller 'zz'"),
+        ({"sellers": _S, "buyers": _B, "edges": [["s"]]},
+         "edge ['s'] is not a two-element list"),
+        ({"sellers": _S, "buyers": _B, "edges": [["s", "zz"]]},
+         "edge ['s', 'zz'] mentions unknown agent 'zz'"),
+        ({"sellers": [], "buyers": _B},
+         "invalid mechanism: no sellers: at least one seller is required"),
+        ({"sellers": _S, "buyers": []},
+         "invalid mechanism: no buyers: at least one buyer is required"),
+    ],
+    ids=[
+        "names-not-a-list",
+        "nominal-of-two-agents",
+        "incentive-of-unknown-seller",
+        "edge-of-one-agent",
+        "edge-to-unknown-agent",
+        "no-sellers",
+        "no-buyers",
+    ],
+)
+def test_malformed_documents_name_their_cause(doc, message):
+    with pytest.raises(MechanismError) as err:
+        mechanism_from_dict(doc)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "make, error, message",
+    [
+        (lambda net: joint_action(net, {seller("s1"): SKIP, "s1": "alpha"}),
+         ActionError, "seller 's1' assigned twice"),
+        (lambda net: joint_action(net, {"s1": 5}), ActionError, "bad target 5 for seller 's1'"),
+        (lambda net: replace(net, names={}).canonical_name(buyer("a")),
+         MechanismError, "agent 'a' has no name"),
+    ],
+    ids=["seller-assigned-twice", "target-not-a-name", "agent-without-a-name"],
+)
+def test_bad_actions_and_nameless_agents_name_their_cause(make, error, message):
+    with pytest.raises(error) as err:
+        make(two_seller_market().network)
+    assert str(err.value) == message
 
 
 def test_reserved_words_rejected_as_names():
