@@ -20,6 +20,7 @@ from . import auction
 from .checker import CheckStats, _Engine, _shallow, cached_update
 from .errors import ActionError, ArityError, DamError, InfeasibleProfileError
 from .formula import (
+    SELF,
     TRUE,
     And,
     Box,
@@ -34,10 +35,12 @@ from .formula import (
     Nominal,
     Not,
     UtilityTerm,
+    _distinct,
     big_and,
     big_or,
 )
 from .model import (
+    BUYER,
     SELLER,
     SKIP,
     AgentId,
@@ -306,8 +309,47 @@ def translate(mechanism: Mechanism, form: Formula) -> Formula:
     box is unfolded once, and a subformula with no coalition box comes back
     as the same object. The output then has about as many distinct nodes as
     the input plus the unfoldings, though its printed text can still be
-    exponentially longer than the input's."""
+    exponentially longer than the input's.
+
+    A name the mechanism does not resolve is refused first, with the error
+    `check_strategic` raises for it (`_resolve_names`)."""
+    _resolve_names(mechanism, form)
     return _tr(_Translation(mechanism), form)
+
+
+def _resolve_names(mechanism: Mechanism, form: Formula) -> None:
+    """Resolve every nominal and action binding of the formula on the plain
+    network, each distinct node once, in the order `check_strategic`
+    compiles them, and raise its error for the first that fails: an unknown
+    nominal, a binding whose seller is not a seller or whose target is not
+    a buyer, or a seller bound twice in one action. A coalition member that
+    is not a seller is named as a coalition member."""
+    for node in _distinct(form):
+        kind = type(node)
+        if kind is Nominal:
+            resolve_name(mechanism, node.name)
+        elif kind is Heart:
+            if node.target is not SELF:
+                resolve_name(mechanism, node.target)
+        elif kind is LinearGeq:
+            for _, term in node.terms:
+                if term.subject is not SELF:
+                    resolve_name(mechanism, term.subject)
+        elif kind is Diffuse:
+            bound: set[AgentId] = set()
+            for nominal, target in node.bindings:
+                sell = resolve_name(mechanism, nominal)
+                if sell.kind != SELLER:
+                    raise ActionError(f"{nominal!r} does not name a seller")
+                if sell in bound:
+                    raise ActionError(f"seller {nominal!r} bound twice in one action")
+                bound.add(sell)
+                if target is not SKIP and resolve_name(mechanism, target).kind != BUYER:
+                    raise ActionError(f"action target {target!r} names a non-buyer")
+        elif kind is CoalitionBox:
+            for nominal in sorted(node.coalition):
+                if resolve_name(mechanism, nominal).kind != SELLER:
+                    raise ActionError(f"coalition member {nominal!r} does not name a seller")
 
 
 class _Translation:
@@ -352,14 +394,8 @@ def _tr(run: _Translation, node):
 
 def _expand_coalition(run: _Translation, node) -> Formula:
     sellers, seller_nom, options = run.choices
-    members: set[AgentId] = set()
-    for nominal in node.coalition:
-        agent = resolve_name(run.mechanism, nominal)
-        if agent.kind != SELLER:
-            raise ActionError(f"coalition member {nominal!r} does not name a seller")
-        members.add(agent)
-    coalition = sorted(members)
-    others = [seller_nom[s] for s in sellers if s not in members]
+    coalition = sorted({resolve_name(run.mechanism, nom) for nom in node.coalition})
+    others = [seller_nom[s] for s in sellers if s not in coalition]
     inner = _tr(run, node.child)
 
     conjuncts = []

@@ -55,33 +55,30 @@ def ranked_bidders(net: MarketNetwork, sell: AgentId) -> list[AgentId]:
 
 
 def smf_evaluate(net: MarketNetwork) -> AllocationResult:
-    """First-price allocation: sellers are processed in ascending id order;
-    each sells to the best-ranked bidder not already holding an item, keeping
-    her own item when none remains. Winners pay their valuation."""
-    placement: dict[AgentId, int] = {a: 0 for a in net.agents()}
-    sold_to: dict[AgentId, AgentId] = {}
-    allocated: set[AgentId] = set()
+    """First-price allocation in one pass over the sellers, ascending by id.
+
+    Every agent starts unplaced, every buyer with payment 0 and every agent
+    with her budget as utility. Each seller sells to her best-ranked bidder
+    not already placed: the buyer is placed, pays her valuation, and the
+    valuation moves from the buyer's utility to the seller's. A seller with
+    no unplaced bidder keeps her item and is placed herself.
+
+    An unsold agent's utility is her budget itself, so on a hand-built
+    network with `int` money it is an `int`, equal to the `Fraction` an
+    arithmetic step would give."""
+    placement: dict[AgentId, int] = dict.fromkeys(net.agents(), 0)
+    payment: dict[AgentId, Fraction] = dict.fromkeys(net.buyers, Fraction(0))
+    utility = {a: net.budget[a] for a in net.agents()}
     for sell in sorted(net.sellers, key=lambda s: s.id):
-        refinement = [b for b in ranked_bidders(net, sell) if b not in allocated]
-        if refinement:
-            head = refinement[0]
-            placement[head] = 1
-            allocated.add(head)
-            sold_to[sell] = head
+        for head in ranked_bidders(net, sell):
+            if not placement[head]:
+                placement[head] = 1
+                price = payment[head] = net.valuation[head]
+                utility[head] -= price
+                utility[sell] += price
+                break
         else:
             placement[sell] = 1
-
-    payment = {
-        b: net.valuation[b] if placement[b] else Fraction(0) for b in net.buyers
-    }
-    utility: dict[AgentId, Fraction] = {}
-    for b in net.buyers:
-        utility[b] = net.budget[b] - net.valuation[b] * placement[b]
-    for sell in net.sellers:
-        head = sold_to.get(sell)
-        utility[sell] = net.budget[sell] + (
-            net.valuation[head] if head is not None else Fraction(0)
-        )
     return AllocationResult(placement=placement, payment=payment, utility=utility)
 
 

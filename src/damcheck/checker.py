@@ -379,7 +379,9 @@ class _Engine:
                         f"the coalition {{{', '.join(sorted(n.coalition))}}} occurs"
                         " in a formula that must be coalition-free"
                     )
-                members = tuple(sorted({arena.seller(nom) for nom in n.coalition}))
+                # members resolve in name order, so that of two bad ones the
+                # same is reported on every run
+                members = tuple(sorted({arena.seller(nom) for nom in sorted(n.coalition)}))
                 key = (_coal, members, go(n.child))
             else:
                 raise TypeError(f"not a formula node: {n!r}")

@@ -14,7 +14,7 @@ from pathlib import Path
 from . import analysis, checker, gadgets, mechjson
 from .errors import DamError, UnknownAgentError
 from .formula import format_formula
-from .model import SKIP, JointAction, Mechanism, joint_action
+from .model import BUYER, SKIP, JointAction, Mechanism, joint_action
 from .parser import parse_formula
 
 
@@ -42,8 +42,8 @@ def _agent_arg(mechanism: Mechanism, ident: str):
 
 def _parse_profile(mechanism: Mechanism, text: str) -> tuple[JointAction, ...]:
     """Profile syntax: steps separated by ';', entries 'sellerId:buyerId' or
-    'sellerId:skip' separated by ','; sellers omitted from a step SKIP, and
-    a seller may appear at most once in a step."""
+    'sellerId:skip' separated by ','; sellers omitted from a step SKIP, a
+    seller may appear at most once in a step, and a target must be a buyer."""
     net = mechanism.network
     steps = []
     for chunk in text.split(";"):
@@ -64,6 +64,8 @@ def _parse_profile(mechanism: Mechanism, text: str) -> tuple[JointAction, ...]:
                 agent = net.agent_by_id(tid)
                 if agent is None:
                     raise DamError(f"unknown agent id {tid!r} in --profile")
+                if agent.kind != BUYER:
+                    raise DamError(f"profile target {tid!r} is not a buyer")
                 targets[sid] = net.canonical_name(agent)
         steps.append(joint_action(net, targets))
     return tuple(steps)

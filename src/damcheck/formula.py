@@ -246,17 +246,17 @@ def _children(node) -> tuple:
 
 
 def _distinct(node):
-    """Each distinct node of the formula once, by identity, from an explicit
-    stack, so a formula of any depth is walked."""
-    seen = {id(node)}
+    """Each distinct node of the formula once, by identity, in the order a
+    recursive walk first meets it: a node before its operands, left before
+    right. The walk keeps its own stack, so a formula of any depth is walked."""
+    seen: set[int] = set()
     todo = [node]
     while todo:
         node = todo.pop()
-        yield node
-        for child in _children(node):
-            if id(child) not in seen:
-                seen.add(id(child))
-                todo.append(child)
+        if id(node) not in seen:
+            seen.add(id(node))
+            yield node
+            todo.extend(reversed(_children(node)))
 
 
 # --- printing ----------------------------------------------------------------

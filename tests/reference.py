@@ -11,14 +11,19 @@ small instances only: they are the oracles the engine's answers are
 compared against. `reference_format` is the printer that walks a formula
 as a tree, the oracle for `format_formula`'s bytes. `reference_validate`
 is the invariant check as it stood before `AgentId` became a named tuple: one
-generic `==` or lookup per friendship entry, money compared as Fractions."""
+generic `==` or lookup per friendship entry, money compared as Fractions.
+`reference_smf` is the `smf` allocation as it stood before it became one
+pass: placements first, then payments and utilities rebuilt per agent by
+arithmetic on the placement bits."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import replace
+from fractions import Fraction
 
 from damcheck import auction
+from damcheck.auction import AllocationResult, ranked_bidders
 from damcheck.errors import ActionError, DamError, PreconditionError
 from damcheck.formula import (
     SELF,
@@ -40,6 +45,7 @@ from damcheck.model import (
     SKIP,
     AgentId,
     JointAction,
+    MarketNetwork,
     Mechanism,
     joint_action,
     resolve_name,
@@ -201,6 +207,42 @@ def _eval_coalition(m: Mechanism, at: AgentId, node) -> bool:
         if not answered:
             return False
     return True
+
+
+# --- the smf allocation --------------------------------------------------------
+# `auction.smf_evaluate` as it stood before it became one pass over the
+# sellers. The one-pass function must give the same three dicts.
+
+
+def reference_smf(net: MarketNetwork) -> AllocationResult:
+    """First-price allocation: sellers are processed in ascending id order;
+    each sells to the best-ranked bidder not already holding an item, keeping
+    her own item when none remains. Winners pay their valuation."""
+    placement: dict[AgentId, int] = {a: 0 for a in net.agents()}
+    sold_to: dict[AgentId, AgentId] = {}
+    allocated: set[AgentId] = set()
+    for sell in sorted(net.sellers, key=lambda s: s.id):
+        refinement = [b for b in ranked_bidders(net, sell) if b not in allocated]
+        if refinement:
+            head = refinement[0]
+            placement[head] = 1
+            allocated.add(head)
+            sold_to[sell] = head
+        else:
+            placement[sell] = 1
+
+    payment = {
+        b: net.valuation[b] if placement[b] else Fraction(0) for b in net.buyers
+    }
+    utility: dict[AgentId, Fraction] = {}
+    for b in net.buyers:
+        utility[b] = net.budget[b] - net.valuation[b] * placement[b]
+    for sell in net.sellers:
+        head = sold_to.get(sell)
+        utility[sell] = net.budget[sell] + (
+            net.valuation[head] if head is not None else Fraction(0)
+        )
+    return AllocationResult(placement=placement, payment=payment, utility=utility)
 
 
 # --- the tree printer ----------------------------------------------------------

@@ -20,7 +20,12 @@ from damcheck import (
 )
 from damcheck.analysis import NeQuery, StrategyQuery
 from damcheck.checker import CheckQuery, CheckStats
-from damcheck.errors import ArityError, CoalitionOperatorError, InfeasibleProfileError
+from damcheck.errors import (
+    ArityError,
+    CoalitionOperatorError,
+    DamError,
+    InfeasibleProfileError,
+)
 from damcheck.formula import (
     TRUE,
     And,
@@ -341,6 +346,31 @@ def test_strategy_unreachable_goal_mentioning_distant_buyer():
     assert not outcome.found
 
 
+def test_default_depth_cap_misses_a_longer_witness():
+    # one seller and one buyer: the default cap, |sellers| * |buyers| = 1,
+    # is not the depth of the reachable graph. The buyer's utility rises by
+    # 1 a round, so ut[alpha] >= 5 needs five rounds
+    mech = mechanism_from_dict(
+        {
+            "sellers": [{"id": "s", "names": ["sigma"], "budget": 10}],
+            "buyers": [{"id": "a", "names": ["alpha"], "budget": 0, "valuation": 0,
+                        "incentives": {"s": 1}}],
+            "edges": [["s", "a"]],
+            "rule": "smf",
+        }
+    )
+    goal = parse_formula("ut[alpha] >= 5")
+    stats = CheckStats()
+    assert not strategy_exists(StrategyQuery(mech, goal), stats).found
+    assert stats.states_explored == 2
+    outcome = strategy_exists(StrategyQuery(mech, goal, max_depth=5), stats)
+    assert outcome.found
+    assert [action.targets() for action in outcome.witness] == [
+        {mech.network.agent_by_id("s"): "alpha"}
+    ] * 5
+    assert stats.states_explored == 6
+
+
 def test_strategy_rejects_coalition_goals():
     with pytest.raises(CoalitionOperatorError):
         strategy_exists(
@@ -564,6 +594,34 @@ def test_translate_agreement_random():
             assert check_strategic(CheckQuery(mech, agent, form)) == check(
                 CheckQuery(mech, agent, flat)
             )
+
+
+def test_translate_refuses_what_check_strategic_refuses():
+    # formulas written for one random market and read on another, where
+    # some of their names, often several, name no agent: translate refuses
+    # exactly when check_strategic does, with the same error for the first
+    # name that fails
+    rng = random.Random(2102)
+    refused = several = 0
+    for _ in range(60):
+        source = random_mechanism(rng, max_sellers=3, max_buyers=4)
+        mech = random_mechanism(rng, max_sellers=2, max_buyers=3)
+        form = random_formula(rng, source, depth=2, coalition=True)
+        anyone = mech.network.agents()[0]
+        outcomes = []
+        for run in (
+            lambda: translate(mech, form),
+            lambda: check_strategic(CheckQuery(mech, anyone, form)),
+        ):
+            try:
+                run()
+                outcomes.append(None)
+            except DamError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        refused += outcomes[0] is not None
+        several += len(names_of(form) - set(mech.network.names)) > 1
+    assert 0 < refused < 60 and several > 0
 
 
 _SHARED_BOX = "(<[sigma]> wins(gamma))"

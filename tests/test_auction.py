@@ -1,6 +1,8 @@
 """SMF rule: ranking, refinement, placements, payments, utilities."""
 
 import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -15,9 +17,16 @@ from damcheck import (
     smf_evaluate,
 )
 from damcheck.errors import NotASellerError, UnknownRuleError
-from damcheck.model import Mechanism
+from damcheck.model import Mechanism, _Arena
 
-from helpers import equal_valuation_pair, shared_buyer_pair, referral_chain, random_mechanism
+from helpers import (
+    equal_valuation_pair,
+    random_mechanism,
+    random_rational_market,
+    referral_chain,
+    shared_buyer_pair,
+)
+from reference import reference_smf
 
 
 def ids(agents):
@@ -139,6 +148,64 @@ def test_smf_invariants_random():
         sold = len(winners)
         kept = sum(alloc.placement[s] for s in net.sellers)
         assert sold + kept == len(net.sellers)
+
+
+def _int_money(mech: Mechanism) -> Mechanism:
+    """The same market, hand-built with every whole amount as an int."""
+    net = mech.network
+
+    def whole(table):
+        return {k: int(v) if v.denominator == 1 else v for k, v in table.items()}
+
+    money = {f: whole(getattr(net, f)) for f in ("budget", "valuation", "incentive")}
+    return Mechanism(replace(net, **money), mech.rule)
+
+
+def _cases_met(net, alloc) -> set[str]:
+    """Which of the cases the one-pass allocation must get right occur in
+    this state: tied bidders, a seller with no buyer-friend, a seller who
+    shares her first-ranked bidder with an earlier seller, and int money."""
+    met = set()
+    ranked = {s: ranked_bidders(net, s) for s in net.sellers}
+    for sell, bidders in ranked.items():
+        values = [net.valuation[b] for b in bidders]
+        if len(set(values)) < len(values):
+            met.add("tie")
+        if not bidders:
+            met.add("no bidder")
+        elif any(
+            other.id < sell.id and ranked[other][:1] == bidders[:1] for other in ranked
+        ):
+            met.add("contested")
+    if any(type(v) is int for v in alloc.utility.values()):
+        met.add("int money")
+    return met
+
+
+def test_one_pass_matches_the_reference_at_reachable_states():
+    # random rational markets with 1-3 sellers, in Fraction money and
+    # hand-built with int money; the initial state and the states reached
+    # by 2-3 random feasible rounds, each as a network through materialize
+    rng = random.Random(2101)
+    met = Counter()
+    for n in range(120):
+        market = random_rational_market(rng, n_sellers=1 + n % 3)
+        for mech in (market, _int_money(market)):
+            arena = _Arena.of(mech)
+            state = (arena.adj0, arena.budget0)
+            for step in range(1 + rng.randint(2, 3)):
+                if step:
+                    action = tuple(
+                        rng.choice(arena.options(*state, s)) for s in arena.seller_ids
+                    )
+                    state = arena.apply(*state, action)
+                net = arena.materialize(*state).network
+                got, want = smf_evaluate(net), reference_smf(net)
+                assert got.placement == want.placement
+                assert got.payment == want.payment
+                assert got.utility == want.utility
+                met.update(_cases_met(net, got))
+    assert {"tie", "no bidder", "contested", "int money"} <= set(met), met
 
 
 def test_evaluate_stores_nothing_on_the_mechanism():

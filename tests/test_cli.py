@@ -333,6 +333,23 @@ _ONE_ID_TWICE = {
         (None, ["ne", "--model", "{market}", "--profile", "s1:zz"],
          "unknown agent id 'zz' in --profile"),
         (None, ["ne", "--model", "{market}", "--profile", ""], "empty step in --profile"),
+        (None, ["translate", "--model", "{chain}", "--formula", "zz"],
+         "nominal 'zz' names no agent of the mechanism"),
+        (None, ["translate", "--model", "{chain}", "--formula", "[sigma:zz] true"],
+         "nominal 'zz' names no agent of the mechanism"),
+        (None, ["translate", "--model", "{chain}", "--formula", "wins(zz) & ut[yy] >= 1"],
+         "nominal 'zz' names no agent of the mechanism"),
+        (None, ["translate", "--model", "{chain}", "--formula", "<[sigma]> zz"],
+         "nominal 'zz' names no agent of the mechanism"),
+        (None, ["translate", "--model", "{chain}", "--formula", "[alpha:beta] true"],
+         "'alpha' does not name a seller"),
+        (None, ["translate", "--model", "{chain}", "--formula", "[sigma:sigma] true"],
+         "action target 'sigma' names a non-buyer"),
+        (_TWO_NAMES, ["translate", "--model", "{doc}",
+                      "--formula", "[sigma:alpha, sig:beta] true"],
+         "seller 'sig' bound twice in one action"),
+        (None, ["ne", "--model", "{market}", "--profile", "s1:s2"],
+         "profile target 's2' is not a buyer"),
     ],
     ids=[
         "translate-coalition-of-a-buyer",
@@ -342,6 +359,14 @@ _ONE_ID_TWICE = {
         "profile-entry-without-target",
         "profile-unknown-target",
         "profile-empty",
+        "translate-unknown-nominal",
+        "translate-unknown-action-target",
+        "translate-unknown-subjects",
+        "translate-unknown-nominal-under-a-coalition",
+        "translate-action-of-a-buyer",
+        "translate-action-targets-a-seller",
+        "translate-seller-bound-twice-by-two-names",
+        "profile-target-not-a-buyer",
     ],
 )
 def test_refusal_exits_two_and_names_its_cause(
