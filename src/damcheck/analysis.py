@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import auction
 from .checker import CheckStats, _Engine, _shallow, cached_update
-from .errors import ActionError, ArityError, DamError, InfeasibleProfileError
+from .errors import ArityError, DamError, InfeasibleProfileError
 from .formula import (
     SELF,
     TRUE,
@@ -35,19 +35,18 @@ from .formula import (
     Nominal,
     Not,
     UtilityTerm,
-    _distinct,
     big_and,
     big_or,
 )
 from .model import (
-    BUYER,
-    SELLER,
     SKIP,
     AgentId,
     JointAction,
     MarketNetwork,
     Mechanism,
-    resolve_name,
+    _action,
+    _agent,
+    _coalition,
 )
 
 # --- Nash equilibrium --------------------------------------------------------
@@ -311,45 +310,11 @@ def translate(mechanism: Mechanism, form: Formula) -> Formula:
     the input plus the unfoldings, though its printed text can still be
     exponentially longer than the input's.
 
-    A name the mechanism does not resolve is refused first, with the error
-    `check_strategic` raises for it (`_resolve_names`)."""
-    _resolve_names(mechanism, form)
+    Names are resolved in the same walk, by the resolvers in `model` that
+    `check_strategic` compiles with, each node's before its operands', which
+    is the order `check_strategic` meets them: a name it refuses is refused
+    here with the same error. The resolvers read the plain network."""
     return _tr(_Translation(mechanism), form)
-
-
-def _resolve_names(mechanism: Mechanism, form: Formula) -> None:
-    """Resolve every nominal and action binding of the formula on the plain
-    network, each distinct node once, in the order `check_strategic`
-    compiles them, and raise its error for the first that fails: an unknown
-    nominal, a binding whose seller is not a seller or whose target is not
-    a buyer, or a seller bound twice in one action. A coalition member that
-    is not a seller is named as a coalition member."""
-    for node in _distinct(form):
-        kind = type(node)
-        if kind is Nominal:
-            resolve_name(mechanism, node.name)
-        elif kind is Heart:
-            if node.target is not SELF:
-                resolve_name(mechanism, node.target)
-        elif kind is LinearGeq:
-            for _, term in node.terms:
-                if term.subject is not SELF:
-                    resolve_name(mechanism, term.subject)
-        elif kind is Diffuse:
-            bound: set[AgentId] = set()
-            for nominal, target in node.bindings:
-                sell = resolve_name(mechanism, nominal)
-                if sell.kind != SELLER:
-                    raise ActionError(f"{nominal!r} does not name a seller")
-                if sell in bound:
-                    raise ActionError(f"seller {nominal!r} bound twice in one action")
-                bound.add(sell)
-                if target is not SKIP and resolve_name(mechanism, target).kind != BUYER:
-                    raise ActionError(f"action target {target!r} names a non-buyer")
-        elif kind is CoalitionBox:
-            for nominal in sorted(node.coalition):
-                if resolve_name(mechanism, nominal).kind != SELLER:
-                    raise ActionError(f"coalition member {nominal!r} does not name a seller")
 
 
 class _Translation:
@@ -358,21 +323,30 @@ class _Translation:
     coalition box."""
 
     def __init__(self, mechanism: Mechanism):
-        self.mechanism = mechanism
+        self.net = mechanism.network
         self.memo: dict[int, Formula] = {}
 
     @functools.cached_property
     def choices(self):
-        return _choices(self.mechanism.network)
+        return _choices(self.net)
 
 
 def _tr(run: _Translation, node):
     kind = type(node)
-    if kind in (Nominal, LinearGeq, Heart):
+    if kind is Nominal:
+        _agent(run.net, node.name)
+        return node
+    if kind is Heart or kind is LinearGeq:
+        subjects = [node.target] if kind is Heart else [t.subject for _, t in node.terms]
+        for subject in subjects:
+            if subject is not SELF:
+                _agent(run.net, subject)
         return node
     out = run.memo.get(id(node))
     if out is not None:
         return out
+    if kind is Diffuse:
+        _action(run.net, node.bindings)
     if kind is Not or kind is Box or kind is Diffuse:
         child = _tr(run, node.child)
         if child is node.child:
@@ -393,8 +367,8 @@ def _tr(run: _Translation, node):
 
 
 def _expand_coalition(run: _Translation, node) -> Formula:
+    coalition = _coalition(run.net, node.coalition)
     sellers, seller_nom, options = run.choices
-    coalition = sorted({resolve_name(run.mechanism, nom) for nom in node.coalition})
     others = [seller_nom[s] for s in sellers if s not in coalition]
     inner = _tr(run, node.child)
 

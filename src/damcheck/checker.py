@@ -61,12 +61,7 @@ import time
 from dataclasses import dataclass
 
 from . import auction
-from .errors import (
-    ActionError,
-    CoalitionOperatorError,
-    DamError,
-    UnknownAgentError,
-)
+from .errors import CoalitionOperatorError, DamError, UnknownAgentError
 from .formula import (
     SELF,
     And,
@@ -79,7 +74,7 @@ from .formula import (
     Nominal,
     Not,
 )
-from .model import SKIP, AgentId, Mechanism, _Arena, _bits
+from .model import SKIP, AgentId, Mechanism, _action, _agent, _Arena, _bits, _coalition
 
 
 @dataclass
@@ -318,6 +313,11 @@ class _Engine:
         `fn(state, need)` that returns the agents of the bitmask `need` at
         which it holds. With `coalition_free` a coalition box raises
         CoalitionOperatorError; anything but a core node raises TypeError.
+        Names are resolved by `model`'s resolvers (`_agent`, `_action` and
+        `_coalition`), each node's before its operands', and the agents they
+        answer become arena numbers; they raise for a name that names no
+        agent or stands where it may not.
+
         A node's key is (op, operand serials and data); the op is the
         closure's maker. `!!f` gets f's serial: every closure answers within
         `need`, so `!!f` and f answer alike. Only a conjunction met again is
@@ -333,6 +333,7 @@ class _Engine:
         than nodes, and memoising conjunctions that are merely equal by key
         costs the unshared SAT goals time."""
         arena = self.arena
+        net, index = arena.net, arena.index
         serials, made, keys = self.serials, self.made, self.keys
         walked: dict[int, int] = {}  # id of a conjunction walked -> its serial
         shared: set[int] = set()  # serials of the conjunctions met again
@@ -351,27 +352,21 @@ class _Engine:
                     return serial
                 key = (_and, go(n.left), go(n.right))
             elif kind is Nominal:
-                key = (_nom, arena.resolve(n.name))
+                key = (_nom, index[_agent(net, n.name)])
             elif kind is Box:
                 key = (_box, go(n.child))
             elif kind is Heart:
-                key = (_heart, -1 if n.target is SELF else arena.resolve(n.target))
+                key = (_heart, -1 if n.target is SELF else index[_agent(net, n.target)])
             elif kind is LinearGeq:
                 terms = tuple(
-                    (c, -1 if t.subject is SELF else arena.resolve(t.subject))
+                    (c, -1 if t.subject is SELF else index[_agent(net, t.subject)])
                     for c, t in n.terms
                 )
                 key = (_lin, terms, n.bound)
             elif kind is Diffuse:
                 action = [-1] * len(arena.seller_ids)
-                bound: set[int] = set()
-                for nominal, target in n.bindings:
-                    s = arena.seller(nominal)
-                    if s in bound:
-                        raise ActionError(f"seller {nominal!r} bound twice in one action")
-                    bound.add(s)
-                    if target is not SKIP:
-                        action[s] = arena.buyer(target)
+                for sell, target in _action(net, n.bindings).items():
+                    action[index[sell]] = -1 if target is SKIP else index[target]
                 key = (_diff, tuple(action), go(n.child))
             elif kind is CoalitionBox:
                 if coalition_free:
@@ -379,9 +374,7 @@ class _Engine:
                         f"the coalition {{{', '.join(sorted(n.coalition))}}} occurs"
                         " in a formula that must be coalition-free"
                     )
-                # members resolve in name order, so that of two bad ones the
-                # same is reported on every run
-                members = tuple(sorted({arena.seller(nom) for nom in sorted(n.coalition)}))
+                members = tuple(index[s] for s in _coalition(net, n.coalition))
                 key = (_coal, members, go(n.child))
             else:
                 raise TypeError(f"not a formula node: {n!r}")

@@ -170,9 +170,9 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
 def mechanism_to_dict(mechanism: Mechanism) -> dict:
     """The schema dictionary of a mechanism. It checks only what it must
     read, and raises MechanismError on a network no file can hold: an agent
-    id that is not a string, a nominal or a friendship of an agent outside
-    `sellers` and `buyers`, an agent with no budget or valuation, or an
-    incentive not keyed (buyer, seller)."""
+    id or a nominal that is not a string, a nominal or a friendship of an
+    agent outside `sellers` and `buyers`, an agent with no budget or
+    valuation, or an incentive not keyed (buyer, seller)."""
     net = mechanism.network
     names_of: dict[AgentId, list[str]] = {}
     for agent in net.agents():
@@ -180,6 +180,8 @@ def mechanism_to_dict(mechanism: Mechanism) -> dict:
             raise _unsavable(agent.id)
         names_of[agent] = []
     for nom, agent in net.names.items():
+        if type(nom) is not str:
+            raise _unsavable(nom)
         noms = names_of.get(agent)
         if noms is None:
             raise MechanismError(

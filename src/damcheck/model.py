@@ -5,7 +5,13 @@ bitmasks, scaled money) and the one implementation of the update rule; it
 is cached on the immutable `MarketNetwork`. Every query steps through it,
 and `action_precondition` and `apply_joint_action` are views over it for
 callers that hold `Mechanism` values. The tests hold it to the value-level
-update in `tests/reference.py`."""
+update in `tests/reference.py`.
+
+Names are resolved here too, once for every caller: `_agent`, `_action`
+and `_coalition` say which agent a nominal names, and whether it may stand
+where it does, on the plain network. The checker maps their answers to
+arena numbers, and `translate` calls them on networks the arena cannot
+index."""
 
 from __future__ import annotations
 
@@ -178,14 +184,58 @@ def joint_action(
     return JointAction(entries)
 
 
+# --- resolving names: each refusal text is written here once ---------------
+
+
 def resolve_name(mechanism: Mechanism, nominal: str) -> AgentId:
     """The unique agent a nominal names; UnknownNominalError if absent."""
+    return _agent(mechanism.network, nominal)
+
+
+def _agent(net: MarketNetwork, nominal: str) -> AgentId:
+    """The agent a nominal names; UnknownNominalError if none."""
     try:
-        return mechanism.network.names[nominal]
+        return net.names[nominal]
     except KeyError:
         raise UnknownNominalError(
             f"nominal {nominal!r} names no agent of the mechanism"
         ) from None
+
+
+def _target(net: MarketNetwork, nominal: str) -> AgentId:
+    """The buyer an action target names; ActionError if it names a seller."""
+    agent = _agent(net, nominal)
+    if agent.kind != BUYER:
+        raise ActionError(f"action target {nominal!r} names a non-buyer")
+    return agent
+
+
+def _action(net: MarketNetwork, bindings) -> dict[AgentId, object]:
+    """An action's (seller nominal, target nominal or SKIP) bindings as
+    {seller: buyer or SKIP}. Bindings are resolved in order, and each refuses
+    an unknown name, then a seller nominal that names a buyer, then a seller
+    bound before under another name, then a target that is not a buyer."""
+    action: dict[AgentId, object] = {}
+    for nominal, target in bindings:
+        sell = _agent(net, nominal)
+        if sell.kind != SELLER:
+            raise ActionError(f"{nominal!r} does not name a seller")
+        if sell in action:
+            raise ActionError(f"seller {nominal!r} bound twice in one action")
+        action[sell] = SKIP if target is SKIP else _target(net, target)
+    return action
+
+
+def _coalition(net: MarketNetwork, coalition) -> list[AgentId]:
+    """A coalition's sellers, ascending and each once. Members resolve in
+    name order, so that of two bad ones the same is reported on every run."""
+    members: set[AgentId] = set()
+    for nominal in sorted(coalition):
+        member = _agent(net, nominal)
+        if member.kind != SELLER:
+            raise ActionError(f"coalition member {nominal!r} does not name a seller")
+        members.add(member)
+    return sorted(members)
 
 
 def validate_mechanism(mechanism: Mechanism) -> list[str]:
@@ -280,8 +330,11 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
 
     named = set()
     for nominal, agent in net.names.items():
-        if not _IDENT_RE.match(nominal) or nominal in RESERVED_WORDS:
+        if type(nominal) is not str or not _IDENT_RE.match(nominal) or nominal in RESERVED_WORDS:
             out.append(f"nominal {nominal!r} is not a usable identifier")
+        if type(agent) is not AgentId:
+            out.append(f"nominal {nominal!r} names {agent!r}, which is not an agent")
+            continue
         if agent not in agents:
             out.append(f"nominal {nominal!r} names unknown agent {agent.id!r}")
         named.add(agent)
@@ -331,7 +384,8 @@ class _Arena:
                 raise MechanismError(f"money must be an int or a Fraction, got {amount!r}")
         self.scale = math.lcm(*(m.denominator for m in money))
         try:
-            self.names = {nom: self.index[a] for nom, a in net.names.items()}
+            for a in net.names.values():  # the resolvers answer with named agents
+                self.index[a]
             self.adj0 = tuple(
                 sum(1 << self.index[f] for f in net.friends_of(a)) for a in self.agents
             )
@@ -343,9 +397,16 @@ class _Arena:
             for b in net.buyers:  # the auction reads each buyer's valuation
                 net.valuation[b]
         except (KeyError, IndexError):
-            raise MechanismError(
-                "invalid mechanism: " + "; ".join(validate_mechanism(mechanism))
-            ) from None
+            pass
+        else:
+            # the resolvers tell a seller from a buyer by kind, the arena by list
+            if all(s.kind == SELLER for s in net.sellers) and all(
+                b.kind == BUYER for b in net.buyers
+            ):
+                return
+        raise MechanismError(
+            "invalid mechanism: " + "; ".join(validate_mechanism(mechanism))
+        )
 
     @classmethod
     def of(cls, mechanism: Mechanism) -> _Arena:
@@ -435,26 +496,6 @@ class _Arena:
                     budget[self.agents[i]] = Fraction(money, self.scale)
         return Mechanism(replace(net, friends=friends, budget=budget), self.rule)
 
-    def resolve(self, nominal: str) -> int:
-        try:
-            return self.names[nominal]
-        except KeyError:
-            raise UnknownNominalError(
-                f"nominal {nominal!r} names no agent of the mechanism"
-            ) from None
-
-    def seller(self, nominal: str) -> int:
-        s = self.resolve(nominal)
-        if s not in self.seller_ids:
-            raise ActionError(f"{nominal!r} does not name a seller")
-        return s
-
-    def buyer(self, nominal: str) -> int:
-        b = self.resolve(nominal)
-        if b not in self.buyer_ids:
-            raise ActionError(f"action target {nominal!r} names a non-buyer")
-        return b
-
     def action_of(self, joint: JointAction) -> tuple:
         """The arena action of a JointAction."""
         action = [-1] * len(self.seller_ids)
@@ -463,7 +504,7 @@ class _Arena:
             if s not in self.seller_ids:
                 raise ActionError(f"{sell.id!r} is not a seller of the mechanism")
             if target is not SKIP:
-                action[s] = self.buyer(target)
+                action[s] = self.index[_target(self.net, target)]
         return tuple(action)
 
     def action_to_joint(self, action) -> JointAction:

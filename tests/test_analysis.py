@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -596,6 +597,38 @@ def test_translate_agreement_random():
             )
 
 
+def _misplaced_names(rng, mech):
+    """A random formula over the market's own names under an action or a
+    coalition whose names stand where they may not: a buyer in a coalition
+    or binding as a seller, a seller as an action target, or one seller
+    bound under two of her names."""
+    net = mech.network
+    sellers = sorted(n for n, a in net.names.items() if a.kind == "seller")
+    buyers = sorted(n for n, a in net.names.items() if a.kind == "buyer")
+    aliased = [
+        names for s in net.sellers
+        if len(names := sorted(n for n, a in net.names.items() if a == s)) > 1
+    ]
+    body = random_formula(rng, mech, depth=1, coalition=True)
+    fault = rng.randrange(4 if aliased else 3)
+    if fault == 0:
+        return CoalitionBox(frozenset({rng.choice(buyers), rng.choice(sellers)}), body)
+    if fault == 1:
+        return Diffuse(((rng.choice(buyers), rng.choice([SKIP, *buyers])),), body)
+    if fault == 2:
+        return Diffuse(((rng.choice(sellers), rng.choice(sellers)),), body)
+    first, second = rng.choice(aliased)[:2]
+    return Diffuse(((first, rng.choice(buyers)), (second, SKIP)), body)
+
+
+def _refusal(run):
+    try:
+        run()
+    except DamError as exc:
+        return type(exc), str(exc)
+    return None
+
+
 def test_translate_refuses_what_check_strategic_refuses():
     # formulas written for one random market and read on another, where
     # some of their names, often several, name no agent: translate refuses
@@ -603,25 +636,39 @@ def test_translate_refuses_what_check_strategic_refuses():
     # name that fails
     rng = random.Random(2102)
     refused = several = 0
+    texts = set()
     for _ in range(60):
         source = random_mechanism(rng, max_sellers=3, max_buyers=4)
         mech = random_mechanism(rng, max_sellers=2, max_buyers=3)
         form = random_formula(rng, source, depth=2, coalition=True)
         anyone = mech.network.agents()[0]
-        outcomes = []
-        for run in (
-            lambda: translate(mech, form),
-            lambda: check_strategic(CheckQuery(mech, anyone, form)),
-        ):
-            try:
-                run()
-                outcomes.append(None)
-            except DamError as exc:
-                outcomes.append((type(exc), str(exc)))
-        assert outcomes[0] == outcomes[1]
-        refused += outcomes[0] is not None
+        outcome = _refusal(lambda: translate(mech, form))
+        assert outcome == _refusal(lambda: check_strategic(CheckQuery(mech, anyone, form)))
+        if outcome is not None:
+            refused += 1
+            texts.add(re.sub(r"'[^']*'", "_", outcome[1]))
         several += len(names_of(form) - set(mech.network.names)) > 1
     assert 0 < refused < 60 and several > 0
+    # formulas read on their own market, each with two actions or
+    # coalitions whose names are in the wrong role: every one is refused,
+    # by both, for the same first name
+    for _ in range(60):
+        mech = random_mechanism(rng, max_sellers=2, max_buyers=3)
+        form = And(_misplaced_names(rng, mech), _misplaced_names(rng, mech))
+        anyone = mech.network.agents()[0]
+        outcome = _refusal(lambda: translate(mech, form))
+        assert outcome is not None
+        assert outcome == _refusal(lambda: check_strategic(CheckQuery(mech, anyone, form)))
+        texts.add(re.sub(r"'[^']*'", "_", outcome[1]))
+    # each refusal text of the resolvers occurred, so the equalities above
+    # compared every kind of refusal
+    assert texts == {
+        "nominal _ names no agent of the mechanism",
+        "_ does not name a seller",
+        "coalition member _ does not name a seller",
+        "action target _ names a non-buyer",
+        "seller _ bound twice in one action",
+    }
 
 
 _SHARED_BOX = "(<[sigma]> wins(gamma))"

@@ -4,9 +4,21 @@ import json
 
 import pytest
 
-from damcheck import load_mechanism, parse_formula, sat_oracle, save_mechanism
+from damcheck import (
+    check,
+    check_strategic,
+    load_mechanism,
+    parse_formula,
+    sat_oracle,
+    save_mechanism,
+    strategy_exists,
+    translate,
+)
+from damcheck.analysis import StrategyQuery
+from damcheck.checker import CheckQuery
 from damcheck.cli import main
-from damcheck.formula import TRUE, Not
+from damcheck.errors import DamError, FormulaSyntaxError
+from damcheck.formula import TRUE, Box, CoalitionBox, Not
 from damcheck.gadgets import read_dimacs
 
 from helpers import referral_chain, two_seller_market
@@ -249,6 +261,42 @@ def test_formula_too_deep_to_translate_names_translate(chain_path, capsys):
     assert "evaluate" not in err
 
 
+def _box_chain(levels: int):
+    form = TRUE
+    for _ in range(levels):
+        form = Box(form)
+    return form
+
+
+_TOO_DEEP = {
+    "check": lambda m, f: check(CheckQuery(m, m.network.sellers[0], f)),
+    "check_strategic": lambda m, f: check_strategic(CheckQuery(m, m.network.sellers[0], f)),
+    "strategy_exists": lambda m, f: strategy_exists(StrategyQuery(m, f)),
+    # a coalition box, so that translate must walk the chain to unfold it
+    "translate": lambda m, f: translate(m, CoalitionBox(frozenset({"sigma"}), f)),
+}
+
+
+@pytest.mark.parametrize("entry", [*_TOO_DEEP, "parse_formula", "cli"])
+def test_formula_nested_too_deeply_is_refused_by_name(entry, chain_path, tmp_path, capsys):
+    if entry == "parse_formula":
+        # the column depends on the stack, so only the line is pinned
+        message = "^line 1, column [0-9]+: formula nests too deeply$"
+        with pytest.raises(FormulaSyntaxError, match=message):
+            parse_formula("!" * 5000 + "a")
+    elif entry == "cli":
+        text = tmp_path / "deep.txt"
+        text.write_text("alpha -> " * 1500 + "alpha", encoding="utf-8")
+        argv = ["check", "--model", chain_path, "--at", "a", "--formula", f"@{text}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: formula nests too deeply for check\n"
+    else:
+        with pytest.raises(DamError, match=f"^formula nests too deeply for {entry}$"):
+            _TOO_DEEP[entry](referral_chain(), _box_chain(5000))
+
+
 @pytest.mark.parametrize(
     "content, argv",
     [
@@ -322,7 +370,7 @@ _ONE_ID_TWICE = {
          "coalition member 'alpha' does not name a seller"),
         (None, ["check", "--model", "{chain}", "--at", "a", "--strategic",
                 "--formula", "<[alpha]> true"],
-         "'alpha' does not name a seller"),
+         "coalition member 'alpha' does not name a seller"),
         (_TWO_NAMES, ["check", "--model", "{doc}", "--at", "a",
                       "--formula", "[sigma:alpha, sig:beta] true"],
          "seller 'sig' bound twice in one action"),

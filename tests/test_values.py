@@ -182,6 +182,12 @@ def test_network_no_file_holds_is_a_violation_and_a_mechanism_error(tmp_path):
     ]
     with pytest.raises(MechanismError, match="must be strings"):
         save_mechanism(Mechanism(numbered, chain.rule), tmp_path / "numbered.json")
+    numeric = replace(net, names={**net.names, 5: net.buyers[0]})
+    assert validate_mechanism(Mechanism(numeric, chain.rule)) == [
+        "nominal 5 is not a usable identifier"
+    ]
+    with pytest.raises(MechanismError, match="must be strings"):
+        save_mechanism(Mechanism(numeric, chain.rule), tmp_path / "numeric.json")
     outsider = replace(net, names={**net.names, "zeta": buyer("zz")})
     with pytest.raises(MechanismError, match="'zeta': it names no agent"):
         save_mechanism(Mechanism(outsider, chain.rule), tmp_path / "outsider.json")
@@ -190,6 +196,7 @@ def test_network_no_file_holds_is_a_violation_and_a_mechanism_error(tmp_path):
     with pytest.raises(MechanismError, match="'a': it has no budget or no valuation"):
         save_mechanism(Mechanism(unpriced, chain.rule), tmp_path / "unpriced.json")
     assert not (tmp_path / "numbered.json").exists()
+    assert not (tmp_path / "numeric.json").exists()
 
 
 def _unindexable_networks():
@@ -206,6 +213,11 @@ def _unindexable_networks():
          "no budget for agent 'a'"),
         (replace(net, incentive={**net.incentive, (sig, alpha): Fraction(1)}),
          "incentive keyed by non-buyer 's'; incentive keyed by non-seller 'a'"),
+        (replace(net, names={**net.names, "zeta": "a"}),
+         "nominal 'zeta' names 'a', which is not an agent"),
+        # the resolvers tell a seller by her kind, so the lists must agree
+        (replace(net, sellers=(sig, alpha)),
+         "duplicate agent id 'a'; agent 'a' listed as seller but has kind 'buyer'"),
     ]
 
 
