@@ -235,7 +235,14 @@ def strategy_exists(
     feasible sequence of joint actions making the goal true at every seller.
 
     States are deduplicated, so each reachable configuration is examined once
-    at its minimal depth; the returned witness is shortest-first."""
+    at its minimal depth; the returned witness is shortest-first.
+
+    Every seller works towards the goal, so a choice that could only block
+    another seller is never tried (`_Arena.cooperative_options`): the states
+    at each depth are still those that every feasible joint action reaches.
+    With several sellers they may be found in another order than over every
+    action, so the witness is one shortest witness, and a search that stops
+    early counts in `states_explored` the states found up to then."""
     mech = query.mechanism
     net = mech.network
     depth_cap = (
@@ -265,7 +272,8 @@ def strategy_exists(
         upcoming = []
         for state in frontier:
             options = [
-                arena.options(state.adj, state.budgets, s) for s in arena.seller_ids
+                arena.cooperative_options(state.adj, state.budgets, s)
+                for s in arena.seller_ids
             ]
             for action in itertools.product(*options):
                 successor = cached_update(engine, state, action)

@@ -384,8 +384,8 @@ class _Arena:
                 raise MechanismError(f"money must be an int or a Fraction, got {amount!r}")
         self.scale = math.lcm(*(m.denominator for m in money))
         try:
-            for a in net.names.values():  # the resolvers answer with named agents
-                self.index[a]
+            # the resolvers answer with named agents, and a witness names each
+            named = {self.index[a] for a in net.names.values()}
             self.adj0 = tuple(
                 sum(1 << self.index[f] for f in net.friends_of(a)) for a in self.agents
             )
@@ -400,8 +400,10 @@ class _Arena:
             pass
         else:
             # the resolvers tell a seller from a buyer by kind, the arena by list
-            if all(s.kind == SELLER for s in net.sellers) and all(
-                b.kind == BUYER for b in net.buyers
+            if (
+                len(named) == len(self.agents)
+                and all(s.kind == SELLER for s in net.sellers)
+                and all(b.kind == BUYER for b in net.buyers)
             ):
                 return
         raise MechanismError(
@@ -432,6 +434,25 @@ class _Arena:
         price, money = self.price[s], budgets[s]
         row = adj[s] & self.buyer_mask
         return [t for t in _bits(row) if price[t] <= money] + [-1]
+
+    def cooperative_options(self, adj, budgets, s: int) -> list[int]:
+        """Seller s's feasible targets that are not inert, ascending, then -1
+        (SKIP). A target is inert when it costs her nothing and gives her no
+        new friend. Such a choice changes the state only by winning a tie at
+        price 0 and so blocking a higher-numbered seller: a joint action with
+        inert choices has the same successor as the one in which those
+        sellers, and the sellers they block, SKIP, and SKIP is always an
+        option. So over the product of every seller's list the successors of
+        a state are the same as over `options`, and each action but all-SKIP
+        moves the state. This is sound only when every seller cooperates:
+        where one seller plays against another, blocking is a real move."""
+        price, money, mask = self.price[s], budgets[s], self.buyer_mask
+        row = adj[s] & mask
+        return [
+            t
+            for t in _bits(row)
+            if price[t] <= money and (price[t] or adj[t] & mask & ~row)
+        ] + [-1]
 
     def apply(self, adj, budgets, action):
         """Rows and budgets after a feasible action. For each targeted buyer

@@ -14,7 +14,9 @@ is the invariant check as it stood before `AgentId` became a named tuple: one
 generic `==` or lookup per friendship entry, money compared as Fractions.
 `reference_smf` is the `smf` allocation as it stood before it became one
 pass: placements first, then payments and utilities rebuilt per agent by
-arithmetic on the placement bits."""
+arithmetic on the placement bits. `reference_reachable` counts the states
+within k rounds by a breadth-first walk over every feasible joint action,
+the count the strategy search's reduced product is held to."""
 
 from __future__ import annotations
 
@@ -380,6 +382,44 @@ def reference_ne(mechanism: Mechanism, profile):
                     violation = (sell, position, candidate_agent, baseline[sell], achieved)
                     return False, violation, utilities
     return True, None, utilities
+
+
+def reference_reachable(mechanism: Mechanism, rounds: int) -> list[int]:
+    """For k = 0..rounds, the number of distinct states reachable within k
+    rounds, the initial state included: a plain breadth-first walk through
+    `reference_apply` over every feasible joint action, choices that can
+    only block included. States are told apart by friendships and budgets."""
+    net = mechanism.network
+    sellers = sorted(net.sellers)
+    options: list[object] = [net.canonical_name(b) for b in sorted(net.buyers)]
+    options.append(SKIP)
+    actions = [
+        joint_action(net, dict(zip(sellers, combo)))
+        for combo in itertools.product(options, repeat=len(sellers))
+    ]
+
+    def key(state: Mechanism):
+        friends = state.network.friends
+        return (
+            frozenset((a, f) for a, f in friends.items() if f),
+            frozenset(state.network.budget.items()),
+        )
+
+    seen = {key(mechanism)}
+    counts = [1]
+    frontier = [mechanism]
+    for _ in range(rounds):
+        upcoming = []
+        for state in frontier:
+            for action in actions:
+                if reference_precondition(state, action):
+                    successor = reference_apply(state, action)
+                    if key(successor) not in seen:
+                        seen.add(key(successor))
+                        upcoming.append(successor)
+        counts.append(len(seen))
+        frontier = upcoming
+    return counts
 
 
 def reference_validate(mechanism: Mechanism) -> list[str]:

@@ -28,6 +28,7 @@ from damcheck.errors import (
     InfeasibleProfileError,
 )
 from damcheck.formula import (
+    FALSE,
     TRUE,
     And,
     Box,
@@ -66,7 +67,13 @@ from helpers import (
     random_rational_market,
     time_limit,
 )
-from reference import reference_apply, reference_ne, reference_precondition
+from reference import (
+    reference_apply,
+    reference_check,
+    reference_ne,
+    reference_precondition,
+    reference_reachable,
+)
 
 
 def tiny_one_buyer():
@@ -1033,3 +1040,104 @@ def test_two_winners_where_only_one_gains_a_friend(first_gains):
     idle = arena.index[mech.network.names["s2" if first_gains else "s1"]]
     assert adj[idle] == arena.adj0[idle]
     _arena_agrees_with_reference(mech, arena, targets, (adj, budgets))
+
+
+# --- the cooperative search skips choices that can only block ---------------------
+
+
+def test_cooperative_search_builds_every_state_within_the_cap():
+    # prices of 0 and ties between sellers are common here, so many choices
+    # are inert; with goal false the search runs to its cap and must build
+    # exactly the states that every feasible joint action reaches
+    from damcheck.model import _Arena
+
+    rng = random.Random(2317)
+    inert = 0
+    for _ in range(200):
+        mech = random_mechanism(rng, max_sellers=3)
+        arena = _Arena(mech)
+        root = (arena.adj0, arena.budget0)
+        for s in arena.seller_ids:
+            inert += len(arena.options(*root, s)) - len(arena.cooperative_options(*root, s))
+        want = reference_reachable(mech, 4)
+        for cap in range(5):
+            stats = CheckStats()
+            assert not strategy_exists(StrategyQuery(mech, FALSE, max_depth=cap), stats).found
+            assert stats.states_explored == want[cap]
+    assert inert > 200
+
+
+def test_cooperative_search_applies_only_actions_that_move(monkeypatch):
+    from damcheck.model import _Arena
+
+    update = _Arena.apply
+    applied = []  # per action other than all-SKIP: did it move the state
+
+    def recording(self, adj, budgets, action):
+        new = update(self, adj, budgets, action)
+        if any(t >= 0 for t in action):
+            applied.append(new != (adj, budgets))
+        return new
+
+    monkeypatch.setattr(_Arena, "apply", recording)
+    rng = random.Random(2318)
+    for _ in range(200):
+        mech = random_mechanism(rng, max_sellers=3)
+        buyer_noms = sorted(n for n, a in mech.network.names.items() if a.kind == "buyer")
+        # goals with no diffusion, so every update is the search's own
+        goal = rng.choice([FALSE, desugar(Diamond(Nominal(rng.choice(buyer_noms))))])
+        strategy_exists(StrategyQuery(mech, goal, max_depth=3))
+    assert len(applied) > 1000 and all(applied)
+
+
+def test_cooperative_search_witnesses_replay_and_are_shortest():
+    rng = random.Random(2319)
+    stepped = 0
+    while stepped < 40:
+        mech = random_mechanism(rng, max_sellers=3, max_buyers=3)
+        net = mech.network
+        buyer_noms = sorted(n for n, a in net.names.items() if a.kind == "buyer")
+        befriend = Diamond(Nominal(rng.choice(buyer_noms)))
+        other = random_formula(rng, mech, depth=1, coalition=False)
+        goal = desugar(rng.choice([And, Or])(befriend, other))
+        got = strategy_exists(StrategyQuery(mech, goal, max_depth=3))
+        if not got.found:
+            continue
+        state = mech
+        for action in got.witness:
+            assert reference_precondition(state, action)
+            state = reference_apply(state, action)
+        assert all(reference_check(state, s, goal) for s in net.sellers)
+        if got.witness:
+            stepped += 1
+            assert not exhaustive_strategy(mech, goal, len(got.witness) - 1)
+
+
+def test_coalition_search_keeps_choices_that_only_block(monkeypatch):
+    from damcheck.model import _Arena
+
+    # alpha costs s1 nothing and brings her no friend, yet by winning the
+    # tie at price 0 she keeps s2 from befriending beta
+    mech = mechanism_from_dict(
+        {
+            "sellers": [
+                {"id": "s1", "names": ["sigma1"], "budget": 0},
+                {"id": "s2", "names": ["sigma2"], "budget": 0},
+            ],
+            "buyers": [
+                {"id": "a", "names": ["alpha"], "budget": 0, "valuation": 0},
+                {"id": "b", "names": ["beta"], "budget": 0, "valuation": 0},
+            ],
+            "edges": [["s1", "a"], ["s2", "a"], ["s1", "b"], ["a", "b"]],
+            "rule": "smf",
+        }
+    )
+    s2 = mech.network.names["sigma2"]
+    blocked = parse_formula("[<sigma2>] [] !beta")
+    assert check_strategic(CheckQuery(mech, s2, blocked))
+    assert check(CheckQuery(mech, s2, translate(mech, blocked)))
+    assert reference_check(mech, s2, blocked)
+    assert not check(CheckQuery(mech, s2, parse_formula("<sigma2:alpha> [] !beta")))
+    # without s1's inert choice the coalition box would be false
+    monkeypatch.setattr(_Arena, "options", _Arena.cooperative_options)
+    assert not check_strategic(CheckQuery(mech, s2, blocked))

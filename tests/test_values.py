@@ -24,6 +24,7 @@ from damcheck import (
     apply_joint_action,
     check,
     check_ne_direct,
+    check_strategic,
     joint_action,
     load_mechanism,
     save_mechanism,
@@ -218,6 +219,9 @@ def _unindexable_networks():
         # the resolvers tell a seller by her kind, so the lists must agree
         (replace(net, sellers=(sig, alpha)),
          "duplicate agent id 'a'; agent 'a' listed as seller but has kind 'buyer'"),
+        # a witness and the unfolding of a coalition box name every buyer
+        (replace(net, names={n: a for n, a in net.names.items() if n != "delta"}),
+         "agent 'd' has no name"),
     ]
 
 
@@ -228,6 +232,7 @@ def test_network_the_arena_cannot_index_is_a_mechanism_error(network, violations
     skip = joint_action(network, {})
     queries = [
         lambda: check(CheckQuery(mech, network.sellers[0], TRUE)),
+        lambda: check_strategic(CheckQuery(mech, network.sellers[0], TRUE)),
         lambda: strategy_exists(StrategyQuery(mech, TRUE)),
         lambda: check_ne_direct(NeQuery(mech, (skip,))),
         lambda: action_precondition(mech, skip),
