@@ -10,7 +10,6 @@ network (`_choices`), never evaluate, and so also accept such networks."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -321,42 +320,32 @@ def translate(mechanism: Mechanism, form: Formula) -> Formula:
     Names are resolved in the same walk, by the resolvers in `model` that
     `check_strategic` compiles with, each node's before its operands', which
     is the order `check_strategic` meets them: a name it refuses is refused
-    here with the same error. The resolvers read the plain network."""
-    return _tr(_Translation(mechanism), form)
+    here with the same error. The resolvers read the plain network, and
+    each coalition box reads the sellers and their choices off it
+    (`_choices`) after resolving its members, so a coalition member is
+    refused before an agent with no name."""
+    return _tr(mechanism.network, {}, form)
 
 
-class _Translation:
-    """One call of `translate`: the memo from id(input node) to its output,
-    and the sellers and their choices, read off the network at the first
-    coalition box."""
-
-    def __init__(self, mechanism: Mechanism):
-        self.net = mechanism.network
-        self.memo: dict[int, Formula] = {}
-
-    @functools.cached_property
-    def choices(self):
-        return _choices(self.net)
-
-
-def _tr(run: _Translation, node):
+def _tr(net: MarketNetwork, memo: dict[int, Formula], node):
+    """`node` translated, where `memo` maps id(input node) to its output."""
     kind = type(node)
     if kind is Nominal:
-        _agent(run.net, node.name)
+        _agent(net, node.name)
         return node
     if kind is Heart or kind is LinearGeq:
         subjects = [node.target] if kind is Heart else [t.subject for _, t in node.terms]
         for subject in subjects:
             if subject is not SELF:
-                _agent(run.net, subject)
+                _agent(net, subject)
         return node
-    out = run.memo.get(id(node))
+    out = memo.get(id(node))
     if out is not None:
         return out
     if kind is Diffuse:
-        _action(run.net, node.bindings)
+        _action(net, node.bindings)
     if kind is Not or kind is Box or kind is Diffuse:
-        child = _tr(run, node.child)
+        child = _tr(net, memo, node.child)
         if child is node.child:
             out = node
         elif kind is Diffuse:
@@ -364,21 +353,21 @@ def _tr(run: _Translation, node):
         else:
             out = kind(child)
     elif kind is And:
-        left, right = _tr(run, node.left), _tr(run, node.right)
+        left, right = _tr(net, memo, node.left), _tr(net, memo, node.right)
         out = node if left is node.left and right is node.right else And(left, right)
     elif kind is CoalitionBox:
-        out = _expand_coalition(run, node)
+        out = _expand_coalition(net, memo, node)
     else:
         raise TypeError(f"not a formula node: {node!r}")
-    run.memo[id(node)] = out
+    memo[id(node)] = out
     return out
 
 
-def _expand_coalition(run: _Translation, node) -> Formula:
-    coalition = _coalition(run.net, node.coalition)
-    sellers, seller_nom, options = run.choices
+def _expand_coalition(net: MarketNetwork, memo: dict[int, Formula], node) -> Formula:
+    coalition = _coalition(net, node.coalition)
+    sellers, seller_nom, options = _choices(net)
     others = [seller_nom[s] for s in sellers if s not in coalition]
-    inner = _tr(run, node.child)
+    inner = _tr(net, memo, node.child)
 
     conjuncts = []
     for picked in itertools.product(options, repeat=len(coalition)):

@@ -262,6 +262,11 @@ def _distinct(node):
 # --- printing ----------------------------------------------------------------
 
 _AND, _UNARY, _ATOM = 1, 2, 3
+# The most characters `format_formula` copies from the texts of shared nodes.
+# Only those copies make the text longer than the distinct nodes' own text,
+# so this bounds the printed length and the memory it takes: a translated
+# formula can print exponentially long text.
+_MAX_COPIED = 2**26
 
 
 def format_formula(node: Formula) -> str:
@@ -273,9 +278,11 @@ def format_formula(node: Formula) -> str:
     reached from two or more parents has its text joined once, at its first
     use, and every later use appends that text again, in parentheses where
     the use asks for them. A DAG that prints as a large tree then costs its
-    distinct nodes plus the copying of text."""
+    distinct nodes plus the copying of text. Copying more than `_MAX_COPIED`
+    characters in all is a DamError, raised before the whole text is joined."""
     shared = _shared_nodes(node)
     texts: dict[int, tuple[str, int]] = {}  # id(shared node) -> its text, level
+    copied = 0
     out: list[str] = []
     todo: list = [(node, _AND)]
     while todo:
@@ -296,6 +303,9 @@ def format_formula(node: Formula) -> str:
         known = texts.get(key)
         if known is not None:
             text, level = known
+            copied += len(text)
+            if copied > _MAX_COPIED:
+                raise DamError(f"formula text longer than {_MAX_COPIED} characters")
             if level < min_level:
                 out.extend(("(", text, ")"))
             else:

@@ -382,9 +382,10 @@ def _int_token(token: str, where: str) -> int:
 
 def _scan(text: str, fmt: str):
     """The variable count, (quantifier, variables) blocks and clauses of
-    (Q)DIMACS text. Requires a `p cnf` header whose clause count is the number
-    of clauses; `a`/`e` lines must precede the first clause; clauses end at 0,
-    may span lines, and must not be empty."""
+    (Q)DIMACS text. Requires one `p cnf` header, before any prefix or clause
+    line, whose clause count is the number of clauses; `a`/`e` lines must
+    precede the first clause; clauses end at 0, may span lines, and must not
+    be empty."""
     num_vars = num_clauses = None
     blocks: list[tuple[str, list[int]]] = []
     clauses: list[list[int]] = []
@@ -397,6 +398,10 @@ def _scan(text: str, fmt: str):
             parts = line.split()
             if len(parts) < 4 or parts[1] != "cnf":
                 raise MechanismError(f"bad {fmt} header {line!r}")
+            if num_vars is not None:
+                raise MechanismError(f"second {fmt} header {line!r}")
+            if blocks or clauses or literals:
+                raise MechanismError(f"{fmt} header {line!r} after a prefix or clause line")
             num_vars = _int_token(parts[2], f"{fmt} header")
             num_clauses = _int_token(parts[3], f"{fmt} header")
         elif line[0] in "ae":

@@ -28,6 +28,7 @@ from typing import Any
 
 from .errors import MechanismError
 from .model import (
+    MONEY_TYPES,
     AgentId,
     MarketNetwork,
     Mechanism,
@@ -59,6 +60,10 @@ def parse_rational(value: Any, where: str = "value") -> Fraction:
 
 
 def format_rational(value: Fraction) -> int | str:
+    """An exact amount as the schema writes it. Money must be an `int` or a
+    `Fraction`, as the arena requires; anything else is a MechanismError."""
+    if type(value) not in MONEY_TYPES:
+        raise MechanismError(f"cannot save {value!r}: money must be an int or a Fraction")
     num, den = value.as_integer_ratio()
     return num if den == 1 else f"{num}/{den}"
 
@@ -170,9 +175,12 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
 def mechanism_to_dict(mechanism: Mechanism) -> dict:
     """The schema dictionary of a mechanism. It checks only what it must
     read, and raises MechanismError on a network no file can hold: an agent
-    id or a nominal that is not a string, a nominal or a friendship of an
-    agent outside `sellers` and `buyers`, an agent with no budget or
-    valuation, or an incentive not keyed (buyer, seller)."""
+    id, a nominal or a rule that is not a string, money that is not an
+    `int` or a `Fraction`, a nominal or a friendship of an agent outside
+    `sellers` and `buyers`, an agent with no budget or valuation, or an
+    incentive not keyed (buyer, seller). This is the one place that decides
+    what a file can hold: what it returns, `_render` can render. It does not
+    validate, so a saved file may not load back."""
     net = mechanism.network
     names_of: dict[AgentId, list[str]] = {}
     for agent in net.agents():
@@ -242,6 +250,8 @@ def mechanism_to_dict(mechanism: Mechanism) -> dict:
     edges = sorted(
         [a.id, b.id] for a, nbrs in net.friends.items() for b in nbrs if a.id <= b.id
     )
+    if type(mechanism.rule) is not str:
+        raise _unsavable(mechanism.rule)
     return {
         "sellers": sellers,
         "buyers": buyers,
@@ -267,10 +277,10 @@ _LEAF = {str: encode_basestring_ascii, int: int.__repr__}
 
 def _render(value: Any, pad: str) -> str:
     """A list or dict as `json.dumps(value, indent=2)` writes it, where `pad`
-    is the line break and indent of value's own nesting level."""
+    is the line break and indent of value's own nesting level. It only
+    renders: `mechanism_to_dict` has refused what no file can hold, so every
+    key is a string and every leaf a string or an int."""
     kind = type(value)
-    if kind is not list and kind is not dict:
-        raise _unsavable(value)
     if not value:
         return "[]" if kind is list else "{}"
     inner = pad + "  "
@@ -289,8 +299,6 @@ def _render(value: Any, pad: str) -> str:
     for key, item in value.items():
         leaf = _LEAF.get(type(item))
         text = _render(item, inner) if leaf is None else leaf(item)
-        if type(key) is not str:
-            raise _unsavable(key)
         items.append(encode_basestring_ascii(key) + ": " + text)
     return "{" + inner + sep.join(items) + pad + "}"
 

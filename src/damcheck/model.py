@@ -529,13 +529,13 @@ class _Arena:
         return tuple(action)
 
     def action_to_joint(self, action) -> JointAction:
-        return joint_action(
-            self.net,
-            {
-                self.agents[s]: SKIP if t < 0 else self.net.canonical_name(self.agents[t])
-                for s, t in enumerate(action)
-            },
+        """The JointAction of an arena action: sellers are numbered in id
+        order, and each target is named by its canonical nominal."""
+        agents, name = self.agents, self.net.canonical_name
+        entries = (
+            (agents[s], SKIP if t < 0 else name(agents[t])) for s, t in enumerate(action)
         )
+        return JointAction(tuple(entries))
 
 
 def action_precondition(mechanism: Mechanism, action: JointAction) -> bool:

@@ -17,12 +17,13 @@ from damcheck import (
     read_qdimacs,
     sat_oracle,
     strategy_exists,
+    translate,
 )
 from damcheck.analysis import StrategyQuery
 from damcheck.checker import CheckQuery, CheckStats
 from damcheck.cli import main
-from damcheck.errors import MechanismError, OracleLimitError
-from damcheck.formula import And, Nominal
+from damcheck.errors import DamError, MechanismError, OracleLimitError
+from damcheck.formula import And, Nominal, format_formula
 from damcheck.gadgets import (
     EXISTS,
     FORALL,
@@ -218,6 +219,29 @@ def test_qbf_gadget_states_are_pinned(n, states, holds):
     assert stats.states_explored == states
 
 
+# the family above at n = 6, folded balanced: translated, it is a DAG of
+# about 2,100 nodes whose text would take gigabytes
+QBF6 = (
+    "p cnf 6 6\ne 1 0\na 2 0\ne 3 0\na 4 0\ne 5 0\na 6 0\n"
+    "1 0\n1 -2 0\n2 -3 0\n3 -4 0\n4 -5 0\n5 -6 0\n"
+)
+
+
+def test_translation_too_long_to_print_is_a_data_error(tmp_path, capsys):
+    mech, form = gen_qbf_gadget(read_qdimacs(QBF6))
+    with pytest.raises(DamError, match="formula text longer than"):
+        format_formula(translate(mech, form))
+    source, model, formula = (tmp_path / name for name in ("q.qdimacs", "m.json", "f.txt"))
+    source.write_text(QBF6, encoding="utf-8")
+    argv = ["gen", "qbf", "--qdimacs", str(source), "--out-model", str(model),
+            "--out-formula", str(formula)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["translate", "--model", str(model), "--formula", f"@{formula}"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_expressivity_pair_tells_models_apart(n):
     m1, m2, form = expressivity_pair(n)
@@ -323,6 +347,10 @@ def test_readers_reject_garbage_tokens():
         (read_qdimacs, "p cnf 1 2\ne 1 0\n1 0\n"),
         (read_qdimacs, "p cnf 1 0\ne 1 0\n1 0\n"),
         (read_dimacs, "p cnf 1 x\n1 0\n"),
+        (read_dimacs, "p cnf 2 1\n1 2 0\np cnf 3 1\n"),  # a second header
+        (read_qdimacs, "p cnf 1 1\np cnf 1 1\ne 1 0\n1 0\n"),
+        (read_dimacs, "1 2 0\np cnf 2 1\n"),  # a header after a clause
+        (read_qdimacs, "e 1 0\np cnf 1 1\n1 0\n"),  # after a prefix line
     ],
 )
 def test_readers_hold_input_to_its_header(read, text):

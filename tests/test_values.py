@@ -392,6 +392,28 @@ def test_saved_bytes_equal_json_dumps_on_awkward_networks(tmp_path):
         valuation={plain: 1}, incentive={(plain, five): 1}, names={},
     )
     for refused in (Mechanism(unnamed, "smf"), Mechanism(no_buyers, None),
-                    Mechanism(numbered, "smf")):
+                    Mechanism(numbered, "smf"), Mechanism(no_buyers, 5)):
         with pytest.raises(MechanismError, match="must be strings"):
             save_mechanism(refused, tmp_path / "refused.json")
+
+
+@pytest.mark.parametrize("budget", ["7", None, 2.5, True])
+def test_save_refuses_money_that_is_not_an_int_or_a_fraction(tmp_path, budget):
+    net = referral_chain().network
+    sigma = net.names["sigma"]
+    mech = Mechanism(replace(net, budget={**net.budget, sigma: budget}))
+    path = tmp_path / "m.json"
+    with pytest.raises(MechanismError, match="money must be an int or a Fraction"):
+        save_mechanism(mech, path)
+    assert not path.exists()
+
+
+def test_save_writes_an_unnamed_agent_that_load_refuses(tmp_path):
+    # save does not validate: an agent with no name is written, and the
+    # file does not load back
+    net = referral_chain().network
+    names = {nom: agent for nom, agent in net.names.items() if nom != "delta"}
+    path = tmp_path / "m.json"
+    save_mechanism(Mechanism(replace(net, names=names)), path)
+    with pytest.raises(MechanismError, match="agent 'd' has no name"):
+        load_mechanism(path)
