@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import auction
-from .checker import CheckStats, _Engine, _shallow, cached_update
+from .checker import CheckStats, _diff, _Engine, _shallow, cached_update
 from .errors import ArityError, DamError, InfeasibleProfileError
 from .formula import (
     SELF,
@@ -241,7 +241,15 @@ def strategy_exists(
     at each depth are still those that every feasible joint action reaches.
     With several sellers they may be found in another order than over every
     action, so the witness is one shortest witness, and a search that stops
-    early counts in `states_explored` the states found up to then."""
+    early counts in `states_explored` the states found up to then.
+
+    The goal's top-level conjuncts are compiled in their written order and
+    asked fail-first: a conjunct that fails at a state is asked first at
+    the next one (Haralick & Elliott 1980). Each state's answer is the
+    same in any order, so the witness and `states_explored` are too. A
+    goal with a diffusion builds states as it is asked, so it keeps its
+    written order, and each conjunct is asked where the ones before it
+    hold, as `&` asks them."""
     mech = query.mechanism
     net = mech.network
     depth_cap = (
@@ -253,15 +261,28 @@ def strategy_exists(
         raise DamError(f"max_depth must be at least 0, got {depth_cap}")
     engine = _Engine(mech)
     arena = engine.arena
-    compiled = engine.compile(query.goal, coalition_free=True)
+    tests = [engine.compile(c, coalition_free=True) for c in _conjuncts(query.goal)]
+    # a diffusion builds states, which states_explored counts, so a goal
+    # with one is asked in its written order
+    fail_first = _diff not in {key[0] for key in engine.keys}
 
     sellers = (1 << len(arena.seller_ids)) - 1  # sellers are numbered first
 
     def satisfied(state) -> bool:
-        found = compiled(state, sellers) == sellers
+        # each conjunct where the ones before it hold, as `&` asks them
+        got = sellers
+        for i, test in enumerate(tests):
+            got = test(state, got)
+            if got != sellers:
+                if fail_first:
+                    # the goal fails: ask this conjunct first next time
+                    tests.insert(0, tests.pop(i))
+                    break
+                if not got:
+                    break
         # the search may hold thousands of states: keep none of their memos
         engine.forget(state)
-        return found
+        return got == sellers
 
     parents = {engine.root: None}
     hit = engine.root if satisfied(engine.root) else None
@@ -296,6 +317,26 @@ def strategy_exists(
         steps.append(arena.action_to_joint(action))
     steps.reverse()
     return StrategyResult(True, tuple(steps))
+
+
+def _conjuncts(goal: Formula) -> list[Formula]:
+    """The goal's top-level conjuncts, left to right, each distinct one
+    once. The walk keeps its own stack and enters each conjunction once by
+    identity, so a shared chain of conjunctions takes time linear in its
+    distinct nodes."""
+    out = []
+    seen: set[int] = set()
+    todo = [goal]
+    while todo:
+        node = todo.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if type(node) is And:
+            todo += (node.right, node.left)
+        else:
+            out.append(node)
+    return out
 
 
 # --- coalition-operator elimination -------------------------------------------

@@ -45,13 +45,16 @@ here, and the strategy search and the equilibrium test in `analysis`.
   builds its one successor once for all of them; a coalition box narrows
   the set as choices fail and asks each counter-choice only about the
   agents no earlier one answered; a conjunction asks its right operand
-  only where the left one holds. Each state memoises by serial, as a pair
-  (agents decided, agents where it holds), the modal nodes and the
-  conjunctions the formula shares as objects, so a later call computes
-  only the agents not yet decided. Nested boxes then cost time linear in
-  their depth, and a formula whose subformulas are shared objects, such
-  as a `<->` chain, is evaluated once per state and node, in time linear
-  in its distinct nodes. Nothing outlives the query."""
+  only where the left one holds. Two kernels save a call per node on the
+  hot path: a box whose child is a negation `[] !g` asks g itself and
+  fails where g holds, and a conjunction whose left operand is a nominal
+  masks the asked agents with the nominal's bit. Each state memoises by
+  serial, as a pair (agents decided, agents where it holds), the modal
+  nodes and the conjunctions the formula shares as objects, so a later
+  call computes only the agents not yet decided. Nested boxes then cost
+  time linear in their depth, and a formula whose subformulas are shared
+  objects, such as a `<->` chain, is evaluated once per state and node,
+  in time linear in its distinct nodes. Nothing outlives the query."""
 
 from __future__ import annotations
 
@@ -155,7 +158,18 @@ def _not(engine, child):
 
 
 def _and(engine, left, right):
-    left, right = engine.made[left], engine.made[right]
+    right = engine.made[right]
+    key = engine.keys[left]
+    if key[0] is _nom:
+        bit = 1 << key[1]
+
+        def nom_conj(state, need):
+            # a nominal on the left holds at its own agent only
+            got = need & bit
+            return right(state, got) if got else 0
+
+        return nom_conj
+    left = engine.made[left]
 
     def conj(state, need):
         # the right operand only where the left one holds
@@ -205,7 +219,12 @@ def _lin(engine, terms, bound):
 
 
 def _box(engine, child):
-    child = engine.made[child]
+    key = engine.keys[child]
+    if key[0] is _not:
+        # `[] !g` fails where g holds: ask g itself, and keep its answer
+        child, flip = engine.made[key[1]], 0
+    else:
+        child, flip = engine.made[child], -1
 
     def box(state, need):
         # the child once, at every friend of every agent asked about; the
@@ -217,7 +236,7 @@ def _box(engine, child):
             low = rest & -rest
             rest ^= low
             around |= adj[low.bit_length() - 1]
-        failed = around & ~child(state, around)
+        failed = around & (child(state, around) ^ flip)  # x ^ -1 is ~x
         got = need
         rest = need if failed else 0
         while rest:

@@ -382,10 +382,10 @@ def _int_token(token: str, where: str) -> int:
 
 def _scan(text: str, fmt: str):
     """The variable count, (quantifier, variables) blocks and clauses of
-    (Q)DIMACS text. Requires one `p cnf` header, before any prefix or clause
-    line, whose clause count is the number of clauses; `a`/`e` lines must
-    precede the first clause; clauses end at 0, may span lines, and must not
-    be empty."""
+    (Q)DIMACS text. Requires one `p cnf` header of exactly four fields,
+    before any prefix or clause line, whose clause count is the number of
+    clauses; `a`/`e` lines must precede the first clause; clauses end at 0,
+    may span lines, and must not be empty."""
     num_vars = num_clauses = None
     blocks: list[tuple[str, list[int]]] = []
     clauses: list[list[int]] = []
@@ -396,7 +396,7 @@ def _scan(text: str, fmt: str):
             continue
         if line[0] == "p":
             parts = line.split()
-            if len(parts) < 4 or parts[1] != "cnf":
+            if len(parts) != 4 or parts[1] != "cnf":
                 raise MechanismError(f"bad {fmt} header {line!r}")
             if num_vars is not None:
                 raise MechanismError(f"second {fmt} header {line!r}")

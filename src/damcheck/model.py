@@ -448,11 +448,16 @@ class _Arena:
         where one seller plays against another, blocking is a real move."""
         price, money, mask = self.price[s], budgets[s], self.buyer_mask
         row = adj[s] & mask
-        return [
-            t
-            for t in _bits(row)
-            if price[t] <= money and (price[t] or adj[t] & mask & ~row)
-        ] + [-1]
+        out = []
+        rest = row
+        while rest:  # inline, as the strategy search asks at every state
+            low = rest & -rest
+            rest ^= low
+            t = low.bit_length() - 1
+            if price[t] <= money and (price[t] or adj[t] & mask & ~row):
+                out.append(t)
+        out.append(-1)
+        return out
 
     def apply(self, adj, budgets, action):
         """Rows and budgets after a feasible action. For each targeted buyer

@@ -46,6 +46,7 @@ from damcheck.formula import (
     Or,
     Truth,
     UtilityTerm,
+    _distinct,
     big_and,
     contains_coalition,
     desugar,
@@ -1141,3 +1142,120 @@ def test_coalition_search_keeps_choices_that_only_block(monkeypatch):
     # without s1's inert choice the coalition box would be false
     monkeypatch.setattr(_Arena, "options", _Arena.cooperative_options)
     assert not check_strategic(CheckQuery(mech, s2, blocked))
+
+
+# --- the goal's conjuncts are asked fail-first --------------------------------------
+
+
+def _has_diffusion(node) -> bool:
+    return any(type(n) is Diffuse for n in _distinct(node))
+
+
+def _search(mech, goal, cap):
+    stats = CheckStats()
+    got = strategy_exists(StrategyQuery(mech, goal, max_depth=cap), stats)
+    return got.found, got.witness, stats.states_explored
+
+
+def test_strategy_answers_alike_in_every_order_of_the_conjuncts():
+    # diffusion-free conjuncts, which the search reorders as they fail;
+    # `!!goal` is one conjunct, asked as a whole in its written order
+    rng = random.Random(2501)
+    found = reordered = 0
+    for _ in range(150):
+        mech = random_mechanism(rng, max_sellers=3)
+        buyer_noms = sorted(n for n, a in mech.network.names.items() if a.kind == "buyer")
+        conjuncts = []
+        while len(conjuncts) < rng.randint(2, 5):
+            if rng.random() < 0.5:
+                conjuncts.append(Diamond(Nominal(rng.choice(buyer_noms))))
+                continue
+            extra = random_formula(rng, mech, depth=rng.randint(0, 2))
+            if not _has_diffusion(extra):
+                conjuncts.append(extra)
+        cap = rng.randint(1, 3)
+        want = _search(mech, Not(Not(big_and(conjuncts))), cap)
+        for k in range(len(conjuncts)):
+            goal = big_and(conjuncts[k:] + conjuncts[:k])
+            assert _search(mech, goal, cap) == want
+        found += want[0]
+        reordered += want[2] > 1 and len(conjuncts) > 2
+    assert 20 < found < 130 and reordered > 40
+
+
+def test_strategy_splits_a_shared_chain_of_conjunctions_in_linear_time():
+    mech = referral_chain()
+    befriend = Diamond(Nominal("gamma"))
+    goal = befriend
+    for _ in range(40):  # 2**40 paths to `befriend`
+        goal = And(goal, goal)
+    with time_limit(5, "a shared chain of 40 conjunctions was walked as a tree"):
+        assert _search(mech, goal, None) == _search(mech, befriend, None)
+
+
+def test_strategy_keeps_the_written_order_of_a_goal_with_a_diffusion():
+    # such a goal builds states as it is asked, so asking its conjuncts in
+    # another order, or not asking the rest once one fails, can change
+    # states_explored (it does on 9 of these markets)
+    rng = random.Random(2502)
+    explored = found = 0
+    for _ in range(400):
+        mech = random_mechanism(rng, max_sellers=3)
+        buyer_noms = sorted(n for n, a in mech.network.names.items() if a.kind == "buyer")
+        diffusive = random_formula(rng, mech, depth=2)
+        while not _has_diffusion(diffusive):
+            diffusive = random_formula(rng, mech, depth=2)
+        conjuncts = [diffusive] + [
+            Diamond(Nominal(rng.choice(buyer_noms)))
+            if rng.random() < 0.5
+            else random_formula(rng, mech, depth=1)
+            for _ in range(rng.randint(1, 3))
+        ]
+        rng.shuffle(conjuncts)
+        cap = rng.randint(1, 3)
+        goal = big_and(conjuncts)
+        got = _search(mech, goal, cap)
+        assert got == _search(mech, Not(Not(goal)), cap)
+        found += got[0]
+        explored += got[2]
+    # recorded before the search asked conjuncts one by one
+    assert (found, explored) == (61, 1100)
+
+
+def test_successors_raise_the_friendship_and_money_potential():
+    # a successor that is not its own state has more friendship bits, or the
+    # same bits and strictly less money among the sellers; buyers never
+    # befriend each other, so the reachable graph is acyclic but for
+    # self-loops
+    from damcheck.model import _Arena
+
+    rng = random.Random(42)
+    moved = 0
+    for _ in range(100):
+        mech = random_rational_market(rng, n_sellers=rng.randint(1, 3), n_buyers=rng.randint(2, 4))
+        arena = _Arena(mech)
+        mask = arena.buyer_mask
+        buyers_of = [row & mask for row in arena.adj0[len(arena.seller_ids) :]]
+
+        def potential(adj, budgets):
+            bits = sum(bin(row).count("1") for row in adj)
+            return bits, -sum(budgets[s] for s in arena.seller_ids)
+
+        seen = {(arena.adj0, arena.budget0)}
+        frontier = list(seen)
+        for _ in range(3):
+            upcoming = []
+            for adj, budgets in frontier:
+                options = [arena.options(adj, budgets, s) for s in arena.seller_ids]
+                for action in itertools.product(*options):
+                    new = arena.apply(adj, budgets, action)
+                    if new == (adj, budgets):
+                        continue
+                    moved += 1
+                    assert potential(*new) > potential(adj, budgets)
+                    assert [row & mask for row in new[0][len(arena.seller_ids) :]] == buyers_of
+                    if new not in seen:
+                        seen.add(new)
+                        upcoming.append(new)
+            frontier = upcoming
+    assert moved > 2000

@@ -351,6 +351,8 @@ def test_readers_reject_garbage_tokens():
         (read_qdimacs, "p cnf 1 1\np cnf 1 1\ne 1 0\n1 0\n"),
         (read_dimacs, "1 2 0\np cnf 2 1\n"),  # a header after a clause
         (read_qdimacs, "e 1 0\np cnf 1 1\n1 0\n"),  # after a prefix line
+        (read_dimacs, "p cnf 2 1 junk\n1 2 0\n"),  # a header of five fields
+        (read_qdimacs, "p cnf 1 1 0\ne 1 0\n1 0\n"),
     ],
 )
 def test_readers_hold_input_to_its_header(read, text):
