@@ -11,12 +11,16 @@ Schema (rationals are integers or "p/q" strings; floats are rejected):
 Each section, when present, must be a list, and ids and edge ends must be
 strings. Edges are undirected; duplicates and reversed pairs are rejected.
 Missing incentive entries default to 0, and saving leaves zero ones out.
-Loading refuses what `validate_mechanism` finds.
+
+Loading reads a document once. It refuses a wrong shape where it meets it,
+and judges the rules of `validate_mechanism` on each value as it reads it;
+only an invalid document is then walked by `validate_mechanism`, for the
+text of the refusal.
 
 A saved file is exactly `json.dumps(mechanism_to_dict(m), indent=2)` plus a
 newline. With `indent` set, CPython's `json.dumps` runs its pure-Python
-encoder, so `save_mechanism` renders the same bytes itself, leaving only the
-strings and integers to C."""
+encoder, so `save_mechanism` renders the same bytes itself from templates of
+the schema's fixed shape, leaving only the strings and integers to C."""
 
 from __future__ import annotations
 
@@ -26,9 +30,13 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
+from .auction import has_rule
 from .errors import MechanismError
 from .model import (
+    _IDENT_RE,
     MONEY_TYPES,
+    RESERVED_WORDS,
+    SELLER,
     AgentId,
     MarketNetwork,
     Mechanism,
@@ -69,7 +77,16 @@ def format_rational(value: Fraction) -> int | str:
 
 
 def mechanism_from_dict(doc: dict) -> Mechanism:
-    """Build and validate a Mechanism from the schema dictionary."""
+    """Build a Mechanism from the schema dictionary, in one pass.
+
+    A document of the wrong shape (a section, an id, a name list, an amount
+    or an edge) raises MechanismError where it is read. Each rule of
+    `validate_mechanism` that a well-shaped document can break is judged in
+    the same pass: on an entry as it is read, or once over what the pass
+    built (the sections, the distinct amounts, the nominals, the rule). A
+    broken rule is acted on only after the whole document is read, so a
+    later shape error still wins, and the refusal is `validate_mechanism`'s
+    full text. A valid document is not walked a second time."""
     if not isinstance(doc, dict):
         raise MechanismError("mechanism document must be a JSON object")
     for key in ("sellers", "buyers", "edges"):
@@ -83,22 +100,28 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
     incentive: dict[tuple[AgentId, AgentId], Fraction] = {}
     names: dict[str, AgentId] = {}
     parsed: dict[int | str, Fraction] = {}  # amounts repeat: parse each once
+    valid = True  # the entries read so far break no rule of validate_mechanism
 
-    def rational(value: Any, where: str) -> Fraction:
-        if type(value) is not int and type(value) is not str:  # True == 1.0 == 1
-            return parse_rational(value, where)
-        exact = parsed.get(value)
-        if exact is None:
-            exact = parsed[value] = parse_rational(value, where)
+    def rational(value: Any, what: str, ident: str, sid: str | None = None) -> Fraction:
+        """Agent `ident`'s amount `what` (with seller `sid`, for an incentive)."""
+        if type(value) is int or type(value) is str:  # True == 1.0 == 1
+            exact = parsed.get(value)
+            if exact is not None:
+                return exact
+        where = f"{what} of {ident}" if sid is None else f"{what} of ({ident}, {sid})"
+        # every amount read is cached, so the sign test below sees them all
+        exact = parsed[value] = parse_rational(value, where)
         return exact
 
-    def add_names(agent: AgentId, noms: Any) -> None:
+    def add_names(agent: AgentId, noms: Any) -> bool:
+        """Register the agent's nominals; False if it has none."""
         if not isinstance(noms, list) or not all(isinstance(n, str) for n in noms):
             raise MechanismError(f"names of {agent.id!r} must be a list of strings")
         for nom in noms:
             if nom in names:
                 raise MechanismError(f"nominal {nom!r} names two agents")
             names[nom] = agent
+        return bool(noms)
 
     def agent_id_of(entry: Any, section: str) -> str:
         if not isinstance(entry, dict) or "id" not in entry:
@@ -109,18 +132,22 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
         return ident
 
     for entry in doc.get("sellers", []):
-        agent = seller(agent_id_of(entry, "seller"))
+        ident = agent_id_of(entry, "seller")
+        agent = seller(ident)
         sellers.append(agent)
-        budget[agent] = rational(entry.get("budget", 0), f"budget of {agent.id}")
-        add_names(agent, entry.get("names", []))
+        budget[agent] = rational(entry.get("budget", 0), "budget", ident)
+        valid &= add_names(agent, entry.get("names", []))
 
     seller_by_id = {s.id: s for s in sellers}
     for entry in doc.get("buyers", []):
-        agent = buyer(agent_id_of(entry, "buyer"))
+        ident = agent_id_of(entry, "buyer")
+        agent = buyer(ident)
         buyers.append(agent)
-        budget[agent] = rational(entry.get("budget", 0), f"budget of {agent.id}")
-        valuation[agent] = rational(entry.get("valuation", 0), f"valuation of {agent.id}")
-        add_names(agent, entry.get("names", []))
+        bdg = budget[agent] = rational(entry.get("budget", 0), "budget", ident)
+        val = valuation[agent] = rational(entry.get("valuation", 0), "valuation", ident)
+        # val <= bdg, cross-multiplied: Fraction's `<=` runs in Python
+        valid &= val.numerator * bdg.denominator <= bdg.numerator * val.denominator
+        valid &= add_names(agent, entry.get("names", []))
         incentives = entry.get("incentives", {})
         if not isinstance(incentives, dict):
             raise MechanismError(f"incentives of {agent.id!r} must be an object")
@@ -130,7 +157,7 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
                 raise MechanismError(
                     f"incentives of {agent.id!r} mention unknown seller {sid!r}"
                 )
-            value = rational(amount, f"incentive of ({agent.id}, {sid})")
+            value = rational(amount, "incentive", ident, sid)
             if value:  # zero is the default; keep the map canonical
                 incentive[(agent, sell)] = value
 
@@ -152,6 +179,8 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
             raise MechanismError(f"duplicate or reversed edge {pair!r}")
         adjacent[a].add(b)
         adjacent[b].add(a)
+        if a is b or (a.kind == SELLER and b.kind == SELLER):
+            valid = False  # a self-loop or a seller-seller edge
     friends = {a: frozenset(nbrs) for a, nbrs in adjacent.items()}
 
     mechanism = Mechanism(
@@ -166,9 +195,18 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
         ),
         rule=str(doc.get("rule", "smf")),
     )
-    violations = validate_mechanism(mechanism)
-    if violations:
-        raise MechanismError("invalid mechanism: " + "; ".join(violations))
+    if not (
+        valid
+        and sellers
+        and buyers
+        and all(q.numerator >= 0 for q in parsed.values())  # once per distinct amount
+        and all(map(_IDENT_RE.match, names))
+        and RESERVED_WORDS.isdisjoint(names)
+        and has_rule(mechanism.rule)
+    ):
+        raise MechanismError(
+            "invalid mechanism: " + "; ".join(validate_mechanism(mechanism))
+        )
     return mechanism
 
 
@@ -233,12 +271,13 @@ def mechanism_to_dict(mechanism: Mechanism) -> dict:
     if written != len(net.incentive):
         # an entry was not written: a zero amount, or a key no buyer reads
         buyer_set, seller_set = frozenset(net.buyers), frozenset(net.sellers)
-        for b, s in net.incentive:
+        for (b, s), amount in net.incentive.items():
             if b not in buyer_set or s not in seller_set:
                 raise MechanismError(
                     f"cannot save the incentive keyed ({b.id!r}, {s.id!r}):"
                     " it is not keyed (buyer, seller)"
                 )
+            format_rational(amount)  # an amount left out must still be money
     agents = frozenset(names_of)
     for agent, nbrs in net.friends.items():
         if agent not in agents or not agents.issuperset(nbrs):
@@ -271,36 +310,62 @@ def load_mechanism(path: str | Path) -> Mechanism:
     return mechanism_from_dict(doc)
 
 
-# json.dumps's own C-coded encoders of the leaves a mechanism dict holds
+# json.dumps's own C-coded encoders of the amounts a mechanism dict holds
 _LEAF = {str: encode_basestring_ascii, int: int.__repr__}
+# the layout json.dumps(..., indent=2) gives the schema's fixed shape
+_DOCUMENT = '{\n  "sellers": %s,\n  "buyers": %s,\n  "edges": %s,\n  "rule": %s\n}'
+_SELLER = '{\n      "id": %s,\n      "names": %s,\n      "budget": %s\n    }'
+_BUYER = (
+    '{\n      "id": %s,\n      "names": %s,\n      "budget": %s,'
+    '\n      "valuation": %s,\n      "incentives": %s\n    }'
+)
+_EDGE = "[\n      %s,\n      %s\n    ]"
 
 
-def _render(value: Any, pad: str) -> str:
-    """A list or dict as `json.dumps(value, indent=2)` writes it, where `pad`
-    is the line break and indent of value's own nesting level. It only
-    renders: `mechanism_to_dict` has refused what no file can hold, so every
-    key is a string and every leaf a string or an int."""
-    kind = type(value)
-    if not value:
-        return "[]" if kind is list else "{}"
+def _items(items: list[str], pad: str, brackets: str) -> str:
+    """Rendered items inside `brackets`, one a line, where `pad` is the line
+    break and indent of the list or object's own nesting level."""
+    if not items:
+        return brackets
     inner = pad + "  "
-    sep = "," + inner
-    if kind is list:
-        try:  # a list of strings, such as names or an edge, in one C call
-            return "[" + inner + sep.join(map(encode_basestring_ascii, value)) + pad + "]"
-        except TypeError:
-            pass
-        items = []
-        for item in value:
-            leaf = _LEAF.get(type(item))
-            items.append(_render(item, inner) if leaf is None else leaf(item))
-        return "[" + inner + sep.join(items) + pad + "]"
-    items = []
-    for key, item in value.items():
-        leaf = _LEAF.get(type(item))
-        text = _render(item, inner) if leaf is None else leaf(item)
-        items.append(encode_basestring_ascii(key) + ": " + text)
-    return "{" + inner + sep.join(items) + pad + "}"
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
+def _render(doc: dict) -> str:
+    """The dict `mechanism_to_dict` returns, as `json.dumps(doc, indent=2)`
+    writes it, along the schema's fixed shape: strings go through json's C
+    escaper, integers through `int.__repr__`. It only renders:
+    `mechanism_to_dict` has refused what no file can hold."""
+    enc = encode_basestring_ascii
+    sellers = [
+        _SELLER % (
+            enc(s["id"]),
+            _items([*map(enc, s["names"])], "\n      ", "[]"),
+            _LEAF[type(s["budget"])](s["budget"]),
+        )
+        for s in doc["sellers"]
+    ]
+    buyers = [
+        _BUYER % (
+            enc(b["id"]),
+            _items([*map(enc, b["names"])], "\n      ", "[]"),
+            _LEAF[type(b["budget"])](b["budget"]),
+            _LEAF[type(b["valuation"])](b["valuation"]),
+            _items(
+                [enc(sid) + ": " + _LEAF[type(v)](v) for sid, v in b["incentives"].items()],
+                "\n      ",
+                "{}",
+            ),
+        )
+        for b in doc["buyers"]
+    ]
+    edges = [_EDGE % (enc(a), enc(b)) for a, b in doc["edges"]]
+    return _DOCUMENT % (
+        _items(sellers, "\n  ", "[]"),
+        _items(buyers, "\n  ", "[]"),
+        _items(edges, "\n  ", "[]"),
+        enc(doc["rule"]),
+    )
 
 
 def _unsavable(value: Any) -> MechanismError:
@@ -313,5 +378,5 @@ def save_mechanism(mechanism: Mechanism, path: str | Path) -> None:
     """Write the file `json.dumps(mechanism_to_dict(mechanism), indent=2)`
     plus a newline, byte for byte. A network no file can hold raises
     MechanismError and writes nothing."""
-    text = _render(mechanism_to_dict(mechanism), "\n") + "\n"
+    text = _render(mechanism_to_dict(mechanism)) + "\n"
     Path(path).write_text(text, encoding="utf-8")

@@ -16,17 +16,22 @@ generic `==` or lookup per friendship entry, money compared as Fractions.
 pass: placements first, then payments and utilities rebuilt per agent by
 arithmetic on the placement bits. `reference_reachable` counts the states
 within k rounds by a breadth-first walk over every feasible joint action,
-the count the strategy search's reduced product is held to."""
+the count the strategy search's reduced product is held to.
+`reference_mechanism_from_dict` is the loader as it stood before it became
+one pass: it builds the network, then walks it again with
+`validate_mechanism`; the one-pass loader is held to its answers and
+refusal texts."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import replace
 from fractions import Fraction
+from typing import Any
 
 from damcheck import auction
 from damcheck.auction import AllocationResult, ranked_bidders
-from damcheck.errors import ActionError, DamError, PreconditionError
+from damcheck.errors import ActionError, DamError, MechanismError, PreconditionError
 from damcheck.formula import (
     SELF,
     And,
@@ -39,6 +44,7 @@ from damcheck.formula import (
     Not,
     desugar,
 )
+from damcheck.mechjson import parse_rational
 from damcheck.model import (
     _IDENT_RE,
     BUYER,
@@ -49,8 +55,11 @@ from damcheck.model import (
     JointAction,
     MarketNetwork,
     Mechanism,
+    buyer,
     joint_action,
     resolve_name,
+    seller,
+    validate_mechanism,
 )
 
 
@@ -509,3 +518,108 @@ def reference_validate(mechanism: Mechanism) -> list[str]:
     if not auction.has_rule(mechanism.rule):
         out.append(f"unknown auction rule {mechanism.rule!r}")
     return out
+
+
+def reference_mechanism_from_dict(doc: dict) -> Mechanism:
+    """`mechjson.mechanism_from_dict` as it stood with two walks: build the
+    network, checking shapes, then refuse what `validate_mechanism` finds."""
+    if not isinstance(doc, dict):
+        raise MechanismError("mechanism document must be a JSON object")
+    for key in ("sellers", "buyers", "edges"):
+        if not isinstance(doc.get(key, []), list):
+            raise MechanismError(f"{key!r} must be a list")
+
+    sellers: list[AgentId] = []
+    buyers: list[AgentId] = []
+    budget: dict[AgentId, Fraction] = {}
+    valuation: dict[AgentId, Fraction] = {}
+    incentive: dict[tuple[AgentId, AgentId], Fraction] = {}
+    names: dict[str, AgentId] = {}
+    parsed: dict[int | str, Fraction] = {}  # amounts repeat: parse each once
+
+    def rational(value: Any, where: str) -> Fraction:
+        if type(value) is not int and type(value) is not str:  # True == 1.0 == 1
+            return parse_rational(value, where)
+        exact = parsed.get(value)
+        if exact is None:
+            exact = parsed[value] = parse_rational(value, where)
+        return exact
+
+    def add_names(agent: AgentId, noms: Any) -> None:
+        if not isinstance(noms, list) or not all(isinstance(n, str) for n in noms):
+            raise MechanismError(f"names of {agent.id!r} must be a list of strings")
+        for nom in noms:
+            if nom in names:
+                raise MechanismError(f"nominal {nom!r} names two agents")
+            names[nom] = agent
+
+    def agent_id_of(entry: Any, section: str) -> str:
+        if not isinstance(entry, dict) or "id" not in entry:
+            raise MechanismError(f"every {section} entry needs an 'id' field")
+        ident = entry["id"]
+        if not isinstance(ident, str):
+            raise MechanismError(f"{section} id {ident!r} is not a string")
+        return ident
+
+    for entry in doc.get("sellers", []):
+        agent = seller(agent_id_of(entry, "seller"))
+        sellers.append(agent)
+        budget[agent] = rational(entry.get("budget", 0), f"budget of {agent.id}")
+        add_names(agent, entry.get("names", []))
+
+    seller_by_id = {s.id: s for s in sellers}
+    for entry in doc.get("buyers", []):
+        agent = buyer(agent_id_of(entry, "buyer"))
+        buyers.append(agent)
+        budget[agent] = rational(entry.get("budget", 0), f"budget of {agent.id}")
+        valuation[agent] = rational(entry.get("valuation", 0), f"valuation of {agent.id}")
+        add_names(agent, entry.get("names", []))
+        incentives = entry.get("incentives", {})
+        if not isinstance(incentives, dict):
+            raise MechanismError(f"incentives of {agent.id!r} must be an object")
+        for sid, amount in incentives.items():
+            sell = seller_by_id.get(sid)
+            if sell is None:
+                raise MechanismError(
+                    f"incentives of {agent.id!r} mention unknown seller {sid!r}"
+                )
+            value = rational(amount, f"incentive of ({agent.id}, {sid})")
+            if value:  # zero is the default; keep the map canonical
+                incentive[(agent, sell)] = value
+
+    by_id = {a.id: a for a in sellers + buyers}
+    if len(by_id) != len(sellers) + len(buyers):
+        raise MechanismError("duplicate agent ids")
+
+    adjacent: dict[AgentId, set[AgentId]] = {a: set() for a in by_id.values()}
+    for pair in doc.get("edges", []):
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise MechanismError(f"edge {pair!r} is not a two-element list")
+        if not isinstance(pair[0], str) or not isinstance(pair[1], str):
+            raise MechanismError(f"edge {pair!r}: agent ids must be strings")
+        try:
+            a, b = by_id[pair[0]], by_id[pair[1]]
+        except KeyError as exc:
+            raise MechanismError(f"edge {pair!r} mentions unknown agent {exc}") from None
+        if b in adjacent[a]:
+            raise MechanismError(f"duplicate or reversed edge {pair!r}")
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    friends = {a: frozenset(nbrs) for a, nbrs in adjacent.items()}
+
+    mechanism = Mechanism(
+        network=MarketNetwork(
+            sellers=tuple(sellers),
+            buyers=tuple(buyers),
+            friends=friends,
+            budget=budget,
+            valuation=valuation,
+            incentive=incentive,
+            names=names,
+        ),
+        rule=str(doc.get("rule", "smf")),
+    )
+    violations = validate_mechanism(mechanism)
+    if violations:
+        raise MechanismError("invalid mechanism: " + "; ".join(violations))
+    return mechanism

@@ -31,13 +31,14 @@ from damcheck import (
     strategy_exists,
     validate_mechanism,
 )
+from damcheck import mechjson
 from damcheck.errors import MechanismError
 from damcheck.formula import TRUE, Heart
-from damcheck.mechjson import mechanism_to_dict
+from damcheck.mechjson import mechanism_from_dict, mechanism_to_dict
 from damcheck.model import buyer, seller
 
-from helpers import random_rational_market, referral_chain
-from reference import reference_validate
+from helpers import random_mechanism, random_rational_market, referral_chain
+from reference import reference_mechanism_from_dict, reference_validate
 
 
 def test_agent_id_is_a_type_strict_named_tuple():
@@ -406,6 +407,17 @@ def test_save_refuses_money_that_is_not_an_int_or_a_fraction(tmp_path, budget):
     with pytest.raises(MechanismError, match="money must be an int or a Fraction"):
         save_mechanism(mech, path)
     assert not path.exists()
+    # the same amount as a valuation or an incentive, written after an equal
+    # valid amount: alpha's valuation and gamma's incentive are 1
+    alpha, gamma, delta = net.names["alpha"], net.names["gamma"], net.names["delta"]
+    assert net.valuation[alpha] == 1 and net.incentive[(gamma, sigma)] == 1
+    for bad in (
+        replace(net, valuation={**net.valuation, delta: budget}),
+        replace(net, incentive={**net.incentive, (delta, sigma): budget}),
+    ):
+        with pytest.raises(MechanismError, match="money must be an int or a Fraction"):
+            save_mechanism(Mechanism(bad), path)
+        assert not path.exists()
 
 
 def test_save_writes_an_unnamed_agent_that_load_refuses(tmp_path):
@@ -417,3 +429,180 @@ def test_save_writes_an_unnamed_agent_that_load_refuses(tmp_path):
     save_mechanism(Mechanism(replace(net, names=names)), path)
     with pytest.raises(MechanismError, match="agent 'd' has no name"):
         load_mechanism(path)
+
+
+def _faulty_document(rng: random.Random) -> tuple[dict, list[int]]:
+    """A saved random market, as a JSON document, with zero to three faults:
+    faults 0-9 break a rule `validate_mechanism` judges, 10-23 the shape the
+    loader reads. The rule faults go in first, and at most one shape fault
+    after them, anywhere in the document. Returns the document and the
+    faults made."""
+    if rng.random() < 0.5:
+        mech = random_mechanism(rng, max_sellers=3)
+    else:
+        mech = random_rational_market(rng, rng.randint(1, 3), rng.randint(1, 4))
+    doc = json.loads(json.dumps(mechanism_to_dict(mech)))
+    sellers, buyers, edges = doc["sellers"], doc["buyers"], doc["edges"]
+    made = []
+    for fault in sorted(rng.randrange(24) for _ in range(rng.randint(0, 3))):
+        if not sellers or not buyers or (made and made[-1] >= 10):
+            break
+        made.append(fault)
+        agents = sellers + buyers
+        who, some_buyer = rng.choice(agents), rng.choice(buyers)
+        names = who.get("names")
+        if not isinstance(names, list):
+            names = []
+        if fault == 0:  # no sellers, and nothing that names one
+            seller_ids = {s["id"] for s in sellers}
+            sellers.clear()
+            for b in buyers:
+                b["incentives"] = {}
+            edges[:] = [e for e in edges if not seller_ids.intersection(e)]
+        elif fault == 1:  # no buyers, and no edges
+            buyers.clear()
+            edges.clear()
+        elif fault == 2:  # a negative budget, valuation or incentive
+            amount = rng.choice((-1, "-1/2", "-3"))
+            kind = rng.choice(("budget", "valuation", "incentive"))
+            if kind == "budget":
+                who["budget"] = amount
+            elif kind == "valuation":
+                some_buyer["valuation"] = amount
+            else:
+                some_buyer["incentives"][rng.choice(sellers)["id"]] = amount
+        elif fault == 3:  # valuation above budget
+            over = Fraction(some_buyer["budget"]) + Fraction(1, 3)
+            some_buyer["valuation"] = f"{over.numerator}/{over.denominator}"
+        elif fault == 4:
+            names.append(rng.choice(("1x", "a-b", "", "été", "a b", "x\n")))
+        elif fault == 5:
+            names.append(rng.choice(("skip", "wins", "true", "false", "ut")))
+        elif fault == 6:  # an agent without a name
+            if rng.random() < 0.5:
+                who["names"] = []
+            else:
+                del who["names"]
+        elif fault == 7:
+            edges.append([who.get("id"), who.get("id")])
+        elif fault == 8:  # seller-seller edge, or a seller's self-loop
+            edges.append([rng.choice(sellers)["id"], rng.choice(sellers)["id"]])
+        elif fault == 9:
+            doc["rule"] = rng.choice(("vcg", 5, None))
+        elif fault == 10:
+            doc[rng.choice(("sellers", "buyers", "edges"))] = {}
+        elif fault == 11:
+            del who["id"]
+        elif fault == 12:
+            who["id"] = rng.choice((5, None, ["s1"]))
+        elif fault == 13:
+            who["names"] = rng.choice(("sigma", [5], None))
+        elif fault == 14:  # a nominal of two agents
+            other = rng.choice(agents)
+            if other is not who and isinstance(other.get("names"), list) and other["names"]:
+                names.append(other["names"][0])
+        elif fault == 15:
+            some_buyer["incentives"] = [1]
+        elif fault == 16:
+            some_buyer["incentives"]["zz"] = 1
+        elif fault == 17:  # an amount that is no rational, after a valid 1
+            sellers[0]["budget"] = 1  # True == 1.0 == 1, but only 1 is a rational
+            bad = rng.choice((1.5, True, 1.0, "1e3", None, "1/0", "+2"))
+            field = rng.choice(("budget", "valuation", "incentive"))
+            if field == "budget":
+                rng.choice(agents[1:])["budget"] = bad
+            elif field == "valuation":
+                some_buyer["valuation"] = bad
+            else:
+                some_buyer["incentives"][rng.choice(sellers)["id"]] = bad
+        elif fault == 18:
+            edges.append(rng.choice((["s1"], ["s1", "b1", "b2"], "ab")))
+        elif fault == 19:
+            edges.append([who.get("id"), 5])
+        elif fault == 20:
+            edges.append([who.get("id"), "zz"])
+        elif fault == 21:  # an edge twice, or reversed
+            if edges:
+                edge = rng.choice(edges)
+                edges.append(rng.choice((list(edge), edge[::-1])))
+        elif fault == 22:  # a buyer with an id already taken
+            buyers.append({"id": who.get("id"), "names": ["twin"], "budget": 1, "valuation": 0})
+        else:  # a section left out
+            del doc[rng.choice(("sellers", "buyers", "edges"))]
+    return doc, made
+
+
+def _outcome(load, doc: dict):
+    try:
+        return load(json.loads(json.dumps(doc)))
+    except Exception as exc:  # the type and text of a refusal
+        return type(exc), str(exc)
+
+
+def test_loader_agrees_with_the_two_walk_loader_on_faulty_documents():
+    rng = random.Random(20261020)
+    accepted = refused_by_rule = rule_fault_then_shape_error = 0
+    drawn = set()
+    for _ in range(800):
+        doc, faults = _faulty_document(rng)
+        drawn.update(faults)
+        got = _outcome(mechanism_from_dict, doc)
+        assert got == _outcome(reference_mechanism_from_dict, doc), (doc, got)
+        if isinstance(got, Mechanism):
+            accepted += 1
+        elif got[1].startswith("invalid mechanism: "):
+            refused_by_rule += 1
+        elif any(f < 10 for f in faults):
+            rule_fault_then_shape_error += 1
+    assert drawn == set(range(24))
+    assert min(accepted, refused_by_rule, rule_fault_then_shape_error) >= 50, (
+        accepted, refused_by_rule, rule_fault_then_shape_error)
+
+
+def _long_chain_document(n_buyers: int) -> dict:
+    """A valid two-seller document of the size the load benchmark reads: a
+    buyer path, rational budgets and incentives, and some aliases."""
+    buyers = [
+        {
+            "id": f"b{j}",
+            "names": [f"bet{j}"] + ([f"alias{j}"] if j % 5 == 0 else []),
+            "budget": f"{2 * (j % 7) + 1}/2",
+            "valuation": j % 7,
+            "incentives": {"s0": f"{j % 9 + 1}/{j % 3 + 2}"} if j % 2 else {},
+        }
+        for j in range(n_buyers)
+    ]
+    edges = [[f"b{j}", f"b{j + 1}"] for j in range(n_buyers - 1)]
+    return {
+        "sellers": [{"id": "s0", "names": ["sig0"], "budget": 9},
+                    {"id": "s1", "names": ["sig1"], "budget": "7/2"}],
+        "buyers": buyers,
+        "edges": edges + [["s0", "b0"], ["s1", "b1"]],
+        "rule": "smf",
+    }
+
+
+def test_a_valid_document_is_not_walked_a_second_time(monkeypatch):
+    def second_walk(mechanism):
+        raise AssertionError("validate_mechanism walked a valid document")
+
+    monkeypatch.setattr(mechjson, "validate_mechanism", second_walk)
+    for name in ("referral-chain.json", "two-sellers.json"):
+        assert load_mechanism(SAMPLES / name) == reference_mechanism_from_dict(
+            json.loads((SAMPLES / name).read_text(encoding="utf-8"))
+        )
+    doc = _long_chain_document(4000)
+    assert mechanism_from_dict(doc) == reference_mechanism_from_dict(doc)
+    # an invalid document is still refused with every violation
+    bad = json.loads((SAMPLES / "referral-chain.json").read_text(encoding="utf-8"))
+    bad["sellers"][0]["budget"] = -1
+    bad["sellers"][0]["names"].append("wins")
+    with pytest.raises(AssertionError):
+        mechanism_from_dict(bad)
+    monkeypatch.undo()
+    with pytest.raises(MechanismError) as err:
+        mechanism_from_dict(bad)
+    assert str(err.value) == (
+        "invalid mechanism: negative budget for agent 's';"
+        " nominal 'wins' is not a usable identifier"
+    )
