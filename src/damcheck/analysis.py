@@ -3,10 +3,10 @@ coalition operators into the coalition-free fragment.
 
 The equilibrium test and the strategy search run on the checker's engine
 (`checker._Engine`): the same arena states, update rule (`model._Arena`),
-successor lookup and formula evaluator as `check`, so a network the arena
-cannot index is a MechanismError here too. `ne_formula` and `translate`
-only write formulas: they read the sellers and their choices off the plain
-network (`_choices`), never evaluate, and so also accept such networks."""
+successor lookup and formula evaluator as `check`. `ne_formula` and
+`translate` only write formulas: they read the sellers and their choices
+off the plain network (`_choices`) and never evaluate. All four refuse an
+invalid mechanism first, through `model._require_valid`, as `check` does."""
 
 from __future__ import annotations
 
@@ -46,6 +46,7 @@ from .model import (
     _action,
     _agent,
     _coalition,
+    _require_valid,
 )
 
 # --- Nash equilibrium --------------------------------------------------------
@@ -177,6 +178,7 @@ def ne_formula(mechanism: Mechanism, profile, utilities) -> Formula:
 
     Note the deviation conjuncts use diamonds, so an infeasible deviation
     falsifies the schema; `check_ne_direct` is the reading that skips them."""
+    _require_valid(mechanism)
     sellers, seller_nom, options = _choices(mechanism.network)
     profile = tuple(profile)
     utilities = tuple(Fraction(u) for u in utilities)
@@ -358,13 +360,14 @@ def translate(mechanism: Mechanism, form: Formula) -> Formula:
     the input plus the unfoldings, though its printed text can still be
     exponentially longer than the input's.
 
+    An invalid mechanism is refused first, as `check_strategic` refuses it.
     Names are resolved in the same walk, by the resolvers in `model` that
     `check_strategic` compiles with, each node's before its operands', which
     is the order `check_strategic` meets them: a name it refuses is refused
     here with the same error. The resolvers read the plain network, and
     each coalition box reads the sellers and their choices off it
-    (`_choices`) after resolving its members, so a coalition member is
-    refused before an agent with no name."""
+    (`_choices`) after resolving its members."""
+    _require_valid(mechanism)
     return _tr(mechanism.network, {}, form)
 
 

@@ -89,13 +89,13 @@ def seller_gain_cap(rule: str, net: MarketNetwork) -> int | Fraction | None:
     """The most by which a seller's utility under the rule registered as
     `rule` can exceed her budget, or None when that is not known. Under
     `smf_evaluate` it is the highest valuation, as she gains the valuation
-    of the buyer she sells to and nothing when she keeps her item; at least
-    0, as a hand-built network may hold negative valuations. The answer
-    reads the registered function, so another rule registered as "smf"
-    gets None."""
+    of the buyer she sells to and nothing when she keeps her item. The
+    network must be valid, so it has a buyer and no valuation below 0. The
+    answer reads the registered function, so another rule registered as
+    "smf" gets None."""
     if get_rule(rule) is not smf_evaluate:
         return None
-    return max((0, *(net.valuation[b] for b in net.buyers)))
+    return max(net.valuation[b] for b in net.buyers)
 
 
 def evaluate(mechanism: Mechanism) -> AllocationResult:

@@ -15,7 +15,8 @@ Missing incentive entries default to 0, and saving leaves zero ones out.
 Loading reads a document once. It refuses a wrong shape where it meets it,
 and judges the rules of `validate_mechanism` on each value as it reads it;
 only an invalid document is then walked by `validate_mechanism`, for the
-text of the refusal.
+text of the refusal. Saving passes the same gate (`model._require_valid`)
+first, so it refuses exactly what loading refuses, and a saved file loads.
 
 A saved file is exactly `json.dumps(mechanism_to_dict(m), indent=2)` plus a
 newline. With `indent` set, CPython's `json.dumps` runs its pure-Python
@@ -34,15 +35,14 @@ from .auction import has_rule
 from .errors import MechanismError
 from .model import (
     _IDENT_RE,
-    MONEY_TYPES,
     RESERVED_WORDS,
     SELLER,
     AgentId,
     MarketNetwork,
     Mechanism,
+    _require_valid,
     buyer,
     seller,
-    validate_mechanism,
 )
 
 
@@ -67,11 +67,8 @@ def parse_rational(value: Any, where: str = "value") -> Fraction:
     )
 
 
-def format_rational(value: Fraction) -> int | str:
-    """An exact amount as the schema writes it. Money must be an `int` or a
-    `Fraction`, as the arena requires; anything else is a MechanismError."""
-    if type(value) not in MONEY_TYPES:
-        raise MechanismError(f"cannot save {value!r}: money must be an int or a Fraction")
+def format_rational(value: int | Fraction) -> int | str:
+    """An exact amount, an `int` or a `Fraction`, as the schema writes it."""
     num, den = value.as_integer_ratio()
     return num if den == 1 else f"{num}/{den}"
 
@@ -85,8 +82,9 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
     the same pass: on an entry as it is read, or once over what the pass
     built (the sections, the distinct amounts, the nominals, the rule). A
     broken rule is acted on only after the whole document is read, so a
-    later shape error still wins, and the refusal is `validate_mechanism`'s
-    full text. A valid document is not walked a second time."""
+    later shape error still wins, and the refusal is the one every entry
+    point gives (`model._require_valid`). A valid document is recorded as
+    such, so neither the loader nor a later query walks it a second time."""
     if not isinstance(doc, dict):
         raise MechanismError("mechanism document must be a JSON object")
     for key in ("sellers", "buyers", "edges"):
@@ -119,6 +117,8 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
             raise MechanismError(f"names of {agent.id!r} must be a list of strings")
         for nom in noms:
             if nom in names:
+                if names[nom] is agent:
+                    raise MechanismError(f"names of {agent.id!r} list {nom!r} twice")
                 raise MechanismError(f"nominal {nom!r} names two agents")
             names[nom] = agent
         return bool(noms)
@@ -195,7 +195,7 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
         ),
         rule=str(doc.get("rule", "smf")),
     )
-    if not (
+    if (
         valid
         and sellers
         and buyers
@@ -204,93 +204,46 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
         and RESERVED_WORDS.isdisjoint(names)
         and has_rule(mechanism.rule)
     ):
-        raise MechanismError(
-            "invalid mechanism: " + "; ".join(validate_mechanism(mechanism))
-        )
+        # the gate's record of a pass: the rules above are all of its rules
+        # that a document can break
+        mechanism.network.__dict__["_valid_for"] = (mechanism.rule,)
+    _require_valid(mechanism)
     return mechanism
 
 
 def mechanism_to_dict(mechanism: Mechanism) -> dict:
-    """The schema dictionary of a mechanism. It checks only what it must
-    read, and raises MechanismError on a network no file can hold: an agent
-    id, a nominal or a rule that is not a string, money that is not an
-    `int` or a `Fraction`, a nominal or a friendship of an agent outside
-    `sellers` and `buyers`, an agent with no budget or valuation, or an
-    incentive not keyed (buyer, seller). This is the one place that decides
-    what a file can hold: what it returns, `_render` can render. It does not
-    validate, so a saved file may not load back."""
+    """The schema dictionary of a mechanism. An invalid mechanism raises
+    MechanismError first, with the text `load_mechanism` gives it
+    (`model._require_valid`), so what this returns is a file that loads."""
+    _require_valid(mechanism)
     net = mechanism.network
-    names_of: dict[AgentId, list[str]] = {}
-    for agent in net.agents():
-        if type(agent.id) is not str:
-            raise _unsavable(agent.id)
-        names_of[agent] = []
+    names_of: dict[AgentId, list[str]] = {agent: [] for agent in net.agents()}
     for nom, agent in net.names.items():
-        if type(nom) is not str:
-            raise _unsavable(nom)
-        noms = names_of.get(agent)
-        if noms is None:
-            raise MechanismError(
-                f"cannot save nominal {nom!r}: it names no agent of the network"
-            )
-        noms.append(nom)
+        names_of[agent].append(nom)
     for noms in names_of.values():
         noms.sort()
-
-    try:
-        sellers = [
-            {
-                "id": s.id,
-                "names": names_of[s],
-                "budget": format_rational(net.budget[s]),
-            }
-            for s in net.sellers
-        ]
-        buyers = []
-        written = 0
-        for b in net.buyers:
-            incentives = {  # each amount read once; absent or zero is left out
+    sellers = [
+        {"id": s.id, "names": names_of[s], "budget": format_rational(net.budget[s])}
+        for s in net.sellers
+    ]
+    buyers = [
+        {
+            "id": b.id,
+            "names": names_of[b],
+            "budget": format_rational(net.budget[b]),
+            "valuation": format_rational(net.valuation[b]),
+            "incentives": {  # each amount read once; absent or zero is left out
                 s.id: format_rational(amount)
                 for s in net.sellers
                 if (amount := net.incentive.get((b, s)))
-            }
-            written += len(incentives)
-            buyers.append(
-                {
-                    "id": b.id,
-                    "names": names_of[b],
-                    "budget": format_rational(net.budget[b]),
-                    "valuation": format_rational(net.valuation[b]),
-                    "incentives": incentives,
-                }
-            )
-    except KeyError as exc:
-        raise MechanismError(
-            f"cannot save agent {exc.args[0].id!r}: it has no budget or no valuation"
-        ) from None
-    if written != len(net.incentive):
-        # an entry was not written: a zero amount, or a key no buyer reads
-        buyer_set, seller_set = frozenset(net.buyers), frozenset(net.sellers)
-        for (b, s), amount in net.incentive.items():
-            if b not in buyer_set or s not in seller_set:
-                raise MechanismError(
-                    f"cannot save the incentive keyed ({b.id!r}, {s.id!r}):"
-                    " it is not keyed (buyer, seller)"
-                )
-            format_rational(amount)  # an amount left out must still be money
-    agents = frozenset(names_of)
-    for agent, nbrs in net.friends.items():
-        if agent not in agents or not agents.issuperset(nbrs):
-            stray = next(x for x in (agent, *nbrs) if x not in agents)
-            raise MechanismError(
-                f"cannot save a friendship of {stray.id!r}: it is no agent of the network"
-            )
+            },
+        }
+        for b in net.buyers
+    ]
     # friendship is symmetric: each edge once, from its lesser id
     edges = sorted(
         [a.id, b.id] for a, nbrs in net.friends.items() for b in nbrs if a.id <= b.id
     )
-    if type(mechanism.rule) is not str:
-        raise _unsavable(mechanism.rule)
     return {
         "sellers": sellers,
         "buyers": buyers,
@@ -335,7 +288,7 @@ def _render(doc: dict) -> str:
     """The dict `mechanism_to_dict` returns, as `json.dumps(doc, indent=2)`
     writes it, along the schema's fixed shape: strings go through json's C
     escaper, integers through `int.__repr__`. It only renders:
-    `mechanism_to_dict` has refused what no file can hold."""
+    `mechanism_to_dict` has refused an invalid mechanism."""
     enc = encode_basestring_ascii
     sellers = [
         _SELLER % (
@@ -368,15 +321,10 @@ def _render(doc: dict) -> str:
     )
 
 
-def _unsavable(value: Any) -> MechanismError:
-    return MechanismError(
-        f"cannot save {value!r}: agent ids, names and the rule must be strings"
-    )
-
-
 def save_mechanism(mechanism: Mechanism, path: str | Path) -> None:
     """Write the file `json.dumps(mechanism_to_dict(mechanism), indent=2)`
-    plus a newline, byte for byte. A network no file can hold raises
-    MechanismError and writes nothing."""
+    plus a newline, byte for byte. An invalid mechanism raises
+    MechanismError, as `load_mechanism` would refuse the file, and writes
+    nothing."""
     text = _render(mechanism_to_dict(mechanism)) + "\n"
     Path(path).write_text(text, encoding="utf-8")

@@ -7,11 +7,15 @@ and `action_precondition` and `apply_joint_action` are views over it for
 callers that hold `Mechanism` values. The tests hold it to the value-level
 update in `tests/reference.py`.
 
+`_require_valid` is the one validity gate: the arena, saving, `translate`
+and `ne_formula` pass through it first, so each refuses exactly what the
+loader refuses, with `validate_mechanism`'s text, and what passes it
+needs no check of its own.
+
 Names are resolved here too, once for every caller: `_agent`, `_action`
 and `_coalition` say which agent a nominal names, and whether it may stand
 where it does, on the plain network. The checker maps their answers to
-arena numbers, and `translate` calls them on networks the arena cannot
-index."""
+arena numbers, and `translate` calls them on the plain network."""
 
 from __future__ import annotations
 
@@ -254,6 +258,10 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
     for agent in net.agents():
         if type(agent.id) is not str:
             out.append(f"agent id {agent.id!r} is not a string")
+            try:
+                hash(agent.id)
+            except TypeError:  # the agent keys no table: nothing more can be judged
+                return out
         if agent.id in seen_ids:
             out.append(f"duplicate agent id {agent.id!r}")
         seen_ids.add(agent.id)
@@ -284,8 +292,9 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
                     f"friendship not symmetric: {agent.id!r}-{other.id!r}"
                 )
             if agent.kind == SELLER and other.kind == SELLER:
-                # report each unordered seller-seller edge once
-                if agent.id < other.id:
+                # report each unordered seller-seller edge once, from its
+                # lesser id; str() orders an id that is not a string too
+                if str(agent.id) <= str(other.id):
                     out.append(
                         f"seller-seller edge forbidden: {agent.id!r}-{other.id!r}"
                     )
@@ -344,9 +353,24 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
 
     from . import auction  # late import: auction depends on this module
 
-    if not auction.has_rule(mechanism.rule):
+    # a rule that is not a string may not even hash, and no file holds it
+    if type(mechanism.rule) is not str or not auction.has_rule(mechanism.rule):
         out.append(f"unknown auction rule {mechanism.rule!r}")
     return out
+
+
+def _require_valid(mechanism: Mechanism) -> None:
+    """MechanismError with every violation `validate_mechanism` reports,
+    unless there is none. A pass is recorded on the immutable network for
+    the rule, as `_Arena.of` keys its cache, so a network is walked once.
+    `mechanism_from_dict` records the pass its inline rules judged, and
+    `apply_joint_action` the pass of the network it updated."""
+    cache = mechanism.network.__dict__
+    if mechanism.rule not in cache.get("_valid_for", ()):
+        violations = validate_mechanism(mechanism)
+        if violations:
+            raise MechanismError("invalid mechanism: " + "; ".join(violations))
+        cache["_valid_for"] = (mechanism.rule,)
 
 
 def _bits(mask: int):
@@ -366,10 +390,11 @@ class _Arena:
     the bitmask of agent i's friends, budgets[i] her money times `scale`,
     the least common denominator of the network's budgets and incentives,
     so money comparisons stay exact. An action is a tuple over sellers of a
-    buyer number, or -1 for SKIP. A network it cannot index raises
-    MechanismError with the violations `validate_mechanism` reports."""
+    buyer number, or -1 for SKIP. An invalid mechanism is refused by
+    `_require_valid` before anything is indexed."""
 
     def __init__(self, mechanism: Mechanism):
+        _require_valid(mechanism)
         net = mechanism.network
         self.net = net
         self.rule = mechanism.rule
@@ -378,37 +403,17 @@ class _Arena:
         self.seller_ids = range(len(net.sellers))
         self.buyer_ids = range(len(net.sellers), len(self.agents))
         self.buyer_mask = (1 << len(self.agents)) - (1 << len(net.sellers))
-        money = (*net.budget.values(), *net.incentive.values())
-        for amount in (*money, *net.valuation.values()):
-            if type(amount) not in MONEY_TYPES:
-                raise MechanismError(f"money must be an int or a Fraction, got {amount!r}")
+        budgets = [net.budget[a] for a in self.agents]
+        money = (*budgets, *net.incentive.values())
         self.scale = math.lcm(*(m.denominator for m in money))
-        try:
-            # the resolvers answer with named agents, and a witness names each
-            named = {self.index[a] for a in net.names.values()}
-            self.adj0 = tuple(
-                sum(1 << self.index[f] for f in net.friends_of(a)) for a in self.agents
-            )
-            self.budget0 = tuple(int(net.budget[a] * self.scale) for a in self.agents)
-            # price[s][b]: what buyer b demands from seller s, scaled
-            self.price = [[0] * len(self.agents) for _ in self.seller_ids]
-            for (b, s), amount in net.incentive.items():
-                self.price[self.index[s]][self.index[b]] = int(amount * self.scale)
-            for b in net.buyers:  # the auction reads each buyer's valuation
-                net.valuation[b]
-        except (KeyError, IndexError):
-            pass
-        else:
-            # the resolvers tell a seller from a buyer by kind, the arena by list
-            if (
-                len(named) == len(self.agents)
-                and all(s.kind == SELLER for s in net.sellers)
-                and all(b.kind == BUYER for b in net.buyers)
-            ):
-                return
-        raise MechanismError(
-            "invalid mechanism: " + "; ".join(validate_mechanism(mechanism))
+        self.adj0 = tuple(
+            sum(1 << self.index[f] for f in net.friends_of(a)) for a in self.agents
         )
+        self.budget0 = tuple(int(m * self.scale) for m in budgets)
+        # price[s][b]: what buyer b demands from seller s, scaled
+        self.price = [[0] * len(self.agents) for _ in self.seller_ids]
+        for (b, s), amount in net.incentive.items():
+            self.price[self.index[s]][self.index[b]] = int(amount * self.scale)
 
     @classmethod
     def of(cls, mechanism: Mechanism) -> _Arena:
@@ -557,4 +562,7 @@ def apply_joint_action(mechanism: Mechanism, action: JointAction) -> Mechanism:
     step = arena.action_of(action)
     if not arena.feasible(arena.adj0, arena.budget0, step):
         raise PreconditionError("joint action precondition does not hold")
-    return arena.materialize(*arena.apply(arena.adj0, arena.budget0, step))
+    updated = arena.materialize(*arena.apply(arena.adj0, arena.budget0, step))
+    # a feasible update keeps a valid network valid: the gate's pass holds
+    updated.network.__dict__["_valid_for"] = (arena.rule,)
+    return updated

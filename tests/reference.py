@@ -522,7 +522,9 @@ def reference_validate(mechanism: Mechanism) -> list[str]:
 
 def reference_mechanism_from_dict(doc: dict) -> Mechanism:
     """`mechjson.mechanism_from_dict` as it stood with two walks: build the
-    network, checking shapes, then refuse what `validate_mechanism` finds."""
+    network, checking shapes, then refuse what `validate_mechanism` finds.
+    A nominal that one agent lists twice is refused with the loader's
+    present text."""
     if not isinstance(doc, dict):
         raise MechanismError("mechanism document must be a JSON object")
     for key in ("sellers", "buyers", "edges"):
@@ -550,6 +552,8 @@ def reference_mechanism_from_dict(doc: dict) -> Mechanism:
             raise MechanismError(f"names of {agent.id!r} must be a list of strings")
         for nom in noms:
             if nom in names:
+                if names[nom] is agent:
+                    raise MechanismError(f"names of {agent.id!r} list {nom!r} twice")
                 raise MechanismError(f"nominal {nom!r} names two agents")
             names[nom] = agent
 

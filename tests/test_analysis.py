@@ -125,9 +125,12 @@ def test_ne_formula_deviation_count_two_sellers():
     assert len(flatten_and(got)) == 1 + 2 * (6 + 1)
 
 
-def test_ne_formula_with_no_buyers_offers_only_skip_deviations():
-    # degenerate domain, reachable only by hand-building the network
+def test_ne_formula_refuses_a_network_with_no_buyers():
+    # reachable only by hand-building the network, which validation refuses
     from dataclasses import replace
+
+    from damcheck import validate_mechanism
+    from damcheck.errors import MechanismError
 
     mech = tiny_one_buyer()
     net = replace(
@@ -140,8 +143,11 @@ def test_ne_formula_with_no_buyers_offers_only_skip_deviations():
 
     stripped = Mechanism(net, mech.rule)
     profile = [joint_action(net, {})]
-    got = ne_formula(stripped, profile, [Fraction(1)])
-    assert len(flatten_and(got)) == 2  # the profile diamond + one SKIP deviation
+    violations = validate_mechanism(stripped)
+    assert violations[0] == "no buyers: at least one buyer is required"
+    with pytest.raises(MechanismError) as err:
+        ne_formula(stripped, profile, [Fraction(1)])
+    assert str(err.value) == "invalid mechanism: " + "; ".join(violations)
 
 
 def test_ne_formula_arity_checks():
@@ -758,11 +764,12 @@ def _costly_market(rng, rational: bool):
 
 
 def _negative_valuation_market():
-    """A hand-built market that validation would refuse: the one buyer's
+    """A hand-built market that validation refuses: the one buyer's
     valuation is -1, and s3 has no buyer-friend. Under the profile s2:a, s2
-    pays 1 and s1 sells to a, so s2 keeps her item for utility 1; skipping
-    would leave her 2. A sale can add nothing to a seller who keeps her
-    item, so the bound must take the most a sale adds as 0, not -1."""
+    would pay 1 and s1 sell to a, so s2 would keep her item for utility 1;
+    skipping would leave her 2. `check_ne_direct` refuses it, as it does
+    every invalid network, so the bound on a sale never reads a negative
+    valuation."""
     from dataclasses import replace
 
     from damcheck import Mechanism
@@ -812,7 +819,7 @@ def _ne_cases(rng):
     """(mechanism, profile) pairs: 80 random markets with random feasible
     profiles; 20 costly markets (half with rational money) with all-skip
     profiles, where no deviation can pay; 20 more with random profiles,
-    where some can; the rounding and negative-valuation markets; and 20
+    where some can; the rounding market; and 20
     rational markets under the odd-degree rule, whose sellers gain from
     friends rather than sales, so that no bound on smf may apply to it."""
     from damcheck import Mechanism
@@ -840,7 +847,6 @@ def _ne_cases(rng):
             yield mech, random_profile(mech)
     rounding = _rounding_market()
     yield rounding, [joint_action(rounding.network, {"s": SKIP})]
-    yield _negative_valuation_market()
     for _ in range(20):
         plain = random_rational_market(rng, n_sellers=rng.randint(1, 3))
         mech = Mechanism(plain.network, "odd-degree")
@@ -864,6 +870,10 @@ def test_check_ne_direct_matches_reference_loop(monkeypatch):
         verdicts.add((mech.rule, is_ne))
     # both answers under both rules
     assert verdicts == {(rule, ne) for rule in ("smf", "odd-degree") for ne in (True, False)}
+    mech, profile = _negative_valuation_market()
+    with pytest.raises(DamError) as err:
+        check_ne_direct(NeQuery(mech, tuple(profile)))
+    assert str(err.value) == "invalid mechanism: negative valuation for buyer 'a'"
 
 
 def test_deviations_that_cannot_pay_run_no_auction(monkeypatch):

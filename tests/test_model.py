@@ -412,6 +412,8 @@ _A = {"id": "a", "names": ["alpha"], "budget": 1, "valuation": 1}
          "names of 's' must be a list of strings"),
         ({"sellers": [{"id": "s", "names": ["alpha"]}], "buyers": [_A]},
          "nominal 'alpha' names two agents"),
+        ({"sellers": [{"id": "s", "names": ["sigma", "sigma"]}], "buyers": _B},
+         "names of 's' list 'sigma' twice"),
         ({"sellers": _S, "buyers": [{**_A, "incentives": {"zz": 1}}]},
          "incentives of 'a' mention unknown seller 'zz'"),
         ({"sellers": _S, "buyers": _B, "edges": [["s"]]},
@@ -426,6 +428,7 @@ _A = {"id": "a", "names": ["alpha"], "budget": 1, "valuation": 1}
     ids=[
         "names-not-a-list",
         "nominal-of-two-agents",
+        "nominal-listed-twice",
         "incentive-of-unknown-seller",
         "edge-of-one-agent",
         "edge-to-unknown-agent",

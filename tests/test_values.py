@@ -13,9 +13,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from damcheck import (
+    SKIP,
     AgentId,
     CheckQuery,
-    DamError,
+    JointAction,
     MarketNetwork,
     Mechanism,
     NeQuery,
@@ -27,15 +28,17 @@ from damcheck import (
     check_strategic,
     joint_action,
     load_mechanism,
+    ne_formula,
     save_mechanism,
     strategy_exists,
+    translate,
     validate_mechanism,
 )
-from damcheck import mechjson
+from damcheck import model
 from damcheck.errors import MechanismError
 from damcheck.formula import TRUE, Heart
 from damcheck.mechjson import mechanism_from_dict, mechanism_to_dict
-from damcheck.model import buyer, seller
+from damcheck.model import RESERVED_WORDS, buyer, seller
 
 from helpers import random_mechanism, random_rational_market, referral_chain
 from reference import reference_mechanism_from_dict, reference_validate
@@ -158,8 +161,25 @@ def test_money_that_is_not_rational_is_a_violation_and_a_dam_error():
     for network, violation in cases:
         bad = Mechanism(network, chain.rule)
         assert validate_mechanism(bad) == [violation]
-        with pytest.raises(DamError, match="money must be an int or a Fraction"):
+        with pytest.raises(MechanismError) as err:
             check(CheckQuery(bad, sig, TRUE))
+        assert str(err.value) == "invalid mechanism: " + violation
+
+
+def _refused_as_validate_refuses(run, mech: Mechanism) -> None:
+    """`run()` raises MechanismError with exactly the text every entry point
+    gives on `mech`: `validate_mechanism`'s violations, after a prefix."""
+    violations = validate_mechanism(mech)
+    assert violations
+    with pytest.raises(MechanismError) as err:
+        run()
+    assert str(err.value) == "invalid mechanism: " + "; ".join(violations)
+
+
+def _save_refused(mech: Mechanism, path: Path) -> None:
+    """Saving `mech` is refused as loading it would be, and writes nothing."""
+    _refused_as_validate_refuses(lambda: save_mechanism(mech, path), mech)
+    assert not path.exists()
 
 
 def test_network_no_file_holds_is_a_violation_and_a_mechanism_error(tmp_path):
@@ -182,27 +202,21 @@ def test_network_no_file_holds_is_a_violation_and_a_mechanism_error(tmp_path):
     assert validate_mechanism(Mechanism(numbered, chain.rule)) == [
         "agent id 5 is not a string"
     ]
-    with pytest.raises(MechanismError, match="must be strings"):
-        save_mechanism(Mechanism(numbered, chain.rule), tmp_path / "numbered.json")
+    _save_refused(Mechanism(numbered, chain.rule), tmp_path / "numbered.json")
     numeric = replace(net, names={**net.names, 5: net.buyers[0]})
     assert validate_mechanism(Mechanism(numeric, chain.rule)) == [
         "nominal 5 is not a usable identifier"
     ]
-    with pytest.raises(MechanismError, match="must be strings"):
-        save_mechanism(Mechanism(numeric, chain.rule), tmp_path / "numeric.json")
+    _save_refused(Mechanism(numeric, chain.rule), tmp_path / "numeric.json")
     outsider = replace(net, names={**net.names, "zeta": buyer("zz")})
-    with pytest.raises(MechanismError, match="'zeta': it names no agent"):
-        save_mechanism(Mechanism(outsider, chain.rule), tmp_path / "outsider.json")
+    _save_refused(Mechanism(outsider, chain.rule), tmp_path / "outsider.json")
     alpha = net.buyers[0]
     unpriced = replace(net, valuation={b: v for b, v in net.valuation.items() if b != alpha})
-    with pytest.raises(MechanismError, match="'a': it has no budget or no valuation"):
-        save_mechanism(Mechanism(unpriced, chain.rule), tmp_path / "unpriced.json")
-    assert not (tmp_path / "numbered.json").exists()
-    assert not (tmp_path / "numeric.json").exists()
+    _save_refused(Mechanism(unpriced, chain.rule), tmp_path / "unpriced.json")
 
 
 def _unindexable_networks():
-    """Hand-built referral chains that no query can index, each with the
+    """Hand-built referral chains that no query could index, each with the
     violations `validate_mechanism` reports on it."""
     net = referral_chain().network
     sig, alpha = net.sellers[0], net.buyers[0]
@@ -226,22 +240,85 @@ def _unindexable_networks():
     ]
 
 
-@pytest.mark.parametrize("network, violations", _unindexable_networks())
-def test_network_the_arena_cannot_index_is_a_mechanism_error(network, violations):
-    mech = Mechanism(network, "smf")
-    assert "; ".join(validate_mechanism(mech)) == violations
-    skip = joint_action(network, {})
-    queries = [
-        lambda: check(CheckQuery(mech, network.sellers[0], TRUE)),
-        lambda: check_strategic(CheckQuery(mech, network.sellers[0], TRUE)),
+def _entry_points(mech: Mechanism, path: Path) -> list:
+    """Each public entry point that takes a hand-built mechanism, called with
+    arguments it accepts on any valid one; saving writes to `path`."""
+    net = mech.network
+    # built by hand: joint_action sorts the sellers, and ids may not compare
+    skip = JointAction(tuple((s, SKIP) for s in net.sellers))
+    at = net.sellers[0]
+    return [
+        lambda: save_mechanism(mech, path),
+        lambda: translate(mech, TRUE),
+        lambda: ne_formula(mech, (skip,), [0] * len(net.sellers)),
+        lambda: check(CheckQuery(mech, at, TRUE)),
+        lambda: check_strategic(CheckQuery(mech, at, TRUE)),
         lambda: strategy_exists(StrategyQuery(mech, TRUE)),
         lambda: check_ne_direct(NeQuery(mech, (skip,))),
         lambda: action_precondition(mech, skip),
         lambda: apply_joint_action(mech, skip),
     ]
-    for query in queries:
+
+
+@pytest.mark.parametrize("network, violations", _unindexable_networks())
+def test_network_the_arena_cannot_index_is_a_mechanism_error(network, violations, tmp_path):
+    mech = Mechanism(network, "smf")
+    assert "; ".join(validate_mechanism(mech)) == violations
+    for query in _entry_points(mech, tmp_path / "m.json"):
         with pytest.raises(MechanismError, match=re.escape("invalid mechanism: " + violations)):
             query()
+    assert not (tmp_path / "m.json").exists()
+
+
+def _incomparable_networks() -> list[Mechanism]:
+    """Hand-built referral chains on which `validate_mechanism` once raised
+    TypeError: a seller-seller edge between the ids 5 and 'x', a seller id
+    that does not hash, and a rule that does not hash."""
+    net = referral_chain().network
+    five, x = seller(5), seller("x")
+    paired = replace(
+        net,
+        sellers=(*net.sellers, five, x),
+        friends={**net.friends, five: frozenset({x}), x: frozenset({five})},
+        budget={**net.budget, five: 1, x: 1},
+        names={**net.names, "five": five, "ex": x},
+    )
+    listed = replace(net, sellers=(*net.sellers, seller(["x"])))
+    return [Mechanism(paired, "smf"), Mechanism(listed, "smf"), Mechanism(net, ["smf"])]
+
+
+def test_validate_reports_ids_and_rules_that_do_not_compare_or_hash():
+    paired, listed_id, listed_rule = _incomparable_networks()
+    assert validate_mechanism(paired) == [
+        "agent id 5 is not a string",
+        "seller-seller edge forbidden: 5-'x'",
+    ]
+    assert validate_mechanism(listed_id) == ["agent id ['x'] is not a string"]
+    assert validate_mechanism(listed_rule) == ["unknown auction rule ['smf']"]
+
+
+def test_every_entry_point_refuses_exactly_what_validate_refuses(tmp_path):
+    rng = random.Random(20261021)
+    mechs = [_faulty_mechanism(rng) for _ in range(300)]
+    # the same markets with no fault, on a network the loader did not build
+    for _ in range(100):
+        mech = random_rational_market(rng, rng.randint(1, 3), rng.randint(1, 4))
+        mechs.append(Mechanism(replace(mech.network), mech.rule))
+    accepted = 0
+    path = tmp_path / "m.json"
+    for mech in [*mechs, *_incomparable_networks()]:
+        valid = not validate_mechanism(mech)
+        for run in _entry_points(mech, path):
+            if valid:
+                run()
+            else:
+                _refused_as_validate_refuses(run, mech)
+        if valid:
+            accepted += 1
+            load_mechanism(path)  # a saved file loads
+            path.unlink()
+        assert not path.exists()
+    assert 100 <= accepted < len(mechs)
 
 
 def test_buyer_without_a_valuation_is_a_mechanism_error():
@@ -266,9 +343,7 @@ def test_incentive_not_keyed_buyer_then_seller_cannot_be_saved(tmp_path):
     sig, alpha = net.sellers[0], net.buyers[0]
     swapped = replace(net, incentive={**net.incentive, (sig, alpha): Fraction(1)})
     assert len(validate_mechanism(Mechanism(swapped, "smf"))) == 2
-    with pytest.raises(MechanismError, match=r"incentive keyed \('s', 'a'\)"):
-        save_mechanism(Mechanism(swapped, "smf"), tmp_path / "swapped.json")
-    assert not (tmp_path / "swapped.json").exists()
+    _save_refused(Mechanism(swapped, "smf"), tmp_path / "swapped.json")
     # a zero amount is not written either, and is no error
     zero = replace(net, incentive={**net.incentive, (alpha, sig): Fraction(0)})
     save_mechanism(Mechanism(zero, "smf"), tmp_path / "zero.json")
@@ -284,9 +359,7 @@ def test_friendship_outside_the_agents_cannot_be_saved(stray, tmp_path):
         {**net.friends, stray: frozenset({alpha})},
     ):
         mech = Mechanism(replace(net, friends=friends), "smf")
-        with pytest.raises(MechanismError, match=f"friendship of {stray.id!r}: it is no agent"):
-            save_mechanism(mech, tmp_path / "stray.json")
-    assert not (tmp_path / "stray.json").exists()
+        _save_refused(mech, tmp_path / "stray.json")
 
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -318,27 +391,34 @@ def _saves_as_json_dumps(mech: Mechanism, path: Path) -> None:
 
 # st.text draws quotes, backslashes, control, non-ASCII and astral characters
 _TEXT = st.text(max_size=5)
+_NOMINAL = st.from_regex(r"[A-Za-z_][A-Za-z0-9_]{0,4}", fullmatch=True).filter(
+    lambda nominal: nominal not in RESERVED_WORDS
+)
 _AMOUNT = st.one_of(
-    st.integers(-(10**40), 10**40),
-    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**12)),
+    st.integers(0, 10**40),
+    st.builds(Fraction, st.integers(0, 10**30), st.integers(1, 10**12)),
 ).map(Fraction)
 
 
 @st.composite
 def _markets(draw) -> Mechanism:
-    """Hand-built networks, valid or not: save does not validate."""
-    ids = draw(st.lists(_TEXT, unique=True, max_size=7))
-    cut = draw(st.integers(0, len(ids)))
+    """Valid hand-built networks with awkward ids and extreme amounts."""
+    ids = draw(st.lists(_TEXT, unique=True, min_size=2, max_size=7))
+    cut = draw(st.integers(1, len(ids) - 1))
     sellers = [seller(i) for i in ids[:cut]]
     buyers = [buyer(i) for i in ids[cut:]]
     agents = sellers + buyers
     friends = {a: set() for a in agents}
-    if agents:
-        pairs = st.tuples(st.sampled_from(agents), st.sampled_from(agents))
-        for a, b in draw(st.lists(pairs, max_size=10)):
+    pairs = st.tuples(st.sampled_from(agents), st.sampled_from(buyers))
+    for a, b in draw(st.lists(pairs, max_size=10)):
+        if a != b:
             friends[a].add(b)
             friends[b].add(a)
-    names = draw(st.dictionaries(_TEXT, st.sampled_from(agents), max_size=8)) if agents else {}
+    # one nominal for each agent, and a few more for any of them
+    nominals = draw(st.lists(_NOMINAL, unique=True, min_size=len(agents), max_size=len(agents) + 4))
+    names = {nom: agents[i] if i < len(agents) else draw(st.sampled_from(agents))
+             for i, nom in enumerate(nominals)}
+    valuation = {b: draw(_AMOUNT) for b in buyers}
     incentive = {
         (b, s): draw(_AMOUNT | st.just(Fraction(0)))
         for b in buyers
@@ -349,19 +429,25 @@ def _markets(draw) -> Mechanism:
         sellers=tuple(sellers),
         buyers=tuple(buyers),
         friends={a: frozenset(nbrs) for a, nbrs in friends.items()},
-        budget={a: draw(_AMOUNT) for a in agents},
-        valuation={b: draw(_AMOUNT) for b in buyers},
+        budget={a: draw(_AMOUNT) + valuation.get(a, 0) for a in agents},
+        valuation=valuation,
         incentive=incentive,
         names=names,
     )
-    return Mechanism(network, draw(_TEXT))
+    return Mechanism(network, "smf")
 
 
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_markets())
 def test_saved_bytes_equal_json_dumps_on_random_networks(tmp_path, mech):
-    _saves_as_json_dumps(mech, tmp_path / "m.json")
+    # every valid network saves, and its file loads back equal up to the
+    # zero incentives that saving leaves out
+    path = tmp_path / "m.json"
+    _saves_as_json_dumps(mech, path)
+    net = mech.network
+    nonzero = {key: amount for key, amount in net.incentive.items() if amount}
+    assert load_mechanism(path) == Mechanism(replace(net, incentive=nonzero), mech.rule)
 
 
 def test_saved_bytes_equal_json_dumps_on_awkward_networks(tmp_path):
@@ -372,30 +458,37 @@ def test_saved_bytes_equal_json_dumps_on_awkward_networks(tmp_path):
         buyers=(naive, astral, plain),
         friends={quote: frozenset({naive}), naive: frozenset({quote, plain}),
                  plain: frozenset({naive})},
-        budget={quote: Fraction(10**40 + 1, 7), ctl: Fraction(-(10**60)),
-                naive: Fraction(0), astral: Fraction(3, 2), plain: Fraction(1)},
-        valuation={naive: Fraction(0), astral: Fraction(-1, 3), plain: Fraction(10**25)},
+        budget={quote: Fraction(10**40 + 1, 7), ctl: Fraction(10**60),
+                naive: Fraction(0), astral: Fraction(3, 2), plain: Fraction(10**25)},
+        valuation={naive: Fraction(0), astral: Fraction(1, 3), plain: Fraction(10**25)},
         incentive={(naive, quote): Fraction(5, 2), (naive, ctl): Fraction(0),
                    (astral, ctl): Fraction(10**30)},
-        names={"sigma": quote, "\u00e9t\u00e9": naive, "a\tb": naive, "z": naive},
-    )  # names: none for ctl, astral and plain, one for quote, three for naive
+        names={"sigma": quote, "c": ctl, "nu": naive, "n_2": naive, "z": naive,
+               "A": astral, "p": plain},
+    )  # names: one for each agent, three for naive
     _saves_as_json_dumps(Mechanism(net, "smf"), tmp_path / "awkward.json")
+    # what the loader refuses is not written: negative amounts, a valuation
+    # above its budget, nominals that are no identifiers and agents with
+    # none, no buyers, and an id or a rule that is not a string (null; a
+    # number as an incentive key)
+    unusable = replace(
+        net,
+        budget={**net.budget, ctl: Fraction(-(10**60)), plain: Fraction(1)},
+        valuation={**net.valuation, astral: Fraction(-1, 3)},
+        names={"sigma": quote, "\u00e9t\u00e9": naive, "a\tb": naive, "z": naive},
+    )
     no_buyers = replace(net, buyers=(), friends={}, valuation={}, incentive={},
-                        names={"sigma": quote})
-    _saves_as_json_dumps(Mechanism(no_buyers, "smf"), tmp_path / "sellers.json")
-    assert mechanism_to_dict(Mechanism(no_buyers, "smf"))["buyers"] == []
-    # what the loader refuses as an id or a rule (null; a number as an
-    # incentive key) is not written
+                        names={"sigma": quote, "c": ctl})
     nameless, five = seller(None), seller(5)
     unnamed = replace(no_buyers, sellers=(nameless,), budget={nameless: Fraction(1)}, names={})
     numbered = MarketNetwork(
         sellers=(five,), buyers=(plain,), friends={}, budget={five: 1, plain: 1},
         valuation={plain: 1}, incentive={(plain, five): 1}, names={},
     )
-    for refused in (Mechanism(unnamed, "smf"), Mechanism(no_buyers, None),
+    for refused in (Mechanism(unusable, "smf"), Mechanism(no_buyers, "smf"),
+                    Mechanism(unnamed, "smf"), Mechanism(no_buyers, None),
                     Mechanism(numbered, "smf"), Mechanism(no_buyers, 5)):
-        with pytest.raises(MechanismError, match="must be strings"):
-            save_mechanism(refused, tmp_path / "refused.json")
+        _save_refused(refused, tmp_path / "refused.json")
 
 
 @pytest.mark.parametrize("budget", ["7", None, 2.5, True])
@@ -404,9 +497,7 @@ def test_save_refuses_money_that_is_not_an_int_or_a_fraction(tmp_path, budget):
     sigma = net.names["sigma"]
     mech = Mechanism(replace(net, budget={**net.budget, sigma: budget}))
     path = tmp_path / "m.json"
-    with pytest.raises(MechanismError, match="money must be an int or a Fraction"):
-        save_mechanism(mech, path)
-    assert not path.exists()
+    _save_refused(mech, path)
     # the same amount as a valuation or an incentive, written after an equal
     # valid amount: alpha's valuation and gamma's incentive are 1
     alpha, gamma, delta = net.names["alpha"], net.names["gamma"], net.names["delta"]
@@ -415,20 +506,24 @@ def test_save_refuses_money_that_is_not_an_int_or_a_fraction(tmp_path, budget):
         replace(net, valuation={**net.valuation, delta: budget}),
         replace(net, incentive={**net.incentive, (delta, sigma): budget}),
     ):
-        with pytest.raises(MechanismError, match="money must be an int or a Fraction"):
-            save_mechanism(Mechanism(bad), path)
-        assert not path.exists()
+        _save_refused(Mechanism(bad), path)
 
 
-def test_save_writes_an_unnamed_agent_that_load_refuses(tmp_path):
-    # save does not validate: an agent with no name is written, and the
-    # file does not load back
+def test_save_refuses_an_unnamed_agent_as_load_does(tmp_path):
     net = referral_chain().network
     names = {nom: agent for nom, agent in net.names.items() if nom != "delta"}
     path = tmp_path / "m.json"
-    save_mechanism(Mechanism(replace(net, names=names)), path)
-    with pytest.raises(MechanismError, match="agent 'd' has no name"):
-        load_mechanism(path)
+    with pytest.raises(MechanismError) as err:
+        save_mechanism(Mechanism(replace(net, names=names)), path)
+    assert str(err.value) == "invalid mechanism: agent 'd' has no name"
+    assert not path.exists()
+    # the referral chain's file without the name delta is refused alike
+    doc = mechanism_to_dict(referral_chain())
+    for entry in doc["buyers"]:
+        entry["names"] = [nom for nom in entry["names"] if nom != "delta"]
+    with pytest.raises(MechanismError) as err:
+        mechanism_from_dict(doc)
+    assert str(err.value) == "invalid mechanism: agent 'd' has no name"
 
 
 def _faulty_document(rng: random.Random) -> tuple[dict, list[int]]:
@@ -582,15 +677,26 @@ def _long_chain_document(n_buyers: int) -> dict:
     }
 
 
-def test_a_valid_document_is_not_walked_a_second_time(monkeypatch):
+def test_a_valid_document_is_not_walked_a_second_time(monkeypatch, tmp_path):
     def second_walk(mechanism):
         raise AssertionError("validate_mechanism walked a valid document")
 
-    monkeypatch.setattr(mechjson, "validate_mechanism", second_walk)
+    monkeypatch.setattr(model, "validate_mechanism", second_walk)
     for name in ("referral-chain.json", "two-sellers.json"):
-        assert load_mechanism(SAMPLES / name) == reference_mechanism_from_dict(
+        loaded = load_mechanism(SAMPLES / name)
+        assert loaded == reference_mechanism_from_dict(
             json.loads((SAMPLES / name).read_text(encoding="utf-8"))
         )
+        # nor by the gate of save, translate or a query
+        save_mechanism(loaded, tmp_path / name)
+        assert (tmp_path / name).read_bytes() == (SAMPLES / name).read_bytes()
+        assert translate(loaded, TRUE) is TRUE
+        assert check(CheckQuery(loaded, loaded.network.sellers[0], TRUE))
+    # nor is the network an update returns: sigma incentivises alpha
+    chain = load_mechanism(SAMPLES / "referral-chain.json")
+    step = apply_joint_action(chain, joint_action(chain.network, {"s": "alpha"}))
+    assert step.network is not chain.network
+    assert action_precondition(step, joint_action(step.network, {}))
     doc = _long_chain_document(4000)
     assert mechanism_from_dict(doc) == reference_mechanism_from_dict(doc)
     # an invalid document is still refused with every violation
