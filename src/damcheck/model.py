@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, NamedTuple
@@ -277,6 +278,14 @@ def validate_mechanism(mechanism: Mechanism) -> list[str]:
         if agent not in agents:
             out.append(f"friendship mentions unknown agent {agent.id!r}")
             continue
+        # a row that is no set can list a friend twice, which the arena
+        # would count twice; frozenset() of a frozenset is the same object
+        if len(frozenset(nbrs)) < len(nbrs):
+            counts = Counter(nbrs)
+            for other, times in counts.items():
+                if times > 1:
+                    out.append(f"friendship of {agent.id!r} lists {other.id!r} more than once")
+            nbrs = counts  # each friend once, in the order first listed
         looped = agent in nbrs  # set lookups hash in C; `==` only on a self-loop row
         for other in nbrs:
             if other not in agents:
@@ -518,7 +527,8 @@ class _Arena:
             if row != row0:
                 agent = self.agents[i]
                 added = frozenset(self.agents[j] for j in _bits(row & ~row0))
-                friends[agent] = net.friends_of(agent) | added
+                # a row may be a list; frozenset() returns a frozenset row itself
+                friends[agent] = frozenset(net.friends_of(agent)) | added
         budget = net.budget
         if budgets is not self.budget0:
             budget = dict(budget)

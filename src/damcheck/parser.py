@@ -21,26 +21,32 @@ Grammar (loosest binding first):
     rational:= int ['/' int]
     cmp     := '>=' | '<=' | '<' | '>' | '='
 
-One compiled pattern splits the whole text into whitespace and tokens,
-alternately, with `re.split`. A token is its own text; the distinct tokens
-that are not operators are sorted once into identifiers (a letter or "_"
-first) and numbers (a decimal digit first), and any other is a bad
-character. The end of input is the empty token. Offsets are worked out from
-the pieces only where the parser reads them: coalition brackets are two
-adjacent characters ("[<", ">]", "<[", "]>"), adjacent when no whitespace
-stands between the two tokens, so that e.g. "ut[x]>2" still lexes; and an
-error's line and column, 1-based and counted in characters, come from the
-offset of the token it names.
+One compiled pattern splits the text, all but its repeated groups (below),
+into whitespace and tokens, alternately, with `re.split`. A token is its own
+text; the distinct tokens that are not operators are sorted once into
+identifiers (a letter or "_" first) and numbers (a decimal digit first), and
+any other is a bad character. The end of input is the empty token. Offsets
+are worked out from the pieces only where the parser reads them: coalition
+brackets are two adjacent characters ("[<", ">]", "<[", "]>"), adjacent when
+no whitespace stands between the two tokens, so that e.g. "ut[x]>2" still
+lexes; and an error's line and column, 1-based and counted in characters,
+come from the offset of the token it names.
 
 A parenthesised group parses the same wherever it stands, since "(" and ")"
-are always tokens of their own. So a group whose text, from "(" to the
-matching ")", was already parsed without error in the same text is not read
-again: the parser returns the node it built then and goes on after the ")".
-Repeated groups therefore share one node, and a text that prints a small
-DAG as a large tree (as `translate`'s output does) parses in time near the
-size of the DAG. A group is recognised by a hash of its pieces, checked
-against the pieces of its first occurrence, so the table of groups stays
-linear in the text.
+are always tokens of their own. So before anything is split, the groups are
+walked outermost first, in text order, and a group whose text, from "(" to
+the matching ")" and whitespace included, equals an earlier group's is a
+repeat. A repeat is one piece, read as the token "(", and the parser returns
+the node it built from the first occurrence and goes on after the ")"; the
+text before it must parse for the parser to get there, so that occurrence
+was parsed without error. Only the text between repeats is split, and
+nothing inside a repeat is looked at again, so a text that prints a small
+DAG as a large tree (as `translate`'s output does) is read in time near the
+size of the DAG: one C-level scan of the parentheses, a hash of each group
+outside the repeats, and the tokens of the DAG's own text. A group's text is
+keyed by its hash and compared only on a hit, and no text is kept, so the
+table stays linear in the number of groups. The parentheses of "wins(...)"
+are no group.
 
 The parser builds core nodes as it goes: disjunction, implication,
 biconditional, the diamonds, true/false and the comparisons are the
@@ -53,8 +59,9 @@ occurrence, so the limit applies to the first occurrence of each group."""
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
-from itertools import compress, count
+from itertools import accumulate
 
 from .errors import FormulaSyntaxError
 from .formula import (
@@ -91,7 +98,11 @@ _TOKEN = re.compile(
 # the tokens that are neither identifiers nor numbers
 _SYMBOLS = frozenset("& | ! ( ) [ ] < > , : + - * / = <-> [] <> -> >= <= @self".split())
 _COMPARISONS = frozenset((">=", "<=", "<", ">", "="))
-_PARENS = frozenset("()")
+# every byte but "(" and ")", and the step each of those takes the depth by
+_NOT_PARENS = bytes(sorted(set(range(256)) - set(b"()")))
+_STEP = {ord("("): 1, ord(")"): -1}
+# a group with no group inside
+_INNERMOST = re.compile(r"\([^()]*\)")
 
 
 def _offset(parts: list[str], k: int) -> int:
@@ -99,16 +110,64 @@ def _offset(parts: list[str], k: int) -> int:
     return sum(map(len, parts[: 2 * k + 1]))
 
 
-def _closing(tokens: list[str]) -> dict[int, int]:
-    """The index of each "(" that has a matching ")" -> the index of that ")"."""
-    out: dict[int, int] = {}
-    opened: list[int] = []
-    for k in compress(count(), map(_PARENS.__contains__, tokens)):
-        if tokens[k] == "(":
-            opened.append(k)
-        elif opened:
-            out[opened.pop()] = k
-    return out
+def _follows_wins(src: str, at: int) -> bool:
+    """Whether the token before offset `at` is "wins". A token that holds a
+    word character is a word, a number or "@self", so the run of word
+    characters and "@" that ends in "wins" starts a token, and is lexed
+    from there."""
+    end = at
+    while end and src[end - 1].isspace():
+        end -= 1
+    if not src.endswith("wins", 0, end):
+        return False
+    start = end - 4
+    while start and (src[start - 1].isalnum() or src[start - 1] in "_@"):
+        start -= 1
+    return _TOKEN.findall(src, start, end)[-1] == "wins"
+
+
+def _shared_groups(src: str) -> list[tuple[int, int, int]]:
+    """The pieces that the repeated groups of `src` make, in text order:
+    (start, end, first) for a repeat, src[start:end], of the group whose "("
+    stands at offset `first`, and (first, first + 1, -1) for that "("."""
+    # every repeated group holds a group with no group inside, which then
+    # occurs twice as well
+    innermost = set()
+    for match in _INNERMOST.finditer(src):
+        if match.group() in innermost:
+            break
+        innermost.add(match.group())
+    else:
+        return []
+    # one scan finds every parenthesis: the k-th stands at offset
+    # ends[k] + k, and depth[k] is the nesting depth just after it
+    ends = list(accumulate(map(len, src.replace(")", "(").split("("))))
+    parens = src.encode("utf-8", "surrogatepass").translate(None, _NOT_PARENS)
+    depth = list(accumulate(map(_STEP.__getitem__, parens)))
+    # the parser reads nothing after a ")" that closes no group, nor any
+    # group nested deeper than its stack allows at six frames a level
+    stop = depth.index(-1) if -1 in depth else len(depth)
+    deepest = sys.getrecursionlimit() // 6 + 1
+    seen: dict[int, int] = {}  # hash of a group's text -> its first "("
+    repeats: list[tuple[int, int, int]] = []
+    k = parens.find(b"(", 0, stop)
+    while k >= 0 and depth[k] <= deepest:
+        start = ends[k] + k
+        try:
+            close = depth.index(depth[k] - 1, k + 1, stop)
+        except ValueError:  # no ")" closes it
+            close = k
+        if close != k and not _follows_wins(src, start):
+            text = src[start : ends[close] + close + 1]
+            # balanced text found at a group's "(" is that group's text
+            first = seen.setdefault(hash(text), start)
+            if first != start and src.startswith(text, first):
+                repeats.append((start, start + len(text), first))
+                k = close  # go on after the repeat
+        k = parens.find(b"(", k + 1, stop)
+    if not repeats:
+        return repeats
+    return sorted(repeats + [(at, at + 1, -1) for at in {first for _, _, first in repeats}])
 
 
 def _error(src: str, offset: int, message: str) -> FormulaSyntaxError:
@@ -120,9 +179,25 @@ class _Parser:
     def __init__(self, src: str):
         self.src = src
         # parts[2k + 1] is token k and parts[2k] the whitespace before it,
-        # so the last piece is the trailing whitespace
-        self.parts = parts = _TOKEN.split(src)
+        # so the last piece is the trailing whitespace. A repeated group is
+        # one piece, token "(", and only the text between repeats is split
+        self.parts = parts = []
+        # the "(" of each repeat -> the "(" of the group it repeats
+        self.repeats: dict[int, int] = {}
+        at: dict[int, int] = {}
+        last = 0
+        for start, end, first in _shared_groups(src):
+            parts += _TOKEN.split(src[last:start])
+            if first < 0:
+                at[start] = len(parts) // 2
+            else:
+                self.repeats[len(parts) // 2] = at[first]
+            parts.append(src[start:end])
+            last = end
+        parts += _TOKEN.split(src[last:])
         self.tokens = tokens = parts[1::2]
+        for k in self.repeats:
+            tokens[k] = "("
         # each distinct token is judged once, and the first character no
         # token starts with is reported before any syntax error. `[^\W\d]`
         # also admits numeric characters such as "²", but an identifier
@@ -143,10 +218,8 @@ class _Parser:
             raise _error(src, _offset(parts, k), f"unexpected character {tokens[k][0]!r}")
         tokens.append("")  # the end of input
         self.pos = 0
-        self.closing = _closing(tokens)
-        # hash of a group's pieces -> (the slice of parts its first
-        # occurrence spans, start and stop, and the node parsed from it)
-        self.groups: dict[int, tuple[int, int, Formula]] = {}
+        # the "(" of each group parsed -> the node parsed from the group
+        self.nodes: dict[int, Formula] = {}
 
     def error(self, message: str, at: int | None = None) -> FormulaSyntaxError:
         """A syntax error at token `at`, by default the current one."""
@@ -273,22 +346,15 @@ class _Parser:
     def atom(self) -> Formula:
         tok = self.tokens[self.pos]
         if tok == "(":
-            # a group met before in this text is the node parsed then
             start = self.pos
             self.pos += 1
-            end = self.closing.get(start)
-            if end is not None:
-                pieces = self.parts[2 * start + 1 : 2 * end + 2]
-                key = hash(tuple(pieces))
-                seen = self.groups.get(key)
-                if seen is not None and self.parts[seen[0] : seen[1]] == pieces:
-                    self.pos = end + 1
-                    return seen[2]
+            first = self.repeats.get(start)
+            if first is not None:
+                # a repeat is the node its first occurrence was parsed to
+                return self.nodes[first]
             out = self.formula()
             self.expect(")")
-            # a group that parses ends at its matching ")"
-            if end is not None:
-                self.groups.setdefault(key, (2 * start + 1, 2 * end + 2, out))
+            self.nodes[start] = out
             return out
         if tok in self.words:
             if tok == "true":
@@ -399,6 +465,8 @@ def parse_formula(src: str) -> Formula:
 
     A parenthesised group whose text occurs again in `src` is parsed once,
     and every occurrence is the same node object, so the result is a DAG.
+    The later occurrences are not even split into tokens, so a text that
+    prints a small DAG as a large tree parses in time near the DAG's size.
     The nesting limit applies to the first occurrence of each group. A run
     of binary operators is read in a loop, so the tree returned can be
     deeper than the recursive helpers allow: `==` and `hash` raise

@@ -459,7 +459,12 @@ def reference_validate(mechanism: Mechanism) -> list[str]:
         if agent not in agents:
             out.append(f"friendship mentions unknown agent {agent.id!r}")
             continue
-        for other in nbrs:
+        listed = list(nbrs)
+        distinct = list(dict.fromkeys(listed))
+        for other in distinct:
+            if listed.count(other) > 1:
+                out.append(f"friendship of {agent.id!r} lists {other.id!r} more than once")
+        for other in distinct:
             if other not in agents:
                 out.append(
                     f"friendship of {agent.id!r} mentions unknown agent {other.id!r}"

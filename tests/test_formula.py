@@ -48,8 +48,9 @@ from damcheck.gadgets import (
     QbfInstance,
     gen_qbf_gadget,
 )
+from damcheck.parser import _Parser
 
-from helpers import distinct_nodes, random_formula, random_mechanism, time_limit
+from helpers import distinct_nodes, random_formula, random_mechanism, referral_chain, time_limit
 from reference import reference_format
 from reference_parser import parse_formula as reference_parse
 
@@ -531,6 +532,52 @@ def test_parser_agrees_with_reference_after_an_edit_to_the_last_copy_of_a_group(
         "((a)) & ((a) ) & (( a))",
     ):
         _agree(text)
+
+
+# the parentheses of wins(...) neither start a repeat nor are one: "2wins" is
+# the number 2 and the word wins, "xwins" one word
+_WINS_AND_REPEATS = (
+    "(gamma) & wins(gamma)",
+    "wins(gamma) & (gamma)",
+    "wins (a) | (a)",
+    "(x) & 2wins(x)",
+    "(x) & xwins(x)",
+    # a syntax error in the first token after a repeat, and at the repeat
+    "(b | c) & (b | c) d",
+    "(b) & a (b)",
+)
+
+
+def test_parser_agrees_with_reference_around_wins_and_repeats():
+    assert parse_formula("(gamma) & wins(gamma)") == And(Nominal("gamma"), Heart("gamma"))
+    with pytest.raises(FormulaSyntaxError) as err:
+        parse_formula("(b) & a (b)")
+    assert str(err.value) == "line 1, column 9: unexpected trailing input '('"
+    edits = 0
+    for text in _WINS_AND_REPEATS:
+        _agree(text)
+        for at in range(len(text) + 1):
+            _agree(text[:at] + text[at + 1 :])
+            for char in "()w2 x":
+                _agree(text[:at] + char + text[at:])
+                _agree(text[:at] + char + text[at + 1 :])
+            edits += 13
+    assert edits > 1000
+
+
+def test_shared_chain_text_is_read_in_tokens_linear_in_its_levels():
+    # translate prints the chain's shared coalition diamond once per use, so
+    # each level doubles the text, while the tokens read grow by a constant
+    chain = referral_chain()
+    sizes, tokens = [], []
+    for levels in (8, 10, 12):
+        text = "(<[sigma]> wins(gamma))" + " <-> (<[sigma]> wins(gamma))" * levels
+        flat = format_formula(translate(chain, parse_formula(text)))
+        sizes.append(len(flat))
+        tokens.append(len(_Parser(flat).tokens))
+        assert distinct_nodes(parse_formula(flat)) < 300
+    assert sizes[1] > 3.9 * sizes[0] and sizes[2] > 3.9 * sizes[1]
+    assert tokens[2] - tokens[1] == tokens[1] - tokens[0] < 100
 
 
 def test_non_ascii_characters_are_reported_where_they_stand():

@@ -36,7 +36,7 @@ from damcheck import (
 )
 from damcheck import model
 from damcheck.errors import MechanismError
-from damcheck.formula import TRUE, Heart
+from damcheck.formula import TRUE, Diamond, Heart, Nominal
 from damcheck.mechjson import mechanism_from_dict, mechanism_to_dict
 from damcheck.model import RESERVED_WORDS, buyer, seller
 
@@ -297,6 +297,30 @@ def test_validate_reports_ids_and_rules_that_do_not_compare_or_hash():
     assert validate_mechanism(listed_rule) == ["unknown auction rule ['smf']"]
 
 
+def _listed_rows(twice: bool) -> Mechanism:
+    """The referral chain with every friendship row a list; with `twice`,
+    sigma's row lists alpha a second time."""
+    net = referral_chain().network
+    sig, alpha = net.sellers[0], net.buyers[0]
+    rows = {a: sorted(nbrs) for a, nbrs in net.friends.items()}
+    if twice:
+        rows[sig].append(alpha)
+    return Mechanism(replace(net, friends=rows), "smf")
+
+
+def test_a_row_that_lists_a_friend_twice_is_a_violation(tmp_path):
+    listed, twice = _listed_rows(False), _listed_rows(True)
+    sig = listed.network.sellers[0]
+    diamond = Diamond(Nominal("beta"))
+    assert validate_mechanism(listed) == []
+    assert check(CheckQuery(listed, sig, diamond)) is True
+    violation = "friendship of 's' lists 'a' more than once"
+    assert validate_mechanism(twice) == reference_validate(twice) == [violation]
+    with pytest.raises(MechanismError, match=f"^invalid mechanism: {violation}$"):
+        check(CheckQuery(twice, sig, diamond))
+    _save_refused(twice, tmp_path / "twice.json")
+
+
 def test_every_entry_point_refuses_exactly_what_validate_refuses(tmp_path):
     rng = random.Random(20261021)
     mechs = [_faulty_mechanism(rng) for _ in range(300)]
@@ -306,7 +330,7 @@ def test_every_entry_point_refuses_exactly_what_validate_refuses(tmp_path):
         mechs.append(Mechanism(replace(mech.network), mech.rule))
     accepted = 0
     path = tmp_path / "m.json"
-    for mech in [*mechs, *_incomparable_networks()]:
+    for mech in [*mechs, *_incomparable_networks(), _listed_rows(False), _listed_rows(True)]:
         valid = not validate_mechanism(mech)
         for run in _entry_points(mech, path):
             if valid:
