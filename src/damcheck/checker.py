@@ -8,9 +8,12 @@ here, and the strategy search and the equilibrium test in `analysis`.
   as integers scaled by a common denominator. It is cached on the
   immutable `MarketNetwork`. An action that moves nothing returns its
   input, and its successor is the state itself.
-* `_Engine` is one query: a table of the states it built, keyed by
-  (friendship rows, budgets), the formulas compiled for it, and their
-  labelling over those states (Clarke, Emerson & Sistla, ACM TOPLAS 1986).
+* `_Engine` is one query: a table of the states it built, the formulas
+  compiled for it, and their labelling over those states (Clarke, Emerson
+  & Sistla, ACM TOPLAS 1986). The table is keyed by (the sellers' rows,
+  budgets): an update never changes a buyer-buyer bit, and it gives a
+  buyer a seller bit only with the buyer's bit in that seller's row, so
+  the sellers' rows of a reachable state determine its buyers' rows.
   Each state's allocation, the root's included, is `auction.evaluate` of
   the state as the arena materialises it, computed once and kept in the
   state. The engine alone holds what a query keeps: its states, their
@@ -45,16 +48,25 @@ here, and the strategy search and the equilibrium test in `analysis`.
   builds its one successor once for all of them; a coalition box narrows
   the set as choices fail and asks each counter-choice only about the
   agents no earlier one answered; a conjunction asks its right operand
-  only where the left one holds. Two kernels save a call per node on the
-  hot path: a box whose child is a negation `[] !g` asks g itself and
-  fails where g holds, and a conjunction whose left operand is a nominal
-  masks the asked agents with the nominal's bit. Each state memoises by
-  serial, as a pair (agents decided, agents where it holds), the modal
-  nodes and the conjunctions the formula shares as objects, so a later
-  call computes only the agents not yet decided. Nested boxes then cost
-  time linear in their depth, and a formula whose subformulas are shared
-  objects, such as a `<->` chain, is evaluated once per state and node,
-  in time linear in its distinct nodes. Nothing outlives the query."""
+  only where the left one holds. Kernels save work on the hot path. A box
+  whose child is a negation `[] !g` asks g itself and fails where g holds;
+  a conjunction whose left operand is a nominal masks the asked agents
+  with the nominal's bit. Two box kernels rest on friendship being
+  symmetric, which `model._require_valid` checks and `_Arena.apply`
+  keeps, so the agents that have n as a friend are those of n's row:
+  `[] !n` (so `<>n`) is the asked agents less n's row, with no call and
+  no memo, and `[] !(n & g)` (so `<>(n & g)` and `[](n -> g)`) asks g
+  once, at n, and only if an asked agent is n's friend, then fails at the
+  asked agents in n's row if g holds. Neither builds the set of friends,
+  and each asks g at exactly the agents where the general box would ask
+  the nominal conjunction, so it builds the same states. Each state
+  memoises by serial, as a pair (agents decided, agents where it holds),
+  the modal nodes but `[] !n` and the conjunctions the formula shares as
+  objects, so a later call computes only the agents not yet decided.
+  Nested boxes then cost time linear in their depth, and a formula whose
+  subformulas are shared objects, such as a `<->` chain, is evaluated once
+  per state and node, in time linear in its distinct nodes. Nothing
+  outlives the query."""
 
 from __future__ import annotations
 
@@ -218,13 +230,47 @@ def _lin(engine, terms, bound):
     return lin
 
 
+def _unfriends(keys, key):
+    """The agent n if key is that of `[] !n`, else None."""
+    if key[0] is _box:
+        child = keys[key[1]]
+        if child[0] is _not and keys[child[1]][0] is _nom:
+            return keys[child[1]][1]
+    return None
+
+
 def _box(engine, child):
-    key = engine.keys[child]
-    if key[0] is _not:
+    # friendship is symmetric (`_require_valid`, kept by `_Arena.apply`), so
+    # the agents that have n as a friend are those of adj[n]
+    keys = engine.keys
+    key = keys[child]
+    if key[0] is not _not:
+        child, flip = engine.made[child], -1
+    else:
+        inner = keys[key[1]]  # `[] !inner`
+        if inner[0] is _nom:
+            n = inner[1]
+
+            def unfriended(state, need):
+                # `[] !n` fails exactly at n's friends
+                return need & ~state.adj[n]
+
+            return unfriended
+        if inner[0] is _and and keys[inner[1]][0] is _nom:
+            n, g = keys[inner[1]][1], engine.made[inner[2]]
+            bit = 1 << n
+
+            def guarded(state, need):
+                # `[] !(n & g)` fails at n's friends if g holds at n: g is
+                # asked at n alone, and only if an asked agent is n's friend
+                hit = need & state.adj[n]
+                if hit and g(state, bit):
+                    return need ^ hit
+                return need
+
+            return guarded
         # `[] !g` fails where g holds: ask g itself, and keep its answer
         child, flip = engine.made[key[1]], 0
-    else:
-        child, flip = engine.made[child], -1
 
     def box(state, need):
         # the child once, at every friend of every agent asked about; the
@@ -293,7 +339,7 @@ def _coal(engine, members, child):
     return coal
 
 
-_MODAL = (_box, _diff, _coal)  # the makers whose nodes are always memoised
+_MODAL = (_box, _diff, _coal)  # the makers whose nodes are memoised, but `[] !n`
 
 
 class _State:
@@ -319,6 +365,7 @@ class _Engine:
         self.began = time.perf_counter()
         self.arena = arena = _Arena.of(mechanism)
         self.width = len(arena.agents)
+        self.sellers = len(arena.seller_ids)
         self.table: dict[tuple, _State] = {}
         # every formula compiled on this engine numbers its nodes here, so
         # equal subformulas of any two of them share one serial and memo
@@ -347,7 +394,8 @@ class _Engine:
         The walk builds only keys. The closures of the new keys are then
         made in serial order, children first, as `op(engine, *operands)`,
         where engine.made[serial] is the closure of each earlier key. Modal
-        nodes, and the conjunctions the walk met again by identity, are
+        nodes but `[] !n`, one mask operation that costs less than a memo
+        lookup, and the conjunctions the walk met again by identity, are
         wrapped in `_memo`: only object sharing gives a formula more paths
         than nodes, and memoising conjunctions that are merely equal by key
         costs the unshared SAT goals time."""
@@ -409,16 +457,21 @@ class _Engine:
         for serial in range(len(made), len(keys)):
             key = keys[serial]
             compute = key[0](self, *key[1:])
-            if key[0] in _MODAL or serial in shared:
+            if serial in shared or key[0] in _MODAL and _unfriends(keys, key) is None:
                 compute = _memo(serial, compute)
             made.append(compute)
         return made[top]
 
-    def state(self, key) -> _State:
-        """The query's state for key (rows, budgets), built on first use."""
+    def state(self, rows_budgets) -> _State:
+        """The query's state for (rows, budgets), built on first use. The
+        table is keyed by (the sellers' rows, budgets), which within one
+        query determine the state (see the module docstring): a lookup
+        hashes and compares a few rows, not every agent's."""
+        adj, budgets = rows_budgets
+        key = (adj[: self.sellers], budgets)
         got = self.table.get(key)
         if got is None:
-            got = self.table[key] = _State(*key)
+            got = self.table[key] = _State(adj, budgets)
         return got
 
     def allocation(self, state: _State) -> auction.AllocationResult:
@@ -444,7 +497,8 @@ class _Engine:
 def cached_update(engine: _Engine, state: _State, action) -> _State:
     """The state after a feasible action: the engine's one successor lookup.
     An action that moves nothing returns `state` itself, with no key built;
-    a successor already in the query's table comes back with its memo and
+    a successor already in the query's table, which `_Engine.state` keys by
+    the sellers' rows and the budgets, comes back with its memo and
     allocation."""
     adj, budgets = engine.arena.apply(state.adj, state.budgets, action)
     if adj is state.adj and budgets is state.budgets:

@@ -477,9 +477,12 @@ class _Arena:
         """Rows and budgets after a feasible action. For each targeted buyer
         the highest bid wins, the winner gains edges to all the buyer's
         buyer-friends and pays her the incentive; losers pay and gain
-        nothing. The rows are copied only when some row gains a friend, and
-        the budgets only when money moves, so an action that moves nothing
-        returns its input objects."""
+        nothing. Each new edge joins a seller and a buyer and is set in both
+        rows: friendship stays symmetric and no buyer-buyer bit changes,
+        which the checker's friendship boxes and state table rely on. The
+        rows are copied only when some row gains a friend, and the budgets
+        only when money moves, so an action that moves nothing returns its
+        input objects."""
         price = self.price
         winner: dict[int, int] = {}  # target -> the seller who wins her
         for s, target in enumerate(action):

@@ -1053,6 +1053,39 @@ def test_two_winners_where_only_one_gains_a_friend(first_gains):
     _arena_agrees_with_reference(mech, arena, targets, (adj, budgets))
 
 
+def test_the_sellers_rows_and_budgets_key_every_reachable_state():
+    # an update adds a seller bit to a buyer's row only with the buyer's bit
+    # to the seller's row, so within one query the sellers' rows determine
+    # the buyers' and key the engine's table with the budgets
+    from damcheck.checker import _Engine, cached_update
+
+    rng = random.Random(2929)
+    for _ in range(40):
+        mech = random_rational_market(rng, n_sellers=rng.randint(2, 3))
+        engine = _Engine(mech)
+        arena = engine.arena
+        rounds = rng.randint(2, 3)
+        seen = {(arena.adj0, arena.budget0)}
+        frontier = [engine.root]
+        for _ in range(rounds):
+            upcoming = []
+            for state in frontier:
+                options = [arena.options(state.adj, state.budgets, s) for s in arena.seller_ids]
+                for action in itertools.product(*options):
+                    full = arena.apply(state.adj, state.budgets, action)
+                    successor = cached_update(engine, state, action)
+                    assert (successor.adj, successor.budgets) == full
+                    if full not in seen:
+                        seen.add(full)
+                        upcoming.append(successor)
+            frontier = upcoming
+        for state in engine.table.values():
+            for b in arena.buyer_ids:
+                sellers = sum(1 << s for s in arena.seller_ids if state.adj[s] >> b & 1)
+                assert state.adj[b] == arena.adj0[b] & arena.buyer_mask | sellers
+        assert len(engine.table) == len(seen) == reference_reachable(mech, rounds)[-1]
+
+
 # --- the cooperative search skips choices that can only block ---------------------
 
 

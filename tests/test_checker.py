@@ -1,6 +1,7 @@
 """Checker semantics: worked-network suites, duality, vacuity, coalitions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -14,11 +15,14 @@ from damcheck.errors import (
     UnknownNominalError,
 )
 from damcheck.formula import (
+    SELF,
     TRUE,
     And,
     Box,
     CoalitionBox,
     CoalitionDiamond,
+    Compare,
+    Diamond,
     Diffuse,
     DiffuseDiamond,
     Heart,
@@ -27,6 +31,7 @@ from damcheck.formula import (
     Nominal,
     Not,
     Truth,
+    UtilityTerm,
     big_and,
     desugar,
 )
@@ -525,6 +530,105 @@ def test_shared_dags_match_reference_at_partial_needs():
         rng.shuffle(asks)
         for need in [*asks, everyone]:
             assert compiled(engine.root, need) == want & need
+
+
+def _nominal_box(rng, mech, depth, named):
+    """`<>n`, `[] !n`, `<>(n & g)` or `[](n -> g)`, negated or not, where n
+    names any agent and g is a diffusion, `wins(@self)`, `ut[@self] >= c`
+    or, above depth 0, another such formula. Each n's agent is appended to
+    named."""
+    net = mech.network
+    sellers = sorted(net.canonical_name(s) for s in net.sellers)
+    buyers = sorted(net.canonical_name(b) for b in net.buyers)
+    agent = rng.choice(sorted(net.agents()))
+    named.append(agent)
+    n = Nominal(net.canonical_name(agent))
+
+    def guard(d):
+        roll = rng.random()
+        if roll < 0.15:
+            return Heart(SELF)
+        if roll < 0.3:
+            bound = Fraction(rng.randint(0, 4), 2)
+            return Compare(">=", ((Fraction(1), UtilityTerm(SELF)),), bound)
+        if d and roll < 0.55:
+            return _nominal_box(rng, mech, d - 1, named)
+        bindings = tuple(
+            (s, rng.choice([*buyers, SKIP])) for s in sellers if rng.random() < 0.7
+        )
+        bindings = bindings or ((sellers[0], rng.choice(buyers)),)
+        diffusion = Diffuse if rng.random() < 0.5 else DiffuseDiamond
+        return diffusion(bindings, guard(d))
+
+    shape = rng.randrange(4)
+    if shape == 0:
+        form = Diamond(n)
+    elif shape == 1:
+        form = Box(Not(n))
+    elif shape == 2:
+        form = Diamond(And(n, guard(depth)))
+    else:
+        form = Box(Implies(n, guard(depth)))
+    return Not(form) if rng.random() < 0.3 else form
+
+
+# the states each market's pool built over every check, recorded with the
+# generic friendship box, before `[] !n` and `[] !(n & g)` had kernels
+_NOMINAL_BOX_STATES = [
+    26, 19, 24, 36, 30, 30, 30, 30, 26, 24, 47, 24, 30, 42, 18, 36, 30, 31, 24, 24, 24,
+    30, 30, 42, 36, 18, 30, 35, 42, 24, 30, 38, 19, 32, 50, 24, 36, 30, 24, 33, 30, 30,
+    36, 36, 36, 30, 18, 19, 18, 30, 30, 24, 42, 37, 42, 30, 30, 36, 36, 36, 39, 24, 40,
+    24, 18, 25, 26, 34, 30, 42, 18, 24, 30, 30, 30, 31, 33, 30, 45, 24,
+]
+
+
+def test_nominal_guarded_boxes_match_reference_and_build_the_same_states():
+    # `[] !n` fails at n's friends and `[] !(n & g)` asks g at n alone: both
+    # read friendship from n's row, which is sound since it is symmetric
+    from damcheck.checker import _Engine
+
+    rng = random.Random(2929)
+    built = []
+    # how often a nominal names the asked agent, a seller, or a friendless agent
+    named_kinds = {"self": 0, "seller": 0, "friendless": 0}
+    for _ in range(80):
+        n_sellers, n_buyers = rng.randint(1, 3), rng.randint(2, 4)
+        mech = random_rational_market(rng, n_sellers, n_buyers)
+        net = mech.network
+        states = 0
+        for _ in range(6):
+            named = []
+            form = _nominal_box(rng, mech, rng.randint(0, 2), named)
+            named_kinds["seller"] += any(a in net.sellers for a in named)
+            named_kinds["friendless"] += any(not net.friends_of(a) for a in named)
+            engine = _Engine(mech)
+            want = 0
+            for agent in net.agents():
+                named_kinds["self"] += agent in named
+                stats = CheckStats()
+                holds = check(CheckQuery(mech, agent, form), stats)
+                assert holds == reference_check(mech, agent, form)
+                states += stats.states_explored
+                want |= holds << engine.arena.index[agent]
+            compiled = engine.compile(form)
+            everyone = (1 << engine.width) - 1
+            for need in [rng.randrange(everyone + 1) for _ in range(4)] + [everyone]:
+                assert compiled(engine.root, need) == want & need
+        built.append(states)
+    assert min(named_kinds.values()) >= 20
+    assert built == _NOMINAL_BOX_STATES
+
+
+def test_a_box_over_a_negated_nominal_keeps_no_memo():
+    # `[] !n` is one mask operation, cheaper than a memo lookup
+    from damcheck.checker import _Engine
+
+    engine = _Engine(referral_chain())
+    everyone = (1 << engine.width) - 1
+    engine.compile(parse_formula("<> beta & [] !gamma"))(engine.root, everyone)
+    assert engine.root.memo == {}
+    engine.compile(parse_formula("<> (beta | gamma)"))(engine.root, everyone)
+    assert engine.root.memo
 
 
 def test_too_deep_formula_is_a_dam_error():
