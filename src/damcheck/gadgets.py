@@ -263,7 +263,13 @@ def gen_sat_gadget(instance: CnfInstance) -> tuple[Mechanism, Formula]:
     Layers: seller - clause agents - literal agents - atom agents - splitters -
     truth/falsity agents; every incentive is zero, so reachability is the only
     constraint. Setting atom l true (false) means linking the seller to t_l
-    (f_l) by incentivising the matching splitter."""
+    (f_l) by incentivising the matching splitter. An instance with no
+    variable (and so no clause: each literal names one) would have no buyer,
+    and is refused."""
+    if not instance.num_vars:
+        raise MechanismError(
+            "a 3-CNF with no variable and no clause has a gadget with no buyer"
+        )
     buyers = []
     edges = []
     clause_parts = []
@@ -309,8 +315,11 @@ def gen_qbf_gadget(instance: QbfInstance) -> tuple[Mechanism, Formula]:
     Variable i gets buyer pairs (a_i^0, b_i^0) and (a_i^1, b_i^1); linking the
     seller to b_i^j (via a_i^j) sets p_i to j. Guards force step t to fix
     exactly variable t, so the coalition modalities quantify the prefix
-    outermost-first. A loop wraps the matrix from the innermost quantifier."""
+    outermost-first. A loop wraps the matrix from the innermost quantifier.
+    A QBF with no quantified variable would have no buyer, and is refused."""
     n = len(instance.prefix)
+    if not n:
+        raise MechanismError("a QBF with no quantified variable has a gadget with no buyer")
     buyers = []
     edges = []
     for i in range(1, n + 1):

@@ -16,12 +16,17 @@ Loading reads a document once. It refuses a wrong shape where it meets it,
 and judges the rules of `validate_mechanism` on each value as it reads it;
 only an invalid document is then walked by `validate_mechanism`, for the
 text of the refusal. Saving passes the same gate (`model._require_valid`)
-first, so it refuses exactly what loading refuses, and a saved file loads.
+first, so it refuses exactly what loading refuses; it also refuses an
+amount with more digits than Python prints, which loading would refuse as
+well, so a saved file loads.
 
-A saved file is exactly `json.dumps(mechanism_to_dict(m), indent=2)` plus a
-newline. With `indent` set, CPython's `json.dumps` runs its pure-Python
-encoder, so `save_mechanism` renders the same bytes itself from templates of
-the schema's fixed shape, leaving only the strings and integers to C."""
+There is one writer, `_render`: it reads the network once into templates of
+the schema's fixed shape, laid out as `json.dumps(..., indent=2)` lays it
+out, and leaves only the strings and integers to C (CPython's `json.dumps`
+runs its pure-Python encoder whenever `indent` is set). `save_mechanism`
+writes its text plus a newline, and `mechanism_to_dict` parses the same
+text, so a saved file is exactly `json.dumps(mechanism_to_dict(m),
+indent=2)` plus a newline."""
 
 from __future__ import annotations
 
@@ -65,12 +70,6 @@ def parse_rational(value: Any, where: str = "value") -> Fraction:
     raise MechanismError(
         f"{where}: rationals must be integers or 'p/q' strings, got {value!r}"
     )
-
-
-def format_rational(value: int | Fraction) -> int | str:
-    """An exact amount, an `int` or a `Fraction`, as the schema writes it."""
-    num, den = value.as_integer_ratio()
-    return num if den == 1 else f"{num}/{den}"
 
 
 def mechanism_from_dict(doc: dict) -> Mechanism:
@@ -211,47 +210,6 @@ def mechanism_from_dict(doc: dict) -> Mechanism:
     return mechanism
 
 
-def mechanism_to_dict(mechanism: Mechanism) -> dict:
-    """The schema dictionary of a mechanism. An invalid mechanism raises
-    MechanismError first, with the text `load_mechanism` gives it
-    (`model._require_valid`), so what this returns is a file that loads."""
-    _require_valid(mechanism)
-    net = mechanism.network
-    names_of: dict[AgentId, list[str]] = {agent: [] for agent in net.agents()}
-    for nom, agent in net.names.items():
-        names_of[agent].append(nom)
-    for noms in names_of.values():
-        noms.sort()
-    sellers = [
-        {"id": s.id, "names": names_of[s], "budget": format_rational(net.budget[s])}
-        for s in net.sellers
-    ]
-    buyers = [
-        {
-            "id": b.id,
-            "names": names_of[b],
-            "budget": format_rational(net.budget[b]),
-            "valuation": format_rational(net.valuation[b]),
-            "incentives": {  # each amount read once; absent or zero is left out
-                s.id: format_rational(amount)
-                for s in net.sellers
-                if (amount := net.incentive.get((b, s)))
-            },
-        }
-        for b in net.buyers
-    ]
-    # friendship is symmetric: each edge once, from its lesser id
-    edges = sorted(
-        [a.id, b.id] for a, nbrs in net.friends.items() for b in nbrs if a.id <= b.id
-    )
-    return {
-        "sellers": sellers,
-        "buyers": buyers,
-        "edges": edges,
-        "rule": mechanism.rule,
-    }
-
-
 def load_mechanism(path: str | Path) -> Mechanism:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -263,8 +221,6 @@ def load_mechanism(path: str | Path) -> Mechanism:
     return mechanism_from_dict(doc)
 
 
-# json.dumps's own C-coded encoders of the amounts a mechanism dict holds
-_LEAF = {str: encode_basestring_ascii, int: int.__repr__}
 # the layout json.dumps(..., indent=2) gives the schema's fixed shape
 _DOCUMENT = '{\n  "sellers": %s,\n  "buyers": %s,\n  "edges": %s,\n  "rule": %s\n}'
 _SELLER = '{\n      "id": %s,\n      "names": %s,\n      "budget": %s\n    }'
@@ -273,6 +229,7 @@ _BUYER = (
     '\n      "valuation": %s,\n      "incentives": %s\n    }'
 )
 _EDGE = "[\n      %s,\n      %s\n    ]"
+_FIELD = "\n      "  # the line break and indent of a seller's or buyer's field
 
 
 def _items(items: list[str], pad: str, brackets: str) -> str:
@@ -284,47 +241,79 @@ def _items(items: list[str], pad: str, brackets: str) -> str:
     return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
 
 
-def _render(doc: dict) -> str:
-    """The dict `mechanism_to_dict` returns, as `json.dumps(doc, indent=2)`
-    writes it, along the schema's fixed shape: strings go through json's C
-    escaper, integers through `int.__repr__`. It only renders:
-    `mechanism_to_dict` has refused an invalid mechanism."""
+def _amount(value: int | Fraction, what: str, owner: str | tuple[str, str]) -> str:
+    """An exact amount as the schema writes it: the integer, or the JSON
+    string "p/q". `what` and `owner` say where it is, should it have more
+    digits than Python prints."""
+    num, den = value.as_integer_ratio()
+    try:
+        return int.__repr__(num) if den == 1 else f'"{num}/{den}"'
+    except ValueError:  # past sys.get_int_max_str_digits(); loading refuses it too
+        raise MechanismError(f"{what} of {owner!r} has too many digits to print") from None
+
+
+def _render(mechanism: Mechanism) -> str:
+    """The mechanism's file, without its final newline, in one read of the
+    network: names sorted, sellers and buyers in network order, each buyer's
+    non-zero incentives in seller order, each edge once from its lesser id
+    in sorted order, laid out as `json.dumps(..., indent=2)` lays out the
+    schema. Strings go through json's C escaper and integers through
+    `int.__repr__`, so the text is ASCII. An invalid mechanism raises
+    MechanismError first (`model._require_valid`), and so does an amount
+    too long to print."""
+    _require_valid(mechanism)
+    net = mechanism.network
     enc = encode_basestring_ascii
+    names: dict[AgentId, list[str]] = {agent: [] for agent in net.agents()}
+    for nom, agent in sorted(net.names.items()):  # so each agent's are sorted
+        names[agent].append(enc(nom))
     sellers = [
-        _SELLER % (
-            enc(s["id"]),
-            _items([*map(enc, s["names"])], "\n      ", "[]"),
-            _LEAF[type(s["budget"])](s["budget"]),
-        )
-        for s in doc["sellers"]
+        _SELLER % (enc(s.id), _items(names[s], _FIELD, "[]"),
+                   _amount(net.budget[s], "budget", s.id))
+        for s in net.sellers
     ]
     buyers = [
         _BUYER % (
-            enc(b["id"]),
-            _items([*map(enc, b["names"])], "\n      ", "[]"),
-            _LEAF[type(b["budget"])](b["budget"]),
-            _LEAF[type(b["valuation"])](b["valuation"]),
+            enc(b.id),
+            _items(names[b], _FIELD, "[]"),
+            _amount(net.budget[b], "budget", b.id),
+            _amount(net.valuation[b], "valuation", b.id),
             _items(
-                [enc(sid) + ": " + _LEAF[type(v)](v) for sid, v in b["incentives"].items()],
-                "\n      ",
+                [  # each amount read once; absent or zero is left out
+                    enc(s.id) + ": " + _amount(amount, "incentive", (b.id, s.id))
+                    for s in net.sellers
+                    if (amount := net.incentive.get((b, s)))
+                ],
+                _FIELD,
                 "{}",
             ),
         )
-        for b in doc["buyers"]
+        for b in net.buyers
     ]
-    edges = [_EDGE % (enc(a), enc(b)) for a, b in doc["edges"]]
+    # friendship is symmetric: each edge once, from its lesser id
+    edges = sorted(
+        (a.id, b.id) for a, nbrs in net.friends.items() for b in nbrs if a.id <= b.id
+    )
     return _DOCUMENT % (
         _items(sellers, "\n  ", "[]"),
         _items(buyers, "\n  ", "[]"),
-        _items(edges, "\n  ", "[]"),
-        enc(doc["rule"]),
+        _items([_EDGE % (enc(a), enc(b)) for a, b in edges], "\n  ", "[]"),
+        enc(mechanism.rule),
     )
 
 
+def mechanism_to_dict(mechanism: Mechanism) -> dict:
+    """The schema dictionary of a mechanism: the file `save_mechanism` would
+    write, parsed. It refuses what saving refuses, with the same
+    MechanismError, so what it returns is a file that loads."""
+    return json.loads(_render(mechanism))
+
+
 def save_mechanism(mechanism: Mechanism, path: str | Path) -> None:
-    """Write the file `json.dumps(mechanism_to_dict(mechanism), indent=2)`
-    plus a newline, byte for byte. An invalid mechanism raises
-    MechanismError, as `load_mechanism` would refuse the file, and writes
-    nothing."""
-    text = _render(mechanism_to_dict(mechanism)) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    """Write the mechanism's file: the schema laid out as
+    `json.dumps(mechanism_to_dict(mechanism), indent=2)` lays it out, plus a
+    newline, rendered once from the network. An invalid mechanism raises
+    MechanismError, as `load_mechanism` would refuse the file, and so does
+    an amount with more digits than Python prints, which no file can carry;
+    either way nothing is written."""
+    Path(path).write_text(_render(mechanism) + "\n", encoding="utf-8")

@@ -20,7 +20,10 @@ the count the strategy search's reduced product is held to.
 `reference_mechanism_from_dict` is the loader as it stood before it became
 one pass: it builds the network, then walks it again with
 `validate_mechanism`; the one-pass loader is held to its answers and
-refusal texts."""
+refusal texts. `reference_mechanism_to_dict` is the schema dictionary as it
+stood before saving rendered the file straight from the network: the dict
+`mechanism_to_dict` returns and `json.dumps(..., indent=2)` of which every
+saved file is held to."""
 
 from __future__ import annotations
 
@@ -55,6 +58,7 @@ from damcheck.model import (
     JointAction,
     MarketNetwork,
     Mechanism,
+    _require_valid,
     buyer,
     joint_action,
     resolve_name,
@@ -632,3 +636,50 @@ def reference_mechanism_from_dict(doc: dict) -> Mechanism:
     if violations:
         raise MechanismError("invalid mechanism: " + "; ".join(violations))
     return mechanism
+
+
+def format_rational(value: int | Fraction) -> int | str:
+    """An exact amount, an `int` or a `Fraction`, as the schema writes it."""
+    num, den = value.as_integer_ratio()
+    return num if den == 1 else f"{num}/{den}"
+
+
+def reference_mechanism_to_dict(mechanism: Mechanism) -> dict:
+    """The schema dictionary of a mechanism. An invalid mechanism raises
+    MechanismError first, with the text `load_mechanism` gives it
+    (`model._require_valid`), so what this returns is a file that loads."""
+    _require_valid(mechanism)
+    net = mechanism.network
+    names_of: dict[AgentId, list[str]] = {agent: [] for agent in net.agents()}
+    for nom, agent in net.names.items():
+        names_of[agent].append(nom)
+    for noms in names_of.values():
+        noms.sort()
+    sellers = [
+        {"id": s.id, "names": names_of[s], "budget": format_rational(net.budget[s])}
+        for s in net.sellers
+    ]
+    buyers = [
+        {
+            "id": b.id,
+            "names": names_of[b],
+            "budget": format_rational(net.budget[b]),
+            "valuation": format_rational(net.valuation[b]),
+            "incentives": {  # each amount read once; absent or zero is left out
+                s.id: format_rational(amount)
+                for s in net.sellers
+                if (amount := net.incentive.get((b, s)))
+            },
+        }
+        for b in net.buyers
+    ]
+    # friendship is symmetric: each edge once, from its lesser id
+    edges = sorted(
+        [a.id, b.id] for a, nbrs in net.friends.items() for b in nbrs if a.id <= b.id
+    )
+    return {
+        "sellers": sellers,
+        "buyers": buyers,
+        "edges": edges,
+        "rule": mechanism.rule,
+    }

@@ -152,6 +152,43 @@ def test_sat_gadget_oracle_equivalence_small_random():
         assert strategy_exists(StrategyQuery(mech, goal)).found == sat_oracle(instance)
 
 
+_EMPTY_SAT = "a 3-CNF with no variable and no clause has a gadget with no buyer"
+_EMPTY_QBF = "a QBF with no quantified variable has a gadget with no buyer"
+
+
+def test_gadgets_refuse_an_instance_that_would_have_no_buyer():
+    # the gadgets' buyers stand for variables and clauses: with neither,
+    # the instance is refused as such, not as a mechanism nobody wrote
+    for instance in (CnfInstance(0, ()), read_dimacs("p cnf 0 0\n")):
+        with pytest.raises(MechanismError) as err:
+            gen_sat_gadget(instance)
+        assert str(err.value) == _EMPTY_SAT
+    for instance in (QbfInstance((), PConst(True)), QbfInstance((), PConst(False)),
+                     read_qdimacs("p cnf 0 0\n"), read_qdimacs("p cnf 2 0\n")):
+        with pytest.raises(MechanismError) as err:
+            gen_qbf_gadget(instance)
+        assert str(err.value) == _EMPTY_QBF
+
+
+@pytest.mark.parametrize(
+    "kind, flag, text_flag, message",
+    [("sat", "--dimacs", "--out-goal", _EMPTY_SAT),
+     ("qbf", "--qdimacs", "--out-formula", _EMPTY_QBF)],
+    ids=["sat", "qbf"],
+)
+def test_gen_on_an_empty_instance_exits_two_and_writes_nothing(
+    kind, flag, text_flag, message, tmp_path, capsys
+):
+    source, model, text = (tmp_path / name for name in ("empty.cnf", "m.json", "f.txt"))
+    source.write_text("p cnf 0 0\n", encoding="utf-8")
+    argv = ["gen", kind, flag, str(source), "--out-model", str(model), text_flag, str(text)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not model.exists() and not text.exists()
+
+
 # --- the QBF gadget ---------------------------------------------------------------------
 
 

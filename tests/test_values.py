@@ -41,7 +41,11 @@ from damcheck.mechjson import mechanism_from_dict, mechanism_to_dict
 from damcheck.model import RESERVED_WORDS, buyer, seller
 
 from helpers import random_mechanism, random_rational_market, referral_chain
-from reference import reference_mechanism_from_dict, reference_validate
+from reference import (
+    reference_mechanism_from_dict,
+    reference_mechanism_to_dict,
+    reference_validate,
+)
 
 
 def test_agent_id_is_a_type_strict_named_tuple():
@@ -405,12 +409,28 @@ def test_saved_file_is_the_indented_dict_and_reloads_equal(tmp_path):
         expected = json.dumps(mechanism_to_dict(mech), indent=2) + "\n"
         assert path.read_bytes() == expected.encode("utf-8")
         assert load_mechanism(path) == mech
+        _saved_as_the_reference_dict(mech, path)
+
+
+def _saved_as_the_reference_dict(mech: Mechanism, path: Path) -> None:
+    """`mechanism_to_dict` equals the dict that `reference_mechanism_to_dict`
+    builds from the network, with the same value types and order (repr tells
+    1 from 1.0 and True, and a list from a tuple), and the file saved at
+    `path` is that dict's indent=2 rendering. The layout assertions alone
+    would pass a writer that drops or reorders a field, since
+    `mechanism_to_dict` parses the saved text."""
+    want = reference_mechanism_to_dict(mech)
+    got = mechanism_to_dict(mech)
+    assert got == want
+    assert repr(got) == repr(want)
+    assert path.read_bytes() == (json.dumps(want, indent=2) + "\n").encode("utf-8")
 
 
 def _saves_as_json_dumps(mech: Mechanism, path: Path) -> None:
     save_mechanism(mech, path)
     expected = json.dumps(mechanism_to_dict(mech), indent=2) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
+    _saved_as_the_reference_dict(mech, path)
 
 
 # st.text draws quotes, backslashes, control, non-ASCII and astral characters
@@ -531,6 +551,29 @@ def test_save_refuses_money_that_is_not_an_int_or_a_fraction(tmp_path, budget):
         replace(net, incentive={**net.incentive, (delta, sigma): budget}),
     ):
         _save_refused(Mechanism(bad), path)
+
+
+def test_save_refuses_an_amount_too_long_to_print(tmp_path):
+    # a valid network whose amount has more digits than Python prints: no
+    # file can carry it, since loading refuses it, so saving and
+    # mechanism_to_dict refuse it, say where it is, and write nothing
+    net = referral_chain().network
+    sigma, alpha, delta = net.names["sigma"], net.names["alpha"], net.names["delta"]
+    huge = Fraction(10**5000)
+    path = tmp_path / "m.json"
+    for bad, where in (
+        (replace(net, budget={**net.budget, sigma: huge}), "budget of 's'"),
+        (replace(net, valuation={**net.valuation, alpha: 1 / huge}), "valuation of 'a'"),
+        (replace(net, incentive={**net.incentive, (delta, sigma): huge}),
+         "incentive of ('d', 's')"),
+    ):
+        mech = Mechanism(bad)
+        assert validate_mechanism(mech) == []
+        for attempt in (lambda: save_mechanism(mech, path), lambda: mechanism_to_dict(mech)):
+            with pytest.raises(MechanismError) as err:
+                attempt()
+            assert str(err.value) == f"{where} has too many digits to print"
+            assert not path.exists()
 
 
 def test_save_refuses_an_unnamed_agent_as_load_does(tmp_path):
