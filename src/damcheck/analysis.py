@@ -245,6 +245,27 @@ def strategy_exists(
     action, so the witness is one shortest witness, and a search that stops
     early counts in `states_explored` the states found up to then.
 
+    Choices that commute reach one state in several orders, so the search
+    skips actions whose successors it has already made (sleep sets with a
+    table of states: Godefroid, LNCS 1032, 1996). Take a state X whose
+    recorded step a from its parent P moved one seller alone, m to t. At
+    X, the action b in which m alone moves, to u, is skipped when u < t and
+    u was m's friend at P (`_asleep`).
+    * b was an option at P and came before a there. The step changed no
+      buyer-buyer bit, and m's row only gained bits, so b moved something
+      at P too; m's budget at X is hers at P less t's price, so she could
+      pay for u and then for t. Each option list is ascending and ends
+      with SKIP, so in P's product order b comes before a, and P+b was in
+      the table before X.
+    * b and a commute. A seller who moves alone wins her target, gains its
+      buyer-friends (her row, and her bit in theirs) and pays from her own
+      budget, in either order. So X+b = P+b+a: P+b itself, if a moves
+      nothing there, or a successor of P+b, which is expanded before X.
+    By induction on the order of expansion, every skipped successor is
+    already among the states the search made. So the frontiers and their
+    order, the witness and `states_explored` are those of the search over
+    every cooperative action.
+
     The goal's top-level conjuncts are compiled in their written order and
     asked fail-first: a conjunct that fails at a state is asked first at
     the next one (Haralick & Elliott 1980). Each state's answer is the
@@ -286,6 +307,14 @@ def strategy_exists(
         engine.forget(state)
         return got == sellers
 
+    # solo[s][u]: the action in which seller s alone moves, to u; mover
+    # maps each such action back to (s, u)
+    skips = (-1,) * len(arena.seller_ids)
+    solo = [
+        [(*skips[:s], u, *skips[s + 1 :]) for u in range(len(arena.agents))]
+        for s in arena.seller_ids
+    ]
+    mover = {action: (s, u) for s, row in enumerate(solo) for u, action in enumerate(row)}
     parents = {engine.root: None}
     hit = engine.root if satisfied(engine.root) else None
     frontier = [engine.root]
@@ -297,7 +326,12 @@ def strategy_exists(
                 arena.cooperative_options(state.adj, state.budgets, s)
                 for s in arena.seller_ids
             ]
+            link = parents[state]
+            moved = link and mover.get(link[1])
+            asleep = _asleep(link[0], moved, options, solo) if moved else ()
             for action in itertools.product(*options):
+                if action in asleep:
+                    continue
                 successor = cached_update(engine, state, action)
                 if successor in parents:
                     continue
@@ -319,6 +353,17 @@ def strategy_exists(
         steps.append(arena.action_to_joint(action))
     steps.reverse()
     return StrategyResult(True, tuple(steps))
+
+
+def _asleep(parent, moved, options, solo):
+    """The single-mover actions at a state whose successors the search has
+    already made (see `strategy_exists`), given its parent, the (seller m,
+    target t) that the step from the parent moved alone, and its options:
+    m's moves alone to a target below t that was her friend at the
+    parent."""
+    m, t = moved
+    low = parent.adj[m] & ((1 << t) - 1)  # her friends at the parent, below t
+    return {solo[m][u] for u in options[m][:-1] if low >> u & 1}
 
 
 def _conjuncts(goal: Formula) -> list[Formula]:

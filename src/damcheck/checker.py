@@ -57,12 +57,19 @@ here, and the strategy search and the equilibrium test in `analysis`.
   `[] !n` (so `<>n`) is the asked agents less n's row, with no call and
   no memo, and `[] !(n & g)` (so `<>(n & g)` and `[](n -> g)`) asks g
   once, at n, and only if an asked agent is n's friend, then fails at the
-  asked agents in n's row if g holds. Neither builds the set of friends,
-  and each asks g at exactly the agents where the general box would ask
-  the nominal conjunction, so it builds the same states. Each state
-  memoises by serial, as a pair (agents decided, agents where it holds),
-  the modal nodes but `[] !n` and the conjunctions the formula shares as
-  objects, so a later call computes only the agents not yet decided.
+  asked agents in n's row if g holds. The second also takes a box over a
+  conjunction of such negations, `[](!(n1 & g1) & !(n2 & g2) & ...)` (so
+  `<>(n1 & g1 | n2 & g2 | ...)`, the clause of each SAT gadget), as
+  `[]!(n1 & g1) & []!(n2 & g2) & ...`: left to right, each box asked only
+  at the agents where the ones before it hold. Neither kernel builds the
+  set of friends. Each g is asked at most where the general box would
+  ask its nominal conjunction, and exactly there when it is the only one,
+  so the kernels build no state the general box would not. With several,
+  a later g that has a diffusion can build fewer: it is not asked for
+  agents that have already failed. Each state memoises by serial, as a
+  pair (agents decided, agents where it holds), the modal nodes but
+  `[] !n` and the conjunctions the formula shares as objects, so a later
+  call computes only the agents not yet decided.
   Nested boxes then cost time linear in their depth, and a formula whose
   subformulas are shared objects, such as a `<->` chain, is evaluated once
   per state and node, in time linear in its distinct nodes. Nothing
@@ -239,36 +246,62 @@ def _unfriends(keys, key):
     return None
 
 
+def _guards(keys, serial):
+    """The (n, serial of g) of each leaf of the conjunction tree at serial,
+    left to right and each distinct node once, if every leaf is
+    `!(n & g)`; else None. A single leaf is a tree of one."""
+    out = []
+    seen = set()
+    todo = [serial]
+    while todo:
+        serial = todo.pop()
+        if serial in seen:
+            continue
+        seen.add(serial)
+        key = keys[serial]
+        if key[0] is _and:
+            todo += (key[2], key[1])
+            continue
+        inner = keys[key[1]] if key[0] is _not else None
+        if inner is None or inner[0] is not _and or keys[inner[1]][0] is not _nom:
+            return None
+        out.append((keys[inner[1]][1], inner[2]))
+    return out
+
+
 def _box(engine, child):
     # friendship is symmetric (`_require_valid`, kept by `_Arena.apply`), so
     # the agents that have n as a friend are those of adj[n]
     keys = engine.keys
     key = keys[child]
+    if key[0] is _not and keys[key[1]][0] is _nom:
+        n = keys[key[1]][1]
+
+        def unfriended(state, need):
+            # `[] !n` fails exactly at n's friends
+            return need & ~state.adj[n]
+
+        return unfriended
+    guards = _guards(keys, child)
+    if guards is not None:
+        guards = [(n, 1 << n, engine.made[g]) for n, g in guards]
+
+        def guarded(state, need):
+            # `[] !(n & g)` fails at n's friends if g holds at n: g is asked
+            # at n alone, and only if an asked agent is n's friend. A box
+            # over `!(n1 & g1) & !(n2 & g2) & ...` is the conjunction of
+            # those boxes, each asked where the ones before it hold
+            adj = state.adj
+            for n, bit, g in guards:
+                hit = need & adj[n]
+                if hit and g(state, bit):
+                    need ^= hit
+            return need
+
+        return guarded
     if key[0] is not _not:
         child, flip = engine.made[child], -1
     else:
-        inner = keys[key[1]]  # `[] !inner`
-        if inner[0] is _nom:
-            n = inner[1]
-
-            def unfriended(state, need):
-                # `[] !n` fails exactly at n's friends
-                return need & ~state.adj[n]
-
-            return unfriended
-        if inner[0] is _and and keys[inner[1]][0] is _nom:
-            n, g = keys[inner[1]][1], engine.made[inner[2]]
-            bit = 1 << n
-
-            def guarded(state, need):
-                # `[] !(n & g)` fails at n's friends if g holds at n: g is
-                # asked at n alone, and only if an asked agent is n's friend
-                hit = need & state.adj[n]
-                if hit and g(state, bit):
-                    return need ^ hit
-                return need
-
-            return guarded
         # `[] !g` fails where g holds: ask g itself, and keep its answer
         child, flip = engine.made[key[1]], 0
 

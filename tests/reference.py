@@ -17,6 +17,10 @@ pass: placements first, then payments and utilities rebuilt per agent by
 arithmetic on the placement bits. `reference_reachable` counts the states
 within k rounds by a breadth-first walk over every feasible joint action,
 the count the strategy search's reduced product is held to.
+`reference_strategy_search` is the strategy search as it stood before it
+skipped the successors that commuting choices had already reached: the
+plain breadth-first search over every cooperative joint action, whose
+frontiers, witness and `states_explored` the search is held to.
 `reference_mechanism_from_dict` is the loader as it stood before it became
 one pass: it builds the network, then walks it again with
 `validate_mechanism`; the one-pass loader is held to its answers and
@@ -433,6 +437,85 @@ def reference_reachable(mechanism: Mechanism, rounds: int) -> list[int]:
         counts.append(len(seen))
         frontier = upcoming
     return counts
+
+
+def reference_strategy_search(query, stats=None):
+    """`strategy_exists` as a plain breadth-first search over every
+    cooperative joint action, with no action skipped, and the states it
+    made: (its StrategyResult, the frontiers). frontiers[d] lists, as
+    (rows, budgets) in the order the search made them, the states first
+    reached at depth d, the state that satisfies the goal included. It runs
+    on the checker's engine, so it counts `states_explored` as the search
+    does."""
+    from damcheck.analysis import StrategyResult, _conjuncts
+    from damcheck.checker import _diff, _Engine, cached_update
+
+    mech = query.mechanism
+    net = mech.network
+    depth_cap = (
+        query.max_depth
+        if query.max_depth is not None
+        else len(net.sellers) * len(net.buyers)
+    )
+    if depth_cap < 0:
+        raise DamError(f"max_depth must be at least 0, got {depth_cap}")
+    engine = _Engine(mech)
+    arena = engine.arena
+    tests = [engine.compile(c, coalition_free=True) for c in _conjuncts(query.goal)]
+    fail_first = _diff not in {key[0] for key in engine.keys}
+
+    sellers = (1 << len(arena.seller_ids)) - 1
+
+    def satisfied(state) -> bool:
+        got = sellers
+        for i, test in enumerate(tests):
+            got = test(state, got)
+            if got != sellers:
+                if fail_first:
+                    tests.insert(0, tests.pop(i))
+                    break
+                if not got:
+                    break
+        engine.forget(state)
+        return got == sellers
+
+    parents = {engine.root: None}
+    frontiers = [[(engine.root.adj, engine.root.budgets)]]
+    hit = engine.root if satisfied(engine.root) else None
+    frontier = [engine.root]
+    depth = 0
+    while frontier and depth < depth_cap and hit is None:
+        upcoming = []
+        made = []
+        for state in frontier:
+            options = [
+                arena.cooperative_options(state.adj, state.budgets, s)
+                for s in arena.seller_ids
+            ]
+            for action in itertools.product(*options):
+                successor = cached_update(engine, state, action)
+                if successor in parents:
+                    continue
+                parents[successor] = (state, action)
+                made.append((successor.adj, successor.budgets))
+                if satisfied(successor):
+                    hit = successor
+                    break
+                upcoming.append(successor)
+            if hit is not None:
+                break
+        frontiers.append(made)
+        frontier = upcoming
+        depth += 1
+    engine.report(stats)
+    if hit is None:
+        return StrategyResult(False, None), frontiers
+    steps = []
+    while parents[hit] is not None:
+        hit, action = parents[hit]
+        steps.append(arena.action_to_joint(action))
+    steps.reverse()
+    return StrategyResult(True, tuple(steps)), frontiers
 
 
 def reference_validate(mechanism: Mechanism) -> list[str]:

@@ -74,6 +74,7 @@ from reference import (
     reference_ne,
     reference_precondition,
     reference_reachable,
+    reference_strategy_search,
 )
 
 
@@ -1185,6 +1186,111 @@ def test_coalition_search_keeps_choices_that_only_block(monkeypatch):
     # without s1's inert choice the coalition box would be false
     monkeypatch.setattr(_Arena, "options", _Arena.cooperative_options)
     assert not check_strategic(CheckQuery(mech, s2, blocked))
+
+
+# --- successors that commuting choices already made are skipped -------------------
+
+
+def test_strategy_search_makes_the_plain_search_frontiers(monkeypatch):
+    # the search skips single-mover actions whose successors it has already
+    # made; every state it makes, in order (each is asked the goal once,
+    # then forgotten), is one the plain search makes at the same point
+    from damcheck import analysis
+    from damcheck.checker import _Engine
+
+    forget, asleep = _Engine.forget, analysis._asleep
+    made = []
+
+    def recording(self, state):
+        made.append((state.adj, state.budgets))
+        forget(self, state)
+
+    slept = []
+
+    def counting(parent, moved, options, solo):
+        out = asleep(parent, moved, options, solo)
+        slept.extend(out)
+        return out
+
+    monkeypatch.setattr(_Engine, "forget", recording)
+    monkeypatch.setattr(analysis, "_asleep", counting)
+    rng = random.Random(3101)
+    kinds = {"no diffusion": 0, "diffusion": 0}
+    found = 0
+    for _ in range(400):
+        mech = random_rational_market(rng, n_sellers=rng.randint(1, 3), n_buyers=rng.randint(2, 4))
+        buyer_noms = sorted(n for n, a in mech.network.names.items() if a.kind == "buyer")
+        goal = FALSE
+        if rng.random() < 0.7:
+            goal = desugar(
+                Or(
+                    Diamond(Nominal(rng.choice(buyer_noms))),
+                    random_formula(rng, mech, depth=2, coalition=False),
+                )
+            )
+        kinds["diffusion" if _has_diffusion(goal) else "no diffusion"] += 1
+        query = StrategyQuery(mech, goal, max_depth=rng.choice([None, 1, 2, 3, 4]))
+        want_stats, stats = CheckStats(), CheckStats()
+        want, frontiers = reference_strategy_search(query, want_stats)
+        made.clear()
+        got = strategy_exists(query, stats)
+        assert made == [state for frontier in frontiers for state in frontier]
+        assert got == want
+        assert stats.states_explored == want_stats.states_explored
+        found += got.found
+    assert min(kinds.values()) > 100 and 100 < found < 300
+    assert len(slept) > 150
+
+
+def test_sat_gadget_searches_apply_at_most_half_the_plain_search(monkeypatch):
+    # 31 SAT gadgets of the shapes the benchmark draws: every shape up to 3
+    # variables and 5 clauses, the cheap ones twice, a few wider ones, and
+    # unsatisfiable cores over 2 and 3 variables. The search computes at most
+    # half the successors the plain search computes, with the same answers
+    # and states. Counted, not timed
+    from damcheck import Mechanism
+    from damcheck.model import _Arena
+
+    rng = random.Random(3131)
+    shapes = [(v, c) for v in (1, 2, 3) for c in range(1, 6)]
+    shapes += [(v, c) for v in (1, 2, 3) for c in range(1, 4)]
+    shapes += [(4, 1), (4, 2), (4, 3), (5, 1), (5, 2)]
+    instances = [
+        CnfInstance(
+            nv,
+            tuple(
+                tuple(rng.choice([-1, 1]) * rng.randint(1, nv) for _ in range(3))
+                for _ in range(nc)
+            ),
+        )
+        for nv, nc in shapes
+    ]
+    instances += [
+        CnfInstance(2, ((1, 2, 1), (1, -2, -2), (-1, 2, 2), (-1, -2, -1))),
+        CnfInstance(3, ((1, 2, 2), (-1, -3, 3), (1, -2, 1), (-1, 3, -1))),
+    ]
+    update = _Arena.apply
+    applied = []
+
+    def counting(self, adj, budgets, action):
+        applied.append(action)
+        return update(self, adj, budgets, action)
+
+    monkeypatch.setattr(_Arena, "apply", counting)
+    plain = searched = 0
+    for instance in instances:
+        mech, goal = gen_sat_gadget(instance)
+        want_stats, stats = CheckStats(), CheckStats()
+        applied.clear()
+        want, _ = reference_strategy_search(StrategyQuery(mech, goal), want_stats)
+        plain += len(applied)
+        applied.clear()
+        got = strategy_exists(StrategyQuery(Mechanism(mech.network, mech.rule), goal), stats)
+        searched += len(applied)
+        assert got == want and got.found == sat_oracle(instance)
+        assert stats.states_explored == want_stats.states_explored
+    assert len(instances) == 31 and plain > 10_000
+    assert searched <= plain // 2
 
 
 # --- the goal's conjuncts are asked fail-first --------------------------------------

@@ -619,6 +619,81 @@ def test_nominal_guarded_boxes_match_reference_and_build_the_same_states():
     assert built == _NOMINAL_BOX_STATES
 
 
+def _guarded_conjuncts(rng, mech):
+    """`[](!(n1 & g1) & ... & !(nk & gk))`, k from 1 to 4, and its twin
+    `[]((...) & true)`, which the general box answers; either may be
+    negated, the diamond `<>(n1 & g1 | ...)`. Each leaf may be written
+    `n -> g'` instead, each n names any agent, and each g is `wins(@self)`,
+    `ut[@self] >= c`, a random formula, or a diffusion of one."""
+    net = mech.network
+    sellers = sorted(net.canonical_name(s) for s in net.sellers)
+    buyers = sorted(net.canonical_name(b) for b in net.buyers)
+
+    def guard():
+        roll = rng.random()
+        if roll < 0.15:
+            return Heart(SELF)
+        if roll < 0.3:
+            bound = Fraction(rng.randint(0, 4), 2)
+            return Compare(">=", ((Fraction(1), UtilityTerm(SELF)),), bound)
+        if roll < 0.55:
+            return random_formula(rng, mech, depth=1)
+        bindings = tuple(
+            (s, rng.choice([*buyers, SKIP])) for s in sellers if rng.random() < 0.7
+        )
+        bindings = bindings or ((sellers[0], rng.choice(buyers)),)
+        diffusion = Diffuse if rng.random() < 0.5 else DiffuseDiamond
+        return diffusion(bindings, guard())
+
+    leaves = []
+    for _ in range(rng.randint(1, 4)):
+        n = Nominal(net.canonical_name(rng.choice(sorted(net.agents()))))
+        g = guard()
+        leaves.append(Implies(n, g) if rng.random() < 0.3 else Not(And(n, g)))
+    if rng.random() < 0.5:
+        child = big_and(leaves)
+    else:
+        child = leaves[0]
+        for leaf in leaves[1:]:
+            child = And(child, leaf)
+    form, twin = Box(child), Box(And(child, TRUE))
+    if rng.random() < 0.5:
+        form, twin = Not(form), Not(twin)
+    return form, twin
+
+
+def test_boxes_over_guarded_conjuncts_match_reference_and_build_no_more_states():
+    # `[](!(n1 & g1) & !(n2 & g2))` is `[]!(n1 & g1) & []!(n2 & g2)`: each g
+    # is asked at its n alone, and only where an asked agent is still open
+    from damcheck.checker import _Engine
+
+    rng = random.Random(3131)
+    diffusive = fewer = 0
+    for _ in range(60):
+        mech = random_rational_market(rng, rng.randint(1, 3), rng.randint(2, 4))
+        net = mech.network
+        for _ in range(5):
+            form, twin = _guarded_conjuncts(rng, mech)
+            diffusive += "Diffuse" in repr(form)
+            engine = _Engine(mech)
+            want = built = twin_built = 0
+            for agent in net.agents():
+                stats, twin_stats = CheckStats(), CheckStats()
+                holds = check(CheckQuery(mech, agent, form), stats)
+                assert holds == reference_check(mech, agent, form)
+                assert holds == check(CheckQuery(mech, agent, twin), twin_stats)
+                built += stats.states_explored
+                twin_built += twin_stats.states_explored
+                want |= holds << engine.arena.index[agent]
+            assert built <= twin_built
+            fewer += built < twin_built
+            compiled = engine.compile(form)
+            everyone = (1 << engine.width) - 1
+            for need in [rng.randrange(everyone + 1) for _ in range(4)] + [everyone]:
+                assert compiled(engine.root, need) == want & need
+    assert diffusive > 100 and fewer > 10
+
+
 def test_a_box_over_a_negated_nominal_keeps_no_memo():
     # `[] !n` is one mask operation, cheaper than a memo lookup
     from damcheck.checker import _Engine
