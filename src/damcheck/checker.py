@@ -37,39 +37,45 @@ here, and the strategy search and the equilibrium test in `analysis`.
   engine, so every formula compiled on one engine shares one numbering,
   and the states' memos, keyed by serial, serve them all. `!!f` is
   compiled as f, so a chain of diamonds `<><>x` runs as `!B B !x`, with
-  one negation at each end. Each distinct node gets one closure
-  `fn(state, need)`, bound to the engine and made after the walk, children
-  first; a closure calls its children's closures directly, so there is no
-  dispatch on the operator at evaluation time (Feeley & Lapalme, "Using
-  closures for code generation", 1987).
+  one negation at each end. The walk also picks each friendship box's
+  kernel from its child's key and records it in the box's key (see
+  below). Each distinct node gets one closure `fn(state, need)`, bound to
+  the engine and made after the walk, children first, from the node's
+  operands alone; a closure calls its children's closures directly, so
+  there is no dispatch on the operator, and no choice of kernel, at
+  evaluation time (Feeley & Lapalme, "Using closures for code
+  generation", 1987).
 * A closure answers its node at a whole set of agents at once: `need` and
   the result are bitmasks over agent numbers. A friendship box labels its
   child once, at the union of the asked agents' friends; a diffusion box
   builds its one successor once for all of them; a coalition box narrows
   the set as choices fail and asks each counter-choice only about the
   agents no earlier one answered; a conjunction asks its right operand
-  only where the left one holds. Kernels save work on the hot path. A box
-  whose child is a negation `[] !g` asks g itself and fails where g holds;
-  a conjunction whose left operand is a nominal masks the asked agents
-  with the nominal's bit. Two box kernels rest on friendship being
-  symmetric, which `model._require_valid` checks and `_Arena.apply`
-  keeps, so the agents that have n as a friend are those of n's row:
-  `[] !n` (so `<>n`) is the asked agents less n's row, with no call and
-  no memo, and `[] !(n & g)` (so `<>(n & g)` and `[](n -> g)`) asks g
-  once, at n, and only if an asked agent is n's friend, then fails at the
-  asked agents in n's row if g holds. The second also takes a box over a
-  conjunction of such negations, `[](!(n1 & g1) & !(n2 & g2) & ...)` (so
-  `<>(n1 & g1 | n2 & g2 | ...)`, the clause of each SAT gadget), as
+  only where the left one holds. The walk picks one of three kernels for
+  a friendship box. `_unfriended` takes `[] !n` (so `<>n`), and
+  `_guarded` a box over a conjunction tree whose every leaf is
+  `!(n & g)`; any other box is `_box`, which for `[] !g` asks g itself
+  and fails where g holds. `_unfriended` and `_guarded` read n's row in
+  place of the set of friends: friendship is symmetric, which
+  `model._require_valid` checks and `_Arena.apply` keeps, so the agents
+  that have n as a friend are those of n's row. `[] !n` is the asked
+  agents less n's row, with no call and no memo. `[] !(n & g)` (so
+  `<>(n & g)` and `[](n -> g)`) asks g once, at n, and only if an asked
+  agent is n's friend, then fails at the asked agents in n's row if g
+  holds. A box over several such leaves,
+  `[](!(n1 & g1) & !(n2 & g2) & ...)` (so `<>(n1 & g1 | n2 & g2 | ...)`,
+  the clause of each SAT gadget), runs as
   `[]!(n1 & g1) & []!(n2 & g2) & ...`: left to right, each box asked only
-  at the agents where the ones before it hold. Neither kernel builds the
-  set of friends. Each g is asked at most where the general box would
-  ask its nominal conjunction, and exactly there when it is the only one,
-  so the kernels build no state the general box would not. With several,
-  a later g that has a diffusion can build fewer: it is not asked for
-  agents that have already failed. Each state memoises by serial, as a
-  pair (agents decided, agents where it holds), the modal nodes but
-  `[] !n` and the conjunctions the formula shares as objects, so a later
-  call computes only the agents not yet decided.
+  at the agents where the ones before it hold. Its key lists the leaves'
+  (n, g) pairs, so two boxes whose trees have the same leaves in the same
+  order share one serial. Each g is asked at most where the general box
+  would ask its nominal conjunction, and exactly there when it is the
+  only one, so the kernels build no state the general box would not.
+  With several, a later g that has a diffusion can build fewer: it is not
+  asked for agents that have already failed. Each state memoises by
+  serial, as a pair (agents decided, agents where it holds), the modal
+  nodes but `[] !n` and the conjunctions the formula shares as objects,
+  so a later call computes only the agents not yet decided.
   Nested boxes then cost time linear in their depth, and a formula whose
   subformulas are shared objects, such as a `<->` chain, is evaluated once
   per state and node, in time linear in its distinct nodes. Nothing
@@ -136,8 +142,8 @@ def _shallow(entry):
 # Each maker returns the closure of one compiled node, `compute(state, need)`.
 # A closure calls its children's closures directly, one Python frame per
 # formula level, so a deep formula needs as many frames as it has levels.
-# Makers only compute: `compile` wraps the nodes that keep a per-state memo
-# in `_memo`.
+# Makers only compute, from their operands alone: `compile` picks each box's
+# kernel, and wraps the nodes that keep a per-state memo in `_memo`.
 
 _UNDECIDED = (0, 0)
 
@@ -177,18 +183,7 @@ def _not(engine, child):
 
 
 def _and(engine, left, right):
-    right = engine.made[right]
-    key = engine.keys[left]
-    if key[0] is _nom:
-        bit = 1 << key[1]
-
-        def nom_conj(state, need):
-            # a nominal on the left holds at its own agent only
-            got = need & bit
-            return right(state, got) if got else 0
-
-        return nom_conj
-    left = engine.made[left]
+    left, right = engine.made[left], engine.made[right]
 
     def conj(state, need):
         # the right operand only where the left one holds
@@ -237,15 +232,6 @@ def _lin(engine, terms, bound):
     return lin
 
 
-def _unfriends(keys, key):
-    """The agent n if key is that of `[] !n`, else None."""
-    if key[0] is _box:
-        child = keys[key[1]]
-        if child[0] is _not and keys[child[1]][0] is _nom:
-            return keys[child[1]][1]
-    return None
-
-
 def _guards(keys, serial):
     """The (n, serial of g) of each leaf of the conjunction tree at serial,
     left to right and each distinct node once, if every leaf is
@@ -266,44 +252,39 @@ def _guards(keys, serial):
         if inner is None or inner[0] is not _and or keys[inner[1]][0] is not _nom:
             return None
         out.append((keys[inner[1]][1], inner[2]))
-    return out
+    return tuple(out)
 
 
-def _box(engine, child):
-    # friendship is symmetric (`_require_valid`, kept by `_Arena.apply`), so
-    # the agents that have n as a friend are those of adj[n]
-    keys = engine.keys
-    key = keys[child]
-    if key[0] is _not and keys[key[1]][0] is _nom:
-        n = keys[key[1]][1]
+def _unfriended(engine, n):
+    def unfriended(state, need):
+        # `[] !n` fails exactly at n's friends
+        return need & ~state.adj[n]
 
-        def unfriended(state, need):
-            # `[] !n` fails exactly at n's friends
-            return need & ~state.adj[n]
+    return unfriended
 
-        return unfriended
-    guards = _guards(keys, child)
-    if guards is not None:
-        guards = [(n, 1 << n, engine.made[g]) for n, g in guards]
 
-        def guarded(state, need):
-            # `[] !(n & g)` fails at n's friends if g holds at n: g is asked
-            # at n alone, and only if an asked agent is n's friend. A box
-            # over `!(n1 & g1) & !(n2 & g2) & ...` is the conjunction of
-            # those boxes, each asked where the ones before it hold
-            adj = state.adj
-            for n, bit, g in guards:
-                hit = need & adj[n]
-                if hit and g(state, bit):
-                    need ^= hit
-            return need
+def _guarded(engine, guards):
+    guards = [(n, 1 << n, engine.made[g]) for n, g in guards]
 
-        return guarded
-    if key[0] is not _not:
-        child, flip = engine.made[child], -1
-    else:
-        # `[] !g` fails where g holds: ask g itself, and keep its answer
-        child, flip = engine.made[key[1]], 0
+    def guarded(state, need):
+        # `[] !(n & g)` fails at n's friends if g holds at n: g is asked at
+        # n alone, and only if an asked agent is n's friend. A box over
+        # `!(n1 & g1) & !(n2 & g2) & ...` is the conjunction of those boxes,
+        # each asked where the ones before it hold
+        adj = state.adj
+        for n, bit, g in guards:
+            hit = need & adj[n]
+            if hit and g(state, bit):
+                need ^= hit
+        return need
+
+    return guarded
+
+
+def _box(engine, child, flip):
+    # flip is 0 for `[] !g`, compiled with g as its child: the box fails
+    # where g holds, so it asks g itself and keeps its answer
+    child = engine.made[child]
 
     def box(state, need):
         # the child once, at every friend of every agent asked about; the
@@ -372,7 +353,7 @@ def _coal(engine, members, child):
     return coal
 
 
-_MODAL = (_box, _diff, _coal)  # the makers whose nodes are memoised, but `[] !n`
+_MODAL = (_box, _guarded, _diff, _coal)  # the makers whose nodes are memoised
 
 
 class _State:
@@ -418,19 +399,24 @@ class _Engine:
         agent or stands where it may not.
 
         A node's key is (op, operand serials and data); the op is the
-        closure's maker. `!!f` gets f's serial: every closure answers within
-        `need`, so `!!f` and f answer alike. Only a conjunction met again is
-        looked up by identity: only a conjunction makes the walk branch, and
-        a lookup at every node would cost a formula that shares nothing
-        about 40% more time to compile.
+        closure's maker. A friendship box's op is the kernel the walk picks
+        from its child's key: `(_unfriended, n)` for `[] !n`,
+        `(_guarded, ((n, g), ...))` when `_guards` reads the child as
+        `!(n & g)` leaves, `(_box, g, 0)` for `[] !g`, and
+        `(_box, child, -1)` otherwise. `!!f` gets f's serial: every closure
+        answers within `need`, so `!!f` and f answer alike. Only a
+        conjunction met again is looked up by identity: only a conjunction
+        makes the walk branch, and a lookup at every node would cost a
+        formula that shares nothing about 40% more time to compile.
 
         The walk builds only keys. The closures of the new keys are then
         made in serial order, children first, as `op(engine, *operands)`,
-        where engine.made[serial] is the closure of each earlier key. Modal
-        nodes but `[] !n`, one mask operation that costs less than a memo
-        lookup, and the conjunctions the walk met again by identity, are
-        wrapped in `_memo`: only object sharing gives a formula more paths
-        than nodes, and memoising conjunctions that are merely equal by key
+        where engine.made[serial] is the closure of each earlier key. A node
+        is wrapped in `_memo` if its op is one of `_MODAL`, or if it is a
+        conjunction the walk met again by identity. `_unfriended` is not in
+        `_MODAL`: `[] !n` is one mask operation, which costs less than a
+        memo lookup. Only object sharing gives a formula more paths than
+        nodes, and memoising conjunctions that are merely equal by key
         costs the unshared SAT goals time."""
         arena = self.arena
         net, index = arena.net, arena.index
@@ -454,7 +440,16 @@ class _Engine:
             elif kind is Nominal:
                 key = (_nom, index[_agent(net, n.name)])
             elif kind is Box:
-                key = (_box, go(n.child))
+                child = go(n.child)
+                inner = keys[child]
+                if inner[0] is _not and keys[inner[1]][0] is _nom:
+                    key = (_unfriended, keys[inner[1]][1])
+                elif (guards := _guards(keys, child)) is not None:
+                    key = (_guarded, guards)
+                elif inner[0] is _not:
+                    key = (_box, inner[1], 0)
+                else:
+                    key = (_box, child, -1)
             elif kind is Heart:
                 key = (_heart, -1 if n.target is SELF else index[_agent(net, n.target)])
             elif kind is LinearGeq:
@@ -490,7 +485,7 @@ class _Engine:
         for serial in range(len(made), len(keys)):
             key = keys[serial]
             compute = key[0](self, *key[1:])
-            if serial in shared or key[0] in _MODAL and _unfriends(keys, key) is None:
+            if serial in shared or key[0] in _MODAL:
                 compute = _memo(serial, compute)
             made.append(compute)
         return made[top]

@@ -706,6 +706,113 @@ def test_a_box_over_a_negated_nominal_keeps_no_memo():
     assert engine.root.memo
 
 
+def _kernel_boundaries(rng, mech):
+    """Formulas just inside and just outside each friendship-box kernel,
+    and a nominal conjunction outside any box, each negated at random.
+    Every n and m names any agent; every g and h is a diffusion,
+    `wins(@self)` or `ut[@self] >= c`."""
+    net = mech.network
+    sellers = sorted(net.canonical_name(s) for s in net.sellers)
+    buyers = sorted(net.canonical_name(b) for b in net.buyers)
+    agents = sorted(net.agents())
+
+    def nom():
+        return Nominal(net.canonical_name(rng.choice(agents)))
+
+    def guard(depth=1):
+        roll = rng.random()
+        if roll < 0.3:
+            return Heart(SELF)
+        if roll < 0.6 or not depth:
+            bound = Fraction(rng.randint(0, 4), 2)
+            return Compare(">=", ((Fraction(1), UtilityTerm(SELF)),), bound)
+        bindings = tuple(
+            (s, rng.choice([*buyers, SKIP])) for s in sellers if rng.random() < 0.7
+        )
+        bindings = bindings or ((sellers[0], rng.choice(buyers)),)
+        diffusion = Diffuse if rng.random() < 0.5 else DiffuseDiamond
+        return diffusion(bindings, guard(depth - 1))
+
+    forms = [
+        And(nom(), guard()),  # no box: a nominal on the left of `&`
+        And(guard(), nom()),
+        Box(Not(And(nom(), guard()))),  # inside `[] !(n & g)`
+        Box(Not(And(guard(), nom()))),  # the nominal on the right
+        Box(And(Not(And(nom(), guard())), Not(And(nom(), guard())))),  # inside
+        Box(And(Not(And(nom(), guard())), guard())),  # h is not guarded
+        Box(And(Not(nom()), Not(And(nom(), guard())))),  # `!n` is no `!(n & g)`
+        Box(Not(Not(nom()))),  # `!!n` is n
+        Box(Box(Not(nom()))),  # a general box over `[] !n`
+        Box(Not(And(nom(), nom()))),  # g is a nominal
+    ]
+    return [Not(form) if rng.random() < 0.3 else form for form in forms]
+
+
+# the states each market's formulas built over every check, recorded before
+# the compile walk picked each box's kernel
+_KERNEL_BOUNDARY_STATES = [
+    30, 63, 30, 62, 30, 60, 60, 30, 70, 50, 66, 52, 33, 60, 50, 60, 66, 60, 70, 60, 51,
+    60, 50, 79, 30, 50, 50, 63, 55, 50, 41, 60, 59, 51, 40, 70, 70, 54, 60, 30, 60, 50,
+    57, 57, 50, 73, 44, 30, 60, 56,
+]
+
+
+def test_formulas_at_the_kernel_boundaries_match_reference_and_build_the_same_states():
+    from damcheck.checker import _Engine
+
+    rng = random.Random(3232)
+    built = []
+    diffusive = 0
+    for _ in range(50):
+        mech = random_rational_market(rng, rng.randint(1, 3), rng.randint(2, 4))
+        net = mech.network
+        states = 0
+        for form in _kernel_boundaries(rng, mech):
+            diffusive += "Diffuse" in repr(form)
+            engine = _Engine(mech)
+            want = 0
+            for agent in net.agents():
+                stats = CheckStats()
+                holds = check(CheckQuery(mech, agent, form), stats)
+                assert holds == reference_check(mech, agent, form)
+                states += stats.states_explored
+                want |= holds << engine.arena.index[agent]
+            compiled = engine.compile(form)
+            everyone = (1 << engine.width) - 1
+            for need in [rng.randrange(everyone + 1) for _ in range(4)] + [everyone]:
+                assert compiled(engine.root, need) == want & need
+        built.append(states)
+    assert diffusive > 100
+    assert built == _KERNEL_BOUNDARY_STATES
+
+
+@pytest.mark.parametrize(
+    "text, entry",
+    [
+        ("[] wins(@self)", -1),
+        ("[] !wins(@self)", -1),
+        ("[] !(beta & wins(@self))", -1),
+        ("[sigma:alpha] wins(@self)", -1),
+        ("[<sigma>] wins(@self)", -1),
+        # the parser shares the repeated group as one object
+        ("(wins(@self) & ut[@self] >= 1) & (wins(@self) & ut[@self] >= 1)", -2),
+        ("[] !beta", None),
+        ("wins(@self) & ut[@self] >= 1", None),
+    ],
+)
+def test_which_nodes_leave_a_memo_entry(text, entry):
+    # the modal nodes but `[] !n`, and the conjunctions a formula shares as
+    # objects, leave an entry under their serial at the state they are
+    # asked at; the top node of a formula is its last serial, the shared
+    # conjunction of `c & c` the one before it
+    from damcheck.checker import _Engine
+
+    engine = _Engine(referral_chain())
+    engine.compile(parse_formula(text))(engine.root, (1 << engine.width) - 1)
+    want = set() if entry is None else {len(engine.keys) + entry}
+    assert set(engine.root.memo) == want
+
+
 def test_too_deep_formula_is_a_dam_error():
     mech = referral_chain()
     form = TRUE
