@@ -4,9 +4,12 @@ coalition operators into the coalition-free fragment.
 The equilibrium test and the strategy search run on the checker's engine
 (`checker._Engine`): the same arena states, update rule (`model._Arena`),
 successor lookup and formula evaluator as `check`. `ne_formula` and
-`translate` only write formulas: they read the sellers and their choices
-off the plain network (`_choices`) and never evaluate. All four refuse an
-invalid mechanism first, through `model._require_valid`, as `check` does."""
+`translate` only write formulas, and never evaluate. `translate` first
+compiles its input on the engine, as `check_strategic` does, so the two
+refuse the same mechanisms and names; `ne_formula` alone reads only the
+plain network. Both read the sellers and their choices off the network
+(`_choices`). All four refuse an invalid mechanism first, through
+`model._require_valid`, as `check` does."""
 
 from __future__ import annotations
 
@@ -19,11 +22,9 @@ from . import auction
 from .checker import CheckStats, _diff, _Engine, _shallow, cached_update
 from .errors import ArityError, DamError, InfeasibleProfileError
 from .formula import (
-    SELF,
     TRUE,
     And,
     Box,
-    CoalitionBox,
     Compare,
     Diffuse,
     DiffuseDiamond,
@@ -43,8 +44,6 @@ from .model import (
     JointAction,
     MarketNetwork,
     Mechanism,
-    _action,
-    _agent,
     _coalition,
     _require_valid,
 )
@@ -405,34 +404,25 @@ def translate(mechanism: Mechanism, form: Formula) -> Formula:
     the input plus the unfoldings, though its printed text can still be
     exponentially longer than the input's.
 
-    An invalid mechanism is refused first, as `check_strategic` refuses it.
-    Names are resolved in the same walk, by the resolvers in `model` that
-    `check_strategic` compiles with, each node's before its operands', which
-    is the order `check_strategic` meets them: a name it refuses is refused
-    here with the same error. The resolvers read the plain network, and
-    each coalition box reads the sellers and their choices off it
-    (`_choices`) after resolving its members."""
-    _require_valid(mechanism)
+    It refuses what `check_strategic` refuses, with the same error, from the
+    same walk: the input is compiled first on the query engine, which
+    refuses an invalid mechanism, a name that names no agent or stands
+    where it may not, and anything but a formula node. The copying walk
+    then resolves no name; each coalition box reads its members and the
+    sellers' choices off the plain network (`_choices`)."""
+    _Engine(mechanism).compile(form)
     return _tr(mechanism.network, {}, form)
 
 
 def _tr(net: MarketNetwork, memo: dict[int, Formula], node):
-    """`node` translated, where `memo` maps id(input node) to its output."""
+    """`node` translated, where `memo` maps id(input node) to its output.
+    `translate` compiled the input first, so its names all resolve."""
     kind = type(node)
-    if kind is Nominal:
-        _agent(net, node.name)
-        return node
-    if kind is Heart or kind is LinearGeq:
-        subjects = [node.target] if kind is Heart else [t.subject for _, t in node.terms]
-        for subject in subjects:
-            if subject is not SELF:
-                _agent(net, subject)
+    if kind is Nominal or kind is Heart or kind is LinearGeq:
         return node
     out = memo.get(id(node))
     if out is not None:
         return out
-    if kind is Diffuse:
-        _action(net, node.bindings)
     if kind is Not or kind is Box or kind is Diffuse:
         child = _tr(net, memo, node.child)
         if child is node.child:
@@ -444,10 +434,8 @@ def _tr(net: MarketNetwork, memo: dict[int, Formula], node):
     elif kind is And:
         left, right = _tr(net, memo, node.left), _tr(net, memo, node.right)
         out = node if left is node.left and right is node.right else And(left, right)
-    elif kind is CoalitionBox:
+    else:  # the compile walk admits no other kind but a coalition box
         out = _expand_coalition(net, memo, node)
-    else:
-        raise TypeError(f"not a formula node: {node!r}")
     memo[id(node)] = out
     return out
 

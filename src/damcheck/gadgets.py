@@ -38,6 +38,7 @@ from .mechjson import mechanism_from_dict
 from .model import Mechanism
 
 _ORACLE_CAP = 20
+_GADGET_CAP = 100_000  # buyers; a generator refuses a larger gadget before building it
 
 # --- 3-SAT instances -----------------------------------------------------------
 
@@ -248,6 +249,14 @@ def _one_seller(buyers, edges, budget: int = 1, incentives=None) -> Mechanism:
     )
 
 
+def _require_small(buyers: int) -> None:
+    """MechanismError if a gadget of this many buyers is over `_GADGET_CAP`."""
+    if buyers > _GADGET_CAP:
+        raise MechanismError(
+            f"the gadget would have {buyers} buyers, more than the {_GADGET_CAP} allowed"
+        )
+
+
 # --- the 3-SAT gadget ------------------------------------------------------------
 
 
@@ -270,6 +279,7 @@ def gen_sat_gadget(instance: CnfInstance) -> tuple[Mechanism, Formula]:
         raise MechanismError(
             "a 3-CNF with no variable and no clause has a gadget with no buyer"
         )
+    _require_small(4 * len(instance.clauses) + 5 * instance.num_vars)
     buyers = []
     edges = []
     clause_parts = []
@@ -320,6 +330,7 @@ def gen_qbf_gadget(instance: QbfInstance) -> tuple[Mechanism, Formula]:
     n = len(instance.prefix)
     if not n:
         raise MechanismError("a QBF with no quantified variable has a gadget with no buyer")
+    _require_small(4 * n)
     buyers = []
     edges = []
     for i in range(1, n + 1):
@@ -358,6 +369,7 @@ def expressivity_pair(n: int) -> tuple[Mechanism, Mechanism, Formula]:
     formula that tells them apart: false on the first, true on the second."""
     if n < 1:
         raise MechanismError("need at least one spur buyer")
+    _require_small(2 * n + 2)
 
     def build(bridge_incentive: int) -> Mechanism:
         buyers = []
@@ -394,14 +406,18 @@ def _scan(text: str, fmt: str):
     (Q)DIMACS text. Requires one `p cnf` header of exactly four fields,
     before any prefix or clause line, whose clause count is the number of
     clauses; `a`/`e` lines must precede the first clause; clauses end at 0,
-    may span lines, and must not be empty."""
+    may span lines, and must not be empty. A line starting with `%` ends the
+    input, as in SATLIB's benchmark files, whose `%` line is followed by a
+    `0` line."""
     num_vars = num_clauses = None
     blocks: list[tuple[str, list[int]]] = []
     clauses: list[list[int]] = []
     literals: list[int] = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line or line[0] in "c%":
+        if line[:1] == "%":
+            break
+        if not line or line[0] == "c":
             continue
         if line[0] == "p":
             parts = line.split()

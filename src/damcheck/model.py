@@ -7,15 +7,17 @@ and `action_precondition` and `apply_joint_action` are views over it for
 callers that hold `Mechanism` values. The tests hold it to the value-level
 update in `tests/reference.py`.
 
-`_require_valid` is the one validity gate: the arena, saving, `translate`
-and `ne_formula` pass through it first, so each refuses exactly what the
-loader refuses, with `validate_mechanism`'s text, and what passes it
-needs no check of its own.
+`_require_valid` is the one validity gate: the arena (and so every query
+and `translate`), saving and `ne_formula` pass through it first, so each
+refuses exactly what the loader refuses, with `validate_mechanism`'s text,
+and what passes it needs no check of its own.
 
 Names are resolved here too, once for every caller: `_agent`, `_action`
 and `_coalition` say which agent a nominal names, and whether it may stand
-where it does, on the plain network. The checker maps their answers to
-arena numbers, and `translate` calls them on the plain network."""
+where it does, on the plain network. Only the checker's compile walk
+calls them on a formula, and maps their answers to arena numbers;
+`translate` refuses names through that walk, and reads only the members
+of each coalition it unfolds with `_coalition`."""
 
 from __future__ import annotations
 

@@ -686,6 +686,23 @@ def test_translate_refuses_what_check_strategic_refuses():
     }
 
 
+def test_translate_and_check_refuse_a_non_formula_alike():
+    # a string standing for a formula, at the top or under a conjunction
+    mech = referral_chain()
+    at = mech.network.sellers[0]
+    for form in ("beta", And(Nominal("alpha"), "beta")):
+        texts = []
+        for run in (
+            lambda: translate(mech, form),
+            lambda: check(CheckQuery(mech, at, form)),
+            lambda: check_strategic(CheckQuery(mech, at, form)),
+        ):
+            with pytest.raises(TypeError) as err:
+                run()
+            texts.append(str(err.value))
+        assert texts == ["not a formula node: 'beta'"] * 3
+
+
 _SHARED_BOX = "(<[sigma]> wins(gamma))"
 
 

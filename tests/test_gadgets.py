@@ -39,6 +39,8 @@ from damcheck.gadgets import (
 )
 from damcheck.model import action_precondition, apply_joint_action, joint_action
 
+from helpers import time_limit
+
 WORKED_CNF = CnfInstance(num_vars=4, clauses=((1, 2, 3), (-1, 3, -4)))
 
 
@@ -74,6 +76,12 @@ def test_qbf_oracle_basics():
     assert not qbf_oracle(QbfInstance((FORALL, EXISTS), PAnd(p, PNot(p))))
     with pytest.raises(MechanismError):
         QbfInstance((EXISTS,), PVar(2))  # free variable
+
+
+def test_qbf_oracle_is_capped_at_20_variables():
+    with pytest.raises(OracleLimitError) as err:
+        qbf_oracle(QbfInstance((EXISTS,) * 21, PConst(True)))
+    assert str(err.value) == "oracle capped at 20 variables, got 21"
 
 
 def test_prop_eval_operators():
@@ -286,6 +294,12 @@ def test_expressivity_pair_tells_models_apart(n):
     assert check_strategic(CheckQuery(m2, seller_of(m2), form))
 
 
+def test_expressivity_pair_needs_a_spur():
+    with pytest.raises(MechanismError) as err:
+        expressivity_pair(0)
+    assert str(err.value) == "need at least one spur buyer"
+
+
 def test_expressivity_pair_leaf_budgets_zero_and_valid():
     m1, m2, _ = expressivity_pair(2)
     for mech in (m1, m2):
@@ -465,3 +479,95 @@ def test_sat_gadget_on_unsatisfiable_cores():
         assert not expected
         mech, goal = gen_sat_gadget(instance)
         assert strategy_exists(StrategyQuery(mech, goal)).found == expected
+
+
+@pytest.mark.parametrize(
+    "instance, truth",
+    [
+        (read_qdimacs("p cnf 1 0\ne 1 0\n"), True),
+        (read_qdimacs("p cnf 2 0\na 1 0\ne 2 0\n"), True),
+        (QbfInstance((EXISTS,), PConst(False)), False),
+    ],
+    ids=["empty-matrix", "empty-matrix-two-variables", "false-matrix"],
+)
+def test_qbf_gadget_of_a_constant_matrix(instance, truth):
+    # an empty QDIMACS matrix is the constant true, and prop_to_formula
+    # writes a constant as `true` or `false`
+    assert qbf_oracle(instance) is truth
+    mech, form = gen_qbf_gadget(instance)
+    at = seller_of(mech)
+    assert check_strategic(CheckQuery(mech, at, form)) is truth
+    assert check(CheckQuery(mech, at, translate(mech, form))) is truth
+
+
+# --- SATLIB files -------------------------------------------------------------------------
+
+# SATLIB's uf/uuf benchmark files end with a `%` line, a `0` line and a blank line
+_SATLIB = "c x\np cnf 3 2\n 1 -2 3 0\n-1 2 0\n%\n0\n\n"
+
+
+def test_a_percent_line_ends_the_input():
+    assert read_dimacs(_SATLIB) == CnfInstance(3, ((1, -2, 3), (-1, 2, 2)))
+    instance = read_qdimacs("p cnf 2 1\ne 1 0\na 2 0\n1 2 0\n%\n0\n\n")
+    assert instance.prefix == (EXISTS, FORALL) and qbf_oracle(instance)
+    # the clause count is held to the clauses before the `%` line
+    with pytest.raises(MechanismError) as err:
+        read_dimacs("p cnf 3 2\n1 -2 3 0\n%\n-1 2 0\n")
+    assert str(err.value) == "DIMACS header declares 2 clauses, found 1"
+    with pytest.raises(MechanismError) as err:
+        read_qdimacs("p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n%\n-1 2 0\n")
+    assert str(err.value) == "QDIMACS header declares 2 clauses, found 1"
+
+
+def test_gen_sat_reads_a_satlib_file(tmp_path, capsys):
+    source, model, goal = (tmp_path / name for name in ("uf.cnf", "m.json", "g.txt"))
+    source.write_text(_SATLIB, encoding="utf-8")
+    argv = ["gen", "sat", "--dimacs", str(source), "--out-model", str(model),
+            "--out-goal", str(goal)]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("", "")
+    assert model.exists() and goal.exists()
+
+
+# --- the gadget bound ---------------------------------------------------------------------
+
+_BOUND = "the gadget would have {} buyers, more than the 100000 allowed"
+
+
+@pytest.mark.parametrize(
+    "make, buyers",
+    [
+        # 4 buyers per clause and 5 per variable
+        (lambda: gen_sat_gadget(CnfInstance(1, ((1, 1, 1),) * 24999)), 100001),
+        (lambda: gen_sat_gadget(CnfInstance(10**20, ((1, 1, 1),))), 5 * 10**20 + 4),
+        # 4 buyers per quantified variable
+        (lambda: gen_qbf_gadget(QbfInstance((EXISTS,) * 25001, PConst(True))), 100004),
+        # 2 buyers per spur, and 2 more
+        (lambda: expressivity_pair(50000), 100002),
+        (lambda: expressivity_pair(10**10), 2 * 10**10 + 2),
+    ],
+    ids=["sat", "sat-huge-header", "qbf", "expressivity", "expressivity-huge"],
+)
+def test_gadget_generators_refuse_a_gadget_past_the_bound(make, buyers):
+    with time_limit(5, "a gadget past the bound was built before it was refused"):
+        with pytest.raises(MechanismError) as err:
+            make()
+    assert str(err.value) == _BOUND.format(buyers)
+
+
+def test_gen_past_the_gadget_bound_exits_two_and_writes_nothing(tmp_path, capsys):
+    source, model, goal = (tmp_path / name for name in ("huge.cnf", "m.json", "g.txt"))
+    source.write_text("p cnf 99999999999999999999 1\n1 0\n", encoding="utf-8")
+    argv = ["gen", "sat", "--dimacs", str(source), "--out-model", str(model),
+            "--out-goal", str(goal)]
+    with time_limit(5, "gen sat built a gadget past the bound"):
+        assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: " + _BOUND.format(5 * 99999999999999999999 + 4) + "\n"
+    assert not model.exists() and not goal.exists()
+    out_dir = tmp_path / "ex"
+    with time_limit(5, "gen expressivity built a gadget past the bound"):
+        assert main(["gen", "expressivity", "--n", "10000000000", "--out-dir", str(out_dir)]) == 2
+    assert capsys.readouterr() == ("", "error: " + _BOUND.format(2 * 10**10 + 2) + "\n")
+    assert not out_dir.exists()

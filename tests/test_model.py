@@ -97,6 +97,17 @@ def test_action_precondition_referral_chain():
     assert not action_precondition(after, follow)
 
 
+def test_an_action_refuses_a_seller_it_does_not_cover():
+    act = joint_action(two_seller_market().network, {"s1": "alpha"})
+    with pytest.raises(ActionError) as err:
+        act.target_of(seller("s"))
+    assert str(err.value) == "'s' is not a seller of this action"
+    # a two-sellers action read on the referral chain, whose seller is s
+    with pytest.raises(ActionError) as err:
+        action_precondition(referral_chain(), act)
+    assert str(err.value) == "'s1' is not a seller of the mechanism"
+
+
 def test_all_skip_action_is_precondition_true_and_identity():
     mech = two_seller_market()
     act = joint_action(mech.network, {})
