@@ -18,8 +18,11 @@ here, and the strategy search and the equilibrium test in `analysis`.
   the state as the arena materialises it, computed once and kept in the
   state. The engine alone holds what a query keeps: its states, their
   memos and allocations, and its start time, which `report` turns into
-  `CheckStats.elapsed_ms`. `forget` drops a state's memo and allocation
-  for a caller that will not ask about that state again.
+  `CheckStats.elapsed_ms`. The states sit in the engine's `_Space`, which
+  is all that the compiled closures hold, so a query makes no reference
+  cycle and is freed by reference counting when it returns. `forget`
+  drops a state's memo and allocation for a caller that will not ask
+  about that state again.
 * `_Engine.compile` turns a formula into its evaluator over the engine's
   states in one walk, the only one a query makes over its formula (global
   model checking for hybrid logics, Franceschet & de Rijke 2006). Formulas
@@ -311,12 +314,13 @@ def _box(engine, child, flip):
 
 def _diff(engine, action, child):
     child = engine.made[child]
+    space = engine.space
     feasible = engine.arena.feasible
 
     def diff(state, need):
         # the action does not depend on the agent: one successor for all
         if feasible(state.adj, state.budgets, action):
-            return child(cached_update(engine, state, action), need)
+            return child(cached_update(space, state, action), need)
         return need
 
     return diff
@@ -324,6 +328,7 @@ def _diff(engine, action, child):
 
 def _coal(engine, members, child):
     child = engine.made[child]
+    space = engine.space
     arena = engine.arena
     others = [s for s in arena.seller_ids if s not in members]
     options_of = arena.options
@@ -342,7 +347,7 @@ def _coal(engine, members, child):
             for counter in itertools.product(*(options[s] for s in others)):
                 for s, t in zip(others, counter):
                     action[s] = t
-                some |= child(cached_update(engine, state, tuple(action)), got & ~some)
+                some |= child(cached_update(space, state, tuple(action)), got & ~some)
                 if some == got:
                     break
             got = some
@@ -370,17 +375,53 @@ class _State:
         self.memo: dict[int, tuple[int, int]] = {}
 
 
+class _Space:
+    """The states one query builds on an arena, and their allocations. The
+    closures that `_Engine.compile` makes hold the space, never the engine:
+    the engine holds the closures, so a closure that held the engine would
+    make each query a reference cycle, freed only by the cyclic garbage
+    collector. As it is, a query's engine, closures and states are freed
+    by reference counting when the query returns."""
+
+    __slots__ = ("arena", "sellers", "table")
+
+    def __init__(self, arena: _Arena):
+        self.arena = arena
+        self.sellers = len(arena.seller_ids)
+        self.table: dict[tuple, _State] = {}
+
+    def state(self, rows_budgets) -> _State:
+        """The query's state for (rows, budgets), built on first use. The
+        table is keyed by (the sellers' rows, budgets), which within one
+        query determine the state (see the module docstring): a lookup
+        hashes and compares a few rows, not every agent's."""
+        adj, budgets = rows_budgets
+        key = (adj[: self.sellers], budgets)
+        got = self.table.get(key)
+        if got is None:
+            got = self.table[key] = _State(adj, budgets)
+        return got
+
+    def allocation(self, state: _State) -> auction.AllocationResult:
+        if state.alloc is None:
+            state.alloc = auction.evaluate(self.arena.materialize(state.adj, state.budgets))
+        return state.alloc
+
+
 class _Engine:
-    """One query on a mechanism: its arena, the table of states it built,
-    and the table of the formulas compiled for it, which the states' memos
-    are keyed by."""
+    """One query on a mechanism: its arena, the table of states it built
+    (its `_Space`, whose `state` and `allocation` it lends), and the table
+    of the formulas compiled for it, which the states' memos are keyed
+    by."""
 
     def __init__(self, mechanism: Mechanism):
         self.began = time.perf_counter()
-        self.arena = arena = _Arena.of(mechanism)
+        self.space = space = _Space(_Arena.of(mechanism))
+        self.arena = arena = space.arena
         self.width = len(arena.agents)
-        self.sellers = len(arena.seller_ids)
-        self.table: dict[tuple, _State] = {}
+        self.table = space.table
+        self.state = space.state
+        self.allocation = space.allocation
         # every formula compiled on this engine numbers its nodes here, so
         # equal subformulas of any two of them share one serial and memo
         self.serials: dict[tuple, int] = {}  # key -> serial
@@ -482,6 +523,7 @@ class _Engine:
             return serial
 
         top = go(node)
+        del go  # it holds itself: free the walk by reference counting too
         for serial in range(len(made), len(keys)):
             key = keys[serial]
             compute = key[0](self, *key[1:])
@@ -489,23 +531,6 @@ class _Engine:
                 compute = _memo(serial, compute)
             made.append(compute)
         return made[top]
-
-    def state(self, rows_budgets) -> _State:
-        """The query's state for (rows, budgets), built on first use. The
-        table is keyed by (the sellers' rows, budgets), which within one
-        query determine the state (see the module docstring): a lookup
-        hashes and compares a few rows, not every agent's."""
-        adj, budgets = rows_budgets
-        key = (adj[: self.sellers], budgets)
-        got = self.table.get(key)
-        if got is None:
-            got = self.table[key] = _State(adj, budgets)
-        return got
-
-    def allocation(self, state: _State) -> auction.AllocationResult:
-        if state.alloc is None:
-            state.alloc = auction.evaluate(self.arena.materialize(state.adj, state.budgets))
-        return state.alloc
 
     def forget(self, state: _State) -> None:
         """Drop the state's memo and allocation; the state stays in the
@@ -522,12 +547,12 @@ class _Engine:
             stats.elapsed_ms = (time.perf_counter() - self.began) * 1000
 
 
-def cached_update(engine: _Engine, state: _State, action) -> _State:
-    """The state after a feasible action: the engine's one successor lookup.
-    An action that moves nothing returns `state` itself, with no key built;
-    a successor already in the query's table, which `_Engine.state` keys by
-    the sellers' rows and the budgets, comes back with its memo and
-    allocation."""
+def cached_update(engine: _Engine | _Space, state: _State, action) -> _State:
+    """The state after a feasible action: the engine's one successor lookup,
+    on the engine or its space. An action that moves nothing returns
+    `state` itself, with no key built; a successor already in the query's
+    table, which `_Space.state` keys by the sellers' rows and the budgets,
+    comes back with its memo and allocation."""
     adj, budgets = engine.arena.apply(state.adj, state.budgets, action)
     if adj is state.adj and budgets is state.budgets:
         return state

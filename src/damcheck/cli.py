@@ -159,22 +159,20 @@ def _cmd_gen(args) -> int:
         instance = gadgets.read_dimacs(_read(args.dimacs))
         mechanism, goal = gadgets.gen_sat_gadget(instance)
         mechjson.save_mechanism(mechanism, args.out_model)
-        Path(args.out_goal).write_text(format_formula(goal) + "\n", encoding="utf-8")
+        mechjson._write_text(args.out_goal, format_formula(goal) + "\n")
         return 0
     if args.kind == "qbf":
         instance = gadgets.read_qdimacs(_read(args.qdimacs))
         mechanism, formula = gadgets.gen_qbf_gadget(instance)
         mechjson.save_mechanism(mechanism, args.out_model)
-        Path(args.out_formula).write_text(
-            format_formula(formula) + "\n", encoding="utf-8"
-        )
+        mechjson._write_text(args.out_formula, format_formula(formula) + "\n")
         return 0
     m1, m2, formula = gadgets.expressivity_pair(args.n)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     mechjson.save_mechanism(m1, out / "m1.json")
     mechjson.save_mechanism(m2, out / "m2.json")
-    (out / "formula.txt").write_text(format_formula(formula) + "\n", encoding="utf-8")
+    mechjson._write_text(out / "formula.txt", format_formula(formula) + "\n")
     return 0
 
 

@@ -1,13 +1,24 @@
 """Checker semantics: worked-network suites, duality, vacuity, coalitions."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
-from damcheck import SKIP, check, check_strategic, parse_formula, strategy_exists
+from damcheck import (
+    SKIP,
+    NeQuery,
+    check,
+    check_ne_direct,
+    check_strategic,
+    parse_formula,
+    strategy_exists,
+    translate,
+)
 from damcheck.analysis import StrategyQuery
-from damcheck.checker import CheckQuery, CheckStats
+from damcheck.checker import CheckQuery, CheckStats, _Engine
 from damcheck.errors import (
     CoalitionOperatorError,
     DamError,
@@ -35,7 +46,8 @@ from damcheck.formula import (
     big_and,
     desugar,
 )
-from damcheck.model import action_precondition, apply_joint_action, buyer
+from damcheck.gadgets import gen_qbf_gadget, read_qdimacs
+from damcheck.model import action_precondition, apply_joint_action, buyer, joint_action
 
 from helpers import (
     referral_chain,
@@ -965,3 +977,43 @@ def test_constant_atoms_run_no_auction():
         assert calls == []
     finally:
         auction._RULES.pop("counting", None)
+
+
+def _queries():
+    """One call of each entry point that makes an engine."""
+    chain = referral_chain()
+    alpha = chain.network.names["alpha"]
+    gadget, qbf = gen_qbf_gadget(read_qdimacs("p cnf 2 2\ne 1 0\na 2 0\n1 2 0\n1 -2 0\n"))
+    s = gadget.network.agent_by_id("s")
+    modal = parse_formula("wins(@self) & <sigma:alpha> ut[sigma] > 7 & [] <> alpha")
+    profile = (joint_action(chain.network, {"s": "alpha"}),)
+    return {
+        "check": lambda: check(CheckQuery(chain, alpha, modal)),
+        "check_strategic": lambda: check_strategic(CheckQuery(gadget, s, qbf)),
+        "strategy_exists": lambda: strategy_exists(StrategyQuery(chain, parse_formula("wins(gamma)"))),
+        "check_ne_direct": lambda: check_ne_direct(NeQuery(chain, profile)),
+        "translate": lambda: translate(gadget, qbf),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_queries()))
+def test_a_query_frees_its_engine_by_reference_counting(entry, monkeypatch):
+    # the compiled closures hold the engine's space, not the engine, so no
+    # query is a reference cycle that waits for the cyclic collector
+    engines = []
+    made = _Engine.__init__
+
+    def recording_init(self, mechanism):
+        made(self, mechanism)
+        engines.append(weakref.ref(self))
+
+    monkeypatch.setattr(_Engine, "__init__", recording_init)
+    run = _queries()[entry]
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        run()
+        assert engines and all(engine() is None for engine in engines)
+    finally:
+        if enabled:
+            gc.enable()

@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, file round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -175,6 +179,82 @@ def test_gen_qbf_roundtrip(tmp_path, capsys):
     rc = main(["check", "--model", str(model), "--at", "s",
                "--formula", f"@{formula}", "--strategic"])
     assert rc == 0  # forall p exists q: (p or q) and (!p or !q) is true
+
+
+def _gen_commands(tmp_path: Path) -> list[tuple[list[str], list[Path]]]:
+    """A `gen sat`, `gen qbf` and `gen expressivity` command line, each with
+    the files it writes."""
+    cnf = tmp_path / "phi.cnf"
+    cnf.write_text("p cnf 2 2\n1 2 0\n-1 -2 0\n", encoding="utf-8")
+    qdimacs = tmp_path / "psi.qdimacs"
+    qdimacs.write_text("p cnf 2 2\na 1 0\ne 2 0\n1 2 0\n-1 -2 0\n", encoding="utf-8")
+    sat = [tmp_path / "sat.json", tmp_path / "sat.goal"]
+    qbf = [tmp_path / "qbf.json", tmp_path / "qbf.txt"]
+    pair = tmp_path / "pair"
+    return [
+        (["gen", "sat", "--dimacs", str(cnf), "--out-model", str(sat[0]),
+          "--out-goal", str(sat[1])], sat),
+        (["gen", "qbf", "--qdimacs", str(qdimacs), "--out-model", str(qbf[0]),
+          "--out-formula", str(qbf[1])], qbf),
+        (["gen", "expressivity", "--n", "2", "--out-dir", str(pair)],
+         [pair / "m1.json", pair / "m2.json", pair / "formula.txt"]),
+    ]
+
+
+def test_outputs_are_rewritten_without_o_trunc(tmp_path, monkeypatch, capsys):
+    # O_TRUNC cuts an existing file to size 0, and on ext4 closing it then
+    # starts a writeback: every output file is opened through os.open
+    # without it, whether it is new or already there. No clock is read, so
+    # this holds on any file system
+    opened: list[tuple[str, int]] = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        opened.append((os.fspath(path), flags))
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    commands = _gen_commands(tmp_path)
+    saved = tmp_path / "chain.json"
+    outputs = [saved] + [path for _, paths in commands for path in paths]
+    for _ in range(2):  # the second time over the files the first wrote
+        save_mechanism(referral_chain(), saved)
+        for argv, _ in commands:
+            assert main(argv) == 0
+    for path in outputs:
+        flags = [f for name, f in opened if name == str(path)]
+        assert len(flags) == 2, path
+        assert all(f & os.O_CREAT and not f & os.O_TRUNC for f in flags), path
+
+
+def test_gen_over_existing_files_writes_what_it_writes_to_new_ones(tmp_path, capsys):
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    for argv, _ in _gen_commands(fresh):
+        assert main(argv) == 0
+    for filler in ("", "x" * 100_000):  # shorter, then longer than each output
+        over = tmp_path / f"over{len(filler)}"
+        over.mkdir()
+        for (argv, paths), (_, fresh_paths) in zip(_gen_commands(over), _gen_commands(fresh)):
+            for path in paths:
+                path.parent.mkdir(exist_ok=True)
+                path.write_text(filler, encoding="utf-8")
+            assert main(argv) == 0
+            for path, fresh_path in zip(paths, fresh_paths):
+                assert path.read_bytes() == fresh_path.read_bytes()
+
+
+def test_gen_sat_writes_its_model_into_a_pipe(tmp_path, capsys):
+    # /dev/stdout as a pipe cannot be cut to a length: the model goes
+    # through it whole, as gen writes it to a file
+    argv, (model, _) = _gen_commands(tmp_path)[0]
+    assert main(argv) == 0
+    argv[argv.index(str(model))] = "/dev/stdout"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-m", "damcheck.cli", *argv],
+                          stdout=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+                          check=True)
+    assert done.stdout == model.read_bytes()
 
 
 def test_exit_code_contract_randomized(tmp_path, capsys):

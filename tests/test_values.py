@@ -2,8 +2,10 @@
 mechanism file format."""
 
 import json
+import os
 import random
 import re
+import stat
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -591,6 +593,91 @@ def test_save_refuses_an_unnamed_agent_as_load_does(tmp_path):
     with pytest.raises(MechanismError) as err:
         mechanism_from_dict(doc)
     assert str(err.value) == "invalid mechanism: agent 'd' has no name"
+
+
+def _saved_bytes(mech: Mechanism) -> bytes:
+    """The file a save of `mech` writes, built from the reference dict."""
+    return (json.dumps(reference_mechanism_to_dict(mech), indent=2) + "\n").encode("utf-8")
+
+
+def _one_digit_more(mech: Mechanism) -> Mechanism:
+    """`mech` with its first seller's integer budget one off, so that its
+    file has other bytes of the same length."""
+    net = mech.network
+    first = net.sellers[0]
+    budget = net.budget[first]
+    assert budget.denominator == 1
+    other = budget + 1 if budget % 10 != 9 else budget - 1
+    return Mechanism(replace(net, budget={**net.budget, first: other}), mech.rule)
+
+
+def test_save_rewrites_an_existing_file_in_place(tmp_path):
+    # a longer, an equal and a shorter text over one file: each time it
+    # holds what a save to a new path holds, and keeps its inode and mode
+    large = random_rational_market(random.Random(3434), 3, 6)
+    small = referral_chain()
+    twin = _one_digit_more(small)
+    assert len(_saved_bytes(small)) < len(_saved_bytes(large))
+    assert len(_saved_bytes(twin)) == len(_saved_bytes(small))
+    assert _saved_bytes(twin) != _saved_bytes(small)
+    path = tmp_path / "m.json"
+    save_mechanism(large, path)
+    path.chmod(0o604)
+    inode = path.stat().st_ino
+    for i, mech in enumerate((small, twin, large)):  # shorter, equal, longer
+        save_mechanism(mech, path)
+        fresh = tmp_path / f"fresh{i}.json"
+        save_mechanism(mech, fresh)
+        assert path.read_bytes() == fresh.read_bytes() == _saved_bytes(mech)
+        assert path.stat().st_ino == inode
+        assert stat.S_IMODE(path.stat().st_mode) == 0o604
+
+
+def test_save_gives_a_new_file_the_mode_open_gives_it(tmp_path):
+    old = os.umask(0o027)
+    try:
+        save_mechanism(referral_chain(), tmp_path / "saved.json")
+        with open(tmp_path / "opened.json", "w", encoding="utf-8"):
+            pass
+    finally:
+        os.umask(old)
+    modes = {stat.S_IMODE((tmp_path / name).stat().st_mode)
+             for name in ("saved.json", "opened.json")}
+    assert modes == {0o640}
+
+
+def test_save_through_a_symlink_writes_its_target(tmp_path):
+    target = tmp_path / "target.json"
+    save_mechanism(random_rational_market(random.Random(3435), 2, 5), target)
+    inode = target.stat().st_ino
+    link = tmp_path / "link.json"
+    link.symlink_to("target.json")
+    save_mechanism(referral_chain(), link)
+    assert link.is_symlink() and os.readlink(link) == "target.json"
+    assert target.read_bytes() == _saved_bytes(referral_chain())
+    assert target.stat().st_ino == inode
+
+
+def test_save_to_the_null_device_succeeds():
+    # a character device cannot be cut to a length: the writer leaves it be
+    save_mechanism(referral_chain(), os.devnull)
+
+
+def test_a_refused_save_leaves_an_existing_file_as_it_was(tmp_path):
+    # the text is rendered whole before the file is opened
+    net = referral_chain().network
+    path = tmp_path / "m.json"
+    save_mechanism(random_rational_market(random.Random(3436), 2, 4), path)
+    before = path.read_bytes()
+    sigma = net.names["sigma"]
+    nameless = {nom: agent for nom, agent in net.names.items() if nom != "delta"}
+    for refused in (
+        Mechanism(replace(net, names=nameless)),  # invalid
+        Mechanism(replace(net, budget={**net.budget, sigma: Fraction(10**5000)})),
+    ):
+        with pytest.raises(MechanismError):
+            save_mechanism(refused, path)
+        assert path.read_bytes() == before
 
 
 def _faulty_document(rng: random.Random) -> tuple[dict, list[int]]:
